@@ -6,14 +6,13 @@ at a time.  The rules here need the whole package: they verify the
 that no single-file pass can see —
 
 ``SIM101``
-    Shadowing discipline.  Every observer class that installs
-    per-instance method shadows (``self._shadow(obj, name, ...)`` or a
-    direct ``obj.name = wrapper``) must ship a paired ``detach`` that
-    restores every shadowed name — ``_shadow``-based classes by
-    unwinding ``reversed(self._saved)``, direct assigns by deleting or
-    re-assigning the name.  Attach *order* is also checked: within one
-    function, observers must attach in the documented order
-    perf → faults → checker → telemetry → explain.
+    Shadowing discipline.  :class:`repro.noc.layers.ShadowSet` is the
+    only code that installs or restores instance attributes on other
+    objects: ``setattr``/``delattr`` on anything but ``self`` outside
+    ``ShadowSet``, and any attribute assignment or ``del`` on a
+    non-``self`` object inside an ``attach``/``detach`` method, are
+    violations.  Attach order needs no check: it is the order of the
+    :data:`~repro.noc.layers.LAYERS` registry by construction.
 ``SIM102``
     Backend conformance.  Every :class:`~repro.noc.backend.
     FabricBackend` subclass must override ``run`` and declare a
@@ -80,12 +79,11 @@ CONTRACT_RULES: dict[str, Rule] = {
     for rule in (
         Rule(
             "SIM101",
-            "observer shadowing without a faithful paired detach",
+            "instance attribute installed or restored outside ShadowSet",
             "error",
-            "give the observer a detach() that restores every shadowed "
-            "name (unwind reversed(self._saved) for _shadow-based "
-            "classes), and attach observers in the documented order "
-            "perf -> faults -> checker -> telemetry -> explain",
+            "install shadows with self._saved.install(obj, name, value) "
+            "(a repro.noc.layers.ShadowSet) and restore them with "
+            "self._saved.restore() in detach()",
         ),
         Rule(
             "SIM102",
@@ -125,12 +123,12 @@ CONTRACT_RULES: dict[str, Rule] = {
 # LINT_RULES, and `python -m repro.analysis rules` prints everything.
 LINT_RULES.update(CONTRACT_RULES)
 
+#: The one class allowed to install and restore instance attributes.
+SHADOW_SET = "ShadowSet"
+
 #: Markers bounding the machine-read seam list in docs/architecture.md.
 SEAM_BEGIN = "<!-- backend-seams:begin -->"
 SEAM_END = "<!-- backend-seams:end -->"
-
-#: The documented observer attach order (SIM101), by subpackage.
-ATTACH_ORDER = ("perf", "faults", "analysis", "telemetry", "explain")
 
 _ENV_TOKEN = re.compile(r"REPRO_[A-Z0-9_]+")
 #: A seam table row: the backticked name in the row's first column.
@@ -241,17 +239,11 @@ def _scope_of(fn: FunctionInfo) -> str:
     return fn.qualname[len(fn.module) + 1 :]
 
 
-def _leftmost_name(node: ast.expr) -> str | None:
-    """The root ``Name`` of an attribute/call chain, if any."""
-    while True:
-        if isinstance(node, ast.Attribute):
-            node = node.value
-        elif isinstance(node, ast.Call):
-            node = node.func
-        elif isinstance(node, ast.Name):
-            return node.id
-        else:
-            return None
+def _all_functions(mod: ModuleInfo) -> list[FunctionInfo]:
+    out = list(mod.functions.values())
+    for cls in mod.classes.values():
+        out.extend(cls.methods.values())
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -260,204 +252,50 @@ def _leftmost_name(node: ast.expr) -> str | None:
 def check_shadowing(program: Program) -> list[Violation]:
     violations: list[Violation] = []
     for mod in program.modules.values():
-        for cls in mod.classes.values():
-            violations += _check_class_shadowing(mod, cls)
         for fn in _all_functions(mod):
-            violations += _check_attach_order(program, mod, fn)
+            scope = _scope_of(fn)
+            cls, _, method = scope.rpartition(".")
+            if cls == SHADOW_SET:
+                continue
+            for node in ast.walk(fn.node):
+                message = _shadow_write(node, scope, method)
+                if message is not None:
+                    violations.append(
+                        _violation("SIM101", mod, node, message, scope)
+                    )
     return violations
 
 
-def _all_functions(mod: ModuleInfo) -> list[FunctionInfo]:
-    out = list(mod.functions.values())
-    for cls in mod.classes.values():
-        out.extend(cls.methods.values())
-    return out
+def _is_self(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
 
 
-def _saved_list_name(shadow_fn: FunctionInfo) -> str | None:
-    """The ``self.<name>`` list ``_shadow`` appends shadow records to."""
-    for node in ast.walk(shadow_fn.node):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "append"
-            and isinstance(node.func.value, ast.Attribute)
-            and isinstance(node.func.value.value, ast.Name)
-        ):
-            return node.func.value.attr
-    return None
-
-
-def _check_class_shadowing(
-    mod: ModuleInfo, cls: ClassInfo
-) -> list[Violation]:
-    attach = cls.methods.get("attach")
-    if attach is None:
-        return []
-    self_name = _method_self_name(attach)
-    uses_shadow_helper = False
-    direct_names: list[tuple[str, ast.AST]] = []
-    for node in ast.walk(attach.node):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "_shadow"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == self_name
-        ):
-            uses_shadow_helper = True
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if not isinstance(target, ast.Attribute):
-                    continue
-                base = target.value
-                if isinstance(base, ast.Name) and base.id == self_name:
-                    continue  # plain instance state, not a shadow
-                direct_names.append((target.attr, target))
-    if not uses_shadow_helper and not direct_names:
-        return []
-
-    violations: list[Violation] = []
-    detach = cls.methods.get("detach")
-    scope = f"{cls.name}.attach"
-    if detach is None:
-        violations.append(
-            _violation(
-                "SIM101",
-                mod,
-                attach.node,
-                f"{cls.name}.attach installs method shadows but the "
-                "class defines no detach()",
-                scope,
-            )
+def _shadow_write(node: ast.AST, scope: str, method: str) -> str | None:
+    """Why ``node`` installs or restores a foreign attribute, or None."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("setattr", "delattr")
+        and node.args
+        and not _is_self(node.args[0])
+    ):
+        return (
+            f"{scope} calls {node.func.id}() on another object; "
+            f"install and restore shadows through {SHADOW_SET}"
         )
-        return violations
-
-    if uses_shadow_helper:
-        shadow_fn = cls.methods.get("_shadow")
-        saved = (
-            _saved_list_name(shadow_fn) if shadow_fn is not None else None
-        )
-        if saved is None or not _detach_unwinds(detach, saved):
-            violations.append(
-                _violation(
-                    "SIM101",
-                    mod,
-                    detach.node,
-                    f"{cls.name}.detach does not unwind "
-                    f"reversed(self.{saved or '_saved'}), so shadowed "
-                    "names are not restored in reverse attach order",
-                    f"{cls.name}.detach",
-                )
+    if method not in ("attach", "detach"):
+        return None
+    targets: list[ast.expr] = []
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, ast.AugAssign):
+        targets = [node.target]
+    for target in targets:
+        if isinstance(target, ast.Attribute) and not _is_self(target.value):
+            return (
+                f"{scope} writes {ast.unparse(target)} directly; "
+                f"install and restore shadows through {SHADOW_SET}"
             )
-    restored = _restored_names(detach)
-    for name, node in direct_names:
-        if name not in restored:
-            violations.append(
-                _violation(
-                    "SIM101",
-                    mod,
-                    node,
-                    f"{cls.name}.attach shadows {name!r} by direct "
-                    f"assignment but detach never deletes or restores "
-                    f"it",
-                    scope,
-                )
-            )
-    return violations
-
-
-def _method_self_name(fn: FunctionInfo) -> str | None:
-    args = fn.node.args
-    ordered = [*args.posonlyargs, *args.args]
-    return ordered[0].arg if ordered else None
-
-
-def _detach_unwinds(detach: FunctionInfo, saved: str) -> bool:
-    """True when detach iterates ``reversed(self.<saved>)``."""
-    for node in ast.walk(detach.node):
-        if not isinstance(node, (ast.For, ast.AsyncFor)):
-            continue
-        it = node.iter
-        if (
-            isinstance(it, ast.Call)
-            and isinstance(it.func, ast.Name)
-            and it.func.id == "reversed"
-            and it.args
-            and isinstance(it.args[0], ast.Attribute)
-            and it.args[0].attr == saved
-        ):
-            return True
-    return False
-
-
-def _restored_names(detach: FunctionInfo) -> set[str]:
-    """Attribute names detach deletes or re-assigns (any receiver)."""
-    names: set[str] = set()
-    for node in ast.walk(detach.node):
-        if isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Attribute):
-                    names.add(target.attr)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Attribute):
-                    names.add(target.attr)
-    return names
-
-
-def _check_attach_order(
-    program: Program, mod: ModuleInfo, fn: FunctionInfo
-) -> list[Violation]:
-    """Attach calls inside one function must follow ATTACH_ORDER."""
-    ranked: list[tuple[int, int, str, ast.Call]] = []
-    for node in ast.walk(fn.node):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "attach"
-        ):
-            continue
-        root = _leftmost_name(node.func.value)
-        if root is None:
-            continue
-        target = mod.imports.get(root)
-        if target is None and root in mod.classes:
-            target = mod.classes[root].qualname
-        if target is None:
-            continue
-        owner = target
-        info = program.classes.get(target)
-        if info is not None:
-            owner = info.module
-        rank = _attach_rank(program.package, owner)
-        if rank is not None:
-            ranked.append((node.lineno, rank, root, node))
-    ranked.sort(key=lambda item: item[0])
-    violations: list[Violation] = []
-    for prev, cur in zip(ranked, ranked[1:]):
-        if cur[1] < prev[1]:
-            violations.append(
-                _violation(
-                    "SIM101",
-                    mod,
-                    cur[3],
-                    f"{cur[2]} ({ATTACH_ORDER[cur[1]]}) attaches after "
-                    f"{prev[2]} ({ATTACH_ORDER[prev[1]]}), violating "
-                    "the documented order perf -> faults -> checker "
-                    "-> telemetry -> explain",
-                    _scope_of(fn),
-                )
-            )
-    return violations
-
-
-def _attach_rank(package: str, dotted: str) -> int | None:
-    for rank, sub in enumerate(ATTACH_ORDER):
-        if dotted.startswith(f"{package}.{sub}.") or dotted == (
-            f"{package}.{sub}"
-        ):
-            return rank
     return None
 
 

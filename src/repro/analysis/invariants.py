@@ -60,6 +60,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.noc.buffers import vc_candidates
+from repro.noc.layers import ShadowSet
 from repro.noc.router import PowerState, Router
 from repro.noc.topology import Port
 from repro.util import env
@@ -72,8 +73,6 @@ if TYPE_CHECKING:
 __all__ = [
     "InvariantChecker",
     "InvariantViolation",
-    "checking_enabled",
-    "maybe_attach",
 ]
 
 #: A channel is identified as (subnet, node, in_port, vc).
@@ -98,18 +97,6 @@ class InvariantViolation(RuntimeError):
         self.invariant = invariant
         self.cycle = cycle
         self.details = details
-
-
-def checking_enabled() -> bool:
-    """True when ``REPRO_CHECK`` asks for runtime invariant checking."""
-    return env.flag("REPRO_CHECK")
-
-
-def maybe_attach(fabric: "MultiNocFabric") -> "InvariantChecker | None":
-    """Attach a checker to ``fabric`` when ``REPRO_CHECK`` is set."""
-    if not checking_enabled():
-        return None
-    return InvariantChecker(fabric).attach()
 
 
 class _CheckedPolicy:
@@ -194,7 +181,7 @@ class InvariantChecker:
             "credit-conservation": 0,
             "deadlock": 0,
         }
-        self._orig_step: Any = None
+        self._saved = ShadowSet("checker")
         self._since_check = 0
         self._last_progress = -1
         self._stalled_for = 0
@@ -214,29 +201,21 @@ class InvariantChecker:
     def attach(self) -> "InvariantChecker":
         """Hook the fabric's step loop and its selection policies."""
         fabric = self.fabric
-        if self._orig_step is not None:
+        if self._saved:
             raise RuntimeError("invariant checker is already attached")
-        self._orig_step = fabric.step
-        # Instance attribute shadows the class method: zero overhead
-        # for unchecked fabrics, full interception for this one.
-        fabric.step = self._checked_step  # type: ignore[method-assign]
+        install = self._saved.install
+        self._orig_step = install(fabric, "step", self._checked_step)
         for ni in fabric.nis:
             policy = ni.policy
             if policy is not None and getattr(
                 policy, "strict_priority", False
             ):
-                ni.policy = _CheckedPolicy(policy, self)
+                install(ni, "policy", _CheckedPolicy(policy, self))
         return self
 
     def detach(self) -> None:
         """Remove all hooks, restoring the unchecked fast path."""
-        if self._orig_step is None:
-            return
-        del self.fabric.step  # uncover the class method
-        self._orig_step = None
-        for ni in self.fabric.nis:
-            if isinstance(ni.policy, _CheckedPolicy):
-                ni.policy = ni.policy._inner
+        self._saved.restore()
 
     def _checked_step(self) -> None:
         self._orig_step()

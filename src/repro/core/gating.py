@@ -193,6 +193,10 @@ class PowerGatingController:
         self._wake_backoff = backoff
         self._wake_timeout_max = max(timeout, max_timeout)
 
+    def disarm_wake_timeout(self) -> None:
+        """Disable the wake watchdog again."""
+        self._wake_timeout = None
+
     def wake_on_timeout(
         self, cycle: int, nis: "Iterable[NetworkInterface]" = ()
     ) -> int:

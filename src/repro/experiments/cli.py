@@ -50,6 +50,8 @@ from repro.experiments.fig12_bursty import run_fig12
 from repro.experiments.fig13_ir_thresholds import run_fig13
 from repro.experiments.fig14_64core import run_fig14
 from repro.experiments.table02_voltage import run_table02
+from repro.noc.backend import backend_from_env
+from repro.noc.layers import LAYERS
 
 __all__ = [
     "EXPERIMENTS",
@@ -422,30 +424,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["REPRO_NO_CACHE"] = "1"
     if args.cache_dir is not None:
         os.environ["REPRO_CACHE_DIR"] = str(args.cache_dir)
-    if args.check:
-        # Environment (not a parameter) so forked sweep workers attach
-        # the checker to every fabric they construct.  Checked results
-        # must not poison the shared cache of unchecked runs — a run
-        # that only *reads* would also hide a violation inside a
-        # cached point — so caching is disabled wholesale.
-        os.environ["REPRO_CHECK"] = "1"
-        os.environ["REPRO_NO_CACHE"] = "1"
-    if args.faults is not None:
-        # Validate here so a typo fails fast with a usage error rather
-        # than as one captured failure per sweep point.
-        from repro.faults.spec import parse_fault_spec
-
-        try:
-            parse_fault_spec(args.faults)
-        except ValueError as exc:
-            parser.error(f"--faults: {exc}")
-        # Environment (not a parameter) so forked sweep workers attach
-        # a fault engine to every fabric they construct.  Faulted
-        # results must never poison the cache of healthy runs, and a
-        # cache hit would silently skip injection — caching is
-        # disabled wholesale (mirrors --check).
-        os.environ["REPRO_FAULTS"] = args.faults
-        os.environ["REPRO_NO_CACHE"] = "1"
     if args.workload is not None:
         # Validate here so a typo fails fast with a usage error rather
         # than as one captured failure per sweep point (mirrors
@@ -478,72 +456,59 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["REPRO_BACKEND"] = args.backend
         if args.backend != DEFAULT_BACKEND:
             os.environ["REPRO_NO_CACHE"] = "1"
-    if args.trace_out is not None:
-        os.environ["REPRO_TELEMETRY_DIR"] = str(args.trace_out)
-        args.telemetry = True
-    if args.telemetry:
-        # Environment (not a parameter) so forked sweep workers attach
-        # a hub to every fabric they construct.  A cache hit would skip
-        # the simulation entirely and silently produce no artifacts for
-        # that point, so caching is disabled wholesale (mirrors
-        # --check).
-        os.environ["REPRO_TELEMETRY"] = "1"
-        os.environ["REPRO_NO_CACHE"] = "1"
-    if args.explain_out is not None:
-        os.environ["REPRO_EXPLAIN_DIR"] = str(args.explain_out)
-        if args.explain is None:
-            args.explain = "1"
-    if args.explain is not None:
-        # Validate here so a typo fails fast with a usage error rather
-        # than as one captured failure per sweep point (mirrors
-        # --faults).
-        from repro.explain.hub import parse_explain_spec
-
+    # Instrumentation layers (repro.noc.layers).  Each flag is
+    # validated here, so a typo fails fast with a usage error rather
+    # than as one captured failure per sweep point, then exported
+    # through the environment so forked sweep workers attach the layer
+    # to every fabric they construct.  A cache hit would skip the
+    # simulation — no checking, no injection, no artifacts — and
+    # instrumented results must not poison the shared cache, so any
+    # layer disables caching wholesale.
+    layers = []
+    for layer in LAYERS:
+        value = getattr(args, layer.flag[2:].replace("-", "_"))
+        if layer.out_flag:
+            out = getattr(args, layer.out_flag[2:].replace("-", "_"))
+            if out is not None:
+                os.environ[layer.dir_env] = str(out)
+                value = value or "1"
+        if value is None or value is False:
+            continue
+        value = "1" if value is True else value
         try:
-            parse_explain_spec(args.explain)
+            layer.parse_spec(value)
         except ValueError as exc:
-            parser.error(f"--explain: {exc}")
-        # Environment (not a parameter) so forked sweep workers attach
-        # an attribution hub to every fabric they construct.  A cache
-        # hit would skip the simulation and silently produce no
-        # artifacts for that point, so caching is disabled wholesale
-        # (mirrors --check / --telemetry).
-        os.environ["REPRO_EXPLAIN"] = args.explain
+            parser.error(f"{layer.flag}: {exc}")
+        os.environ[layer.env] = value
         os.environ["REPRO_NO_CACHE"] = "1"
-    if args.perf_out is not None:
-        os.environ["REPRO_PERF_DIR"] = str(args.perf_out)
-        args.perf = True
-    if args.perf:
-        # Environment (not a parameter) so forked sweep workers attach
-        # a profiler to every fabric they construct.  A cache hit skips
-        # the simulation, so there would be nothing to profile — caching
-        # is disabled wholesale (mirrors --check / --telemetry).
-        os.environ["REPRO_PERF"] = "1"
-        os.environ["REPRO_NO_CACHE"] = "1"
+        layers.append(layer)
+    dense = [
+        layer.name for layer in LAYERS if layer.per_cycle and layer.enabled()
+    ]
+    if dense and backend_from_env() == "skip":
+        # The skip kernel defers to the shadowed per-cycle step under
+        # these layers (repro.noc.backend); say so rather than run
+        # densely in silence.
+        print(
+            "note: --backend skip steps densely because these layers "
+            f"observe every cycle: {', '.join(dense)}",
+            file=sys.stderr,
+        )
     if args.experiment == "all":
         names = list(PAPER_EXPERIMENTS)
     elif args.experiment == "ablations":
         names = [name for name in EXPERIMENTS if name.startswith("abl_")]
     else:
         names = [args.experiment]
-    extra = []
-    if args.telemetry:
-        from repro.telemetry.observer import TelemetryObserver
+    from repro.obs.ledger import ArtifactObserver, LedgerObserver
+    from repro.util import env
 
-        extra.append(TelemetryObserver())
-    if args.perf:
-        from repro.perf.observer import PerfObserver
-
-        extra.append(PerfObserver())
-    if args.explain is not None:
-        from repro.explain.observer import ExplainObserver
-
-        extra.append(ExplainObserver())
+    extra: list[runner.SweepObserver] = [
+        ArtifactObserver(layer) for layer in layers if layer.artifacts
+    ]
     from repro.util import env
 
     if args.ledger or env.flag("REPRO_OBS"):
-        from repro.obs.ledger import LedgerObserver
-
         extra.append(LedgerObserver())
     tally = _TallyObserver(progress=args.progress, extra=extra)
     runner.set_default_observer(tally)

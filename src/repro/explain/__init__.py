@@ -7,16 +7,9 @@ runs the plain class bytecode.  Enable with ``REPRO_EXPLAIN=1`` (or
 ``--explain`` on the experiments CLI); see ``docs/explain.md``.
 """
 
-from repro.explain.hub import (
-    ExplainHub,
-    explain_enabled,
-    maybe_attach,
-    parse_explain_spec,
-)
+from repro.explain.hub import ExplainHub, parse_explain_spec
 
 __all__ = [
     "ExplainHub",
-    "explain_enabled",
-    "maybe_attach",
     "parse_explain_spec",
 ]

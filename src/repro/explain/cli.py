@@ -18,9 +18,9 @@ import argparse
 import os
 import sys
 
-from repro.explain.hub import DEFAULT_DIR, PHASE_NAMES
-from repro.obs.artifacts import EXPLAIN_SUFFIXES, read_json_artifact
-from repro.util import env
+from repro.explain.hub import PHASE_NAMES
+from repro.noc.layers import BY_NAME
+from repro.obs.artifacts import read_json_artifact
 from repro.util.tables import format_table
 
 __all__ = ["main"]
@@ -34,7 +34,7 @@ def _load_documents(directory: str) -> list[tuple[str, dict]]:
     except OSError:
         return documents
     for name in names:
-        if not name.endswith(EXPLAIN_SUFFIXES):
+        if not name.endswith(BY_NAME["explain"].suffixes):
             continue
         path = os.path.join(directory, name)
         doc = read_json_artifact(path)
@@ -165,9 +165,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     directory = (
-        args.dir
-        if args.dir is not None
-        else env.text("REPRO_EXPLAIN_DIR", DEFAULT_DIR)
+        args.dir if args.dir is not None else BY_NAME["explain"].out_dir()
     )
     documents = _load_documents(directory)
     if not documents:

@@ -54,9 +54,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.regional import OR_NETWORK_SWITCH_ENERGY_J
+from repro.noc.layers import BY_NAME, ShadowSet
 from repro.noc.network import ActivityCounters
 from repro.noc.router import PowerState, Router
 from repro.power.router_power import RouterPowerModel
@@ -71,13 +72,11 @@ if TYPE_CHECKING:
 __all__ = [
     "ExplainHub",
     "PHASE_NAMES",
-    "explain_enabled",
-    "maybe_attach",
     "parse_explain_spec",
 ]
 
 #: Defaults for the environment knobs.
-DEFAULT_DIR = os.path.join("results", "explain")
+DEFAULT_DIR = BY_NAME["explain"].default_dir
 DEFAULT_MAX_PACKETS = 20_000
 #: Energy sampling window (cycles); a constructor knob, not an env var.
 DEFAULT_WINDOW = 1024
@@ -105,18 +104,6 @@ _GATING_FIELDS = (
     "compensated_sleep_cycles",
     "short_sleep_periods",
 )
-
-
-def explain_enabled() -> bool:
-    """True when ``REPRO_EXPLAIN`` asks for attribution."""
-    return env.flag("REPRO_EXPLAIN")
-
-
-def maybe_attach(fabric: "MultiNocFabric") -> "ExplainHub | None":
-    """Attach a hub to ``fabric`` when ``REPRO_EXPLAIN`` is set."""
-    if not explain_enabled():
-        return None
-    return ExplainHub.from_env(fabric).attach()
 
 
 def parse_explain_spec(spec: str) -> tuple[bool, bool]:
@@ -192,9 +179,7 @@ class ExplainHub:
         self.energy = energy
         self.attached = False
         num_subnets = fabric.config.num_subnets
-        # (object, attribute, had_instance_attr, saved_value) records
-        # for detach; restored in reverse attach order.
-        self._saved: list[tuple[object, str, bool, object]] = []
+        self._saved = ShadowSet("explain")
         # --- latency ----------------------------------------------------
         self._packets: dict[int, _PacketTrace] = {}
         # Global packet ids depend on how many packets the process has
@@ -221,7 +206,6 @@ class ExplainHub:
         self._baseline: tuple[list[dict[str, int]], int] | None = None
         self._last_counters: tuple[list[dict[str, int]], int] | None = None
         self._window_start = 0
-        self._orig_step: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     # Construction from the environment
@@ -232,7 +216,7 @@ class ExplainHub:
         latency, energy = parse_explain_spec(
             env.text("REPRO_EXPLAIN", "")
         )
-        out_dir = env.text("REPRO_EXPLAIN_DIR", DEFAULT_DIR)
+        out_dir = BY_NAME["explain"].out_dir()
         return cls(
             fabric, out_dir=out_dir, latency=latency, energy=energy
         )
@@ -240,46 +224,38 @@ class ExplainHub:
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
-    def _shadow(self, obj: Any, name: str, replacement: Any) -> None:
-        had = name in obj.__dict__
-        self._saved.append((obj, name, had, obj.__dict__.get(name)))
-        setattr(obj, name, replacement)
-
     def attach(self) -> "ExplainHub":
         """Install every probe on the fabric; returns ``self``.
 
         ``fabric.step`` is always shadowed (even latency-only): the
         skip kernel defers to dense per-cycle semantics whenever a
-        non-checker shadow owns ``step``, which is exactly what makes
+        ``per_cycle`` layer shadows ``step``, which is exactly what makes
         attribution byte-identical across backends.
         """
         if self.attached:
             return self
         fabric = self.fabric
-        self._orig_step = fabric.step
-        self._orig_report = fabric.report
-        self._shadow(fabric, "step", self._explain_step)
-        self._shadow(fabric, "report", self._explain_report)
+        install = self._saved.install
+        self._orig_step = install(fabric, "step", self._explain_step)
+        self._orig_report = install(fabric, "report", self._explain_report)
         if self.latency:
             for ni in fabric.nis:
-                self._shadow(
+                install(
                     ni,
                     "_assign_head",
                     self._make_assign_probe(ni, ni._assign_head),
                 )
-                self._shadow(
-                    ni, "step", self._make_stall_probe(ni, ni.step)
-                )
+                install(ni, "step", self._make_stall_probe(ni, ni.step))
             for network in fabric.subnets:
-                self._shadow(
+                install(
                     network,
                     "inject",
                     self._make_inject_probe(network.inject),
                 )
-                self._shadow(
+                install(
                     network, "send", self._make_send_probe(network.send)
                 )
-                self._shadow(
+                install(
                     network,
                     "eject",
                     self._make_eject_probe(network.eject),
@@ -288,7 +264,7 @@ class ExplainHub:
         if telemetry is not None:
             # Telemetry attaches before explain, so its hub exists by
             # now; merge the phase spans into its Perfetto trace.
-            self._shadow(
+            install(
                 telemetry,
                 "chrome_trace_doc",
                 self._make_trace_merge(telemetry.chrome_trace_doc),
@@ -303,22 +279,14 @@ class ExplainHub:
         """Remove every probe, restoring the pre-attach attributes."""
         if not self.attached:
             return
-        for obj, name, had, value in reversed(self._saved):
-            if had:
-                setattr(obj, name, value)
-            else:
-                delattr(obj, name)
-        self._saved.clear()
+        self._saved.restore()
         self.attached = False
 
     # ------------------------------------------------------------------
     # Shadowed fabric methods
     # ------------------------------------------------------------------
     def _explain_step(self) -> None:
-        orig_step = self._orig_step
-        if orig_step is None:  # pragma: no cover - attach() sets it
-            raise RuntimeError("explain hub is not attached")
-        orig_step()
+        self._orig_step()
         if (
             self.energy
             and self.fabric.cycle - self._window_start

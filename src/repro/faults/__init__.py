@@ -28,7 +28,7 @@ Modules
 See ``docs/faults.md`` for the full model.
 """
 
-from repro.faults.engine import FaultEngine, faults_enabled, maybe_attach
+from repro.faults.engine import FaultEngine
 from repro.faults.recovery import RecoveryConfig
 from repro.faults.report import FaultReport
 from repro.faults.spec import (
@@ -53,7 +53,5 @@ __all__ = [
     "FaultSpec",
     "RecoveryConfig",
     "compile_schedule",
-    "faults_enabled",
-    "maybe_attach",
     "parse_fault_spec",
 ]

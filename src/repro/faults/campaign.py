@@ -76,21 +76,19 @@ def run_fault_point(
     The fault engine is attached *explicitly* from the point's own
     spec string, replacing any engine the fabric constructor attached
     from ``REPRO_FAULTS`` — a campaign point's faults are part of its
-    cache identity and must not depend on ambient environment.
+    cache identity and must not depend on ambient environment.  The
+    swap keeps the engine in the faults position: a checker or
+    telemetry hub attached from the environment still wraps it.
     """
     fabric = MultiNocFabric(config, seed=seed)
-    if fabric.faults is not None:
-        fabric.faults.detach()
-    spec = parse_fault_spec(faults)
-    engine = FaultEngine(fabric, spec).attach()
-    fabric.faults = engine
+    engine = FaultEngine(fabric, parse_fault_spec(faults))
+    fabric.swap_layer("faults", engine)
     pattern = make_pattern(pattern_name, fabric.mesh)
     source = SyntheticTrafficSource(
         fabric, pattern, load, packet_bits, seed=seed
     )
     sim_report = run_open_loop(fabric, source, phases)
     meters.note_report(sim_report)
-    engine.detach()
     fault_report = engine.report()
     return {
         "config": config.name,

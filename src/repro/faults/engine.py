@@ -20,8 +20,9 @@ same contract as :class:`repro.perf.profiler.PhaseProfiler`,
 Because shadowing only touches *instances*, a fabric without an engine
 runs plain class bytecode — fault-off runs take the identical code path
 as a build without this package.  Attach order in the fabric
-constructor is perf → **faults** → checker → telemetry, so the checker
-reconciles post-fault truth and telemetry observes it.
+constructor is the registry's (:mod:`repro.noc.layers`): perf →
+**faults** → checker → telemetry → explain, so the checker reconciles
+post-fault truth and telemetry observes it.
 
 The engine keeps a deterministic event log (armed events, first hits,
 resolutions, recovery actions, watchdog trips) whose canonical JSON
@@ -51,6 +52,7 @@ from repro.faults.spec import (
     compile_schedule,
     parse_fault_spec,
 )
+from repro.noc.layers import ShadowSet
 from repro.noc.topology import Port
 from repro.util import env
 
@@ -61,23 +63,11 @@ if TYPE_CHECKING:
     from repro.noc.network import SubnetNetwork
     from repro.noc.router import Router
 
-__all__ = ["FaultEngine", "faults_enabled", "maybe_attach"]
+__all__ = ["FaultEngine"]
 
 #: Hard cap on event-log entries (a runaway-rate backstop; the count of
 #: suppressed entries is recorded so a truncated log is detectable).
 MAX_LOG_ENTRIES = 100_000
-
-
-def faults_enabled() -> bool:
-    """True when ``REPRO_FAULTS`` asks for fault injection."""
-    return env.flag("REPRO_FAULTS")
-
-
-def maybe_attach(fabric: "MultiNocFabric") -> "FaultEngine | None":
-    """Attach an engine to ``fabric`` when ``REPRO_FAULTS`` is set."""
-    if not faults_enabled():
-        return None
-    return FaultEngine.from_env(fabric).attach()
 
 
 class FaultEngine:
@@ -135,9 +125,7 @@ class FaultEngine:
         #: (cycle, subnet, name) instants for the telemetry trace.
         self.fault_instants: list[tuple[int, int, str]] = []
         self.recovery_instants: list[tuple[int, int, str]] = []
-        # --- saved attributes for detach --------------------------------
-        self._saved: list[tuple[object, str, bool, object]] = []
-        self._orig_step: Callable[[], None] | None = None
+        self._saved = ShadowSet("faults")
 
     # ------------------------------------------------------------------
     # Construction from the environment
@@ -151,11 +139,6 @@ class FaultEngine:
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
-    def _shadow(self, obj: Any, name: str, replacement: Any) -> None:
-        had = name in obj.__dict__
-        self._saved.append((obj, name, had, obj.__dict__.get(name)))
-        setattr(obj, name, replacement)
-
     def attach(self) -> "FaultEngine":
         """Install every hook on the fabric; returns ``self``."""
         if self.attached:
@@ -163,29 +146,29 @@ class FaultEngine:
         fabric = self.fabric
         gating = fabric.gating
         monitor = fabric.monitor
-        regional = monitor.regional
-        self._orig_step = fabric.step
-        self._orig_request_wakeup = gating.request_wakeup
-        self._orig_sleep = gating._sleep
-        self._orig_begin_wakeup = gating._begin_wakeup
-        self._orig_monitor_update = monitor.update
-        self._orig_regional_update = regional.update
-        self._shadow(fabric, "step", self._fault_step)
-        self._shadow(gating, "request_wakeup", self._tap_request_wakeup)
-        self._shadow(gating, "_sleep", self._tap_sleep)
-        self._shadow(gating, "_begin_wakeup", self._tap_begin_wakeup)
-        self._shadow(monitor, "update", self._tap_monitor_update)
-        self._shadow(regional, "update", self._tap_regional_update)
+        install = self._saved.install
+        self._orig_step = install(fabric, "step", self._fault_step)
+        self._orig_request_wakeup = install(
+            gating, "request_wakeup", self._tap_request_wakeup
+        )
+        self._orig_sleep = install(gating, "_sleep", self._tap_sleep)
+        self._orig_begin_wakeup = install(
+            gating, "_begin_wakeup", self._tap_begin_wakeup
+        )
+        self._orig_monitor_update = install(
+            monitor, "update", self._tap_monitor_update
+        )
+        self._orig_regional_update = install(
+            monitor.regional, "update", self._tap_regional_update
+        )
         for network in fabric.subnets:
-            self._shadow(
+            install(
                 network,
                 "deliver_arrivals",
                 self._make_deliver_tap(network, network.deliver_arrivals),
             )
         for ni in fabric.nis:
-            self._shadow(
-                ni, "packet_sink", self._make_sink_tap(ni.packet_sink)
-            )
+            install(ni, "packet_sink", self._make_sink_tap(ni.packet_sink))
         if self.recovery.wakeup_timeout_enabled:
             gating.arm_wake_timeout(
                 self.recovery.wakeup_timeout,
@@ -199,14 +182,8 @@ class FaultEngine:
         """Remove every hook, restoring the pre-attach attributes."""
         if not self.attached:
             return
-        for obj, name, had, value in reversed(self._saved):
-            if had:
-                setattr(obj, name, value)
-            else:
-                delattr(obj, name)
-        self._saved.clear()
-        self.fabric.gating._wake_timeout = None
-        self._orig_step = None
+        self._saved.restore()
+        self.fabric.gating.disarm_wake_timeout()
         self.attached = False
 
     # ------------------------------------------------------------------
@@ -237,10 +214,7 @@ class FaultEngine:
         fabric = self.fabric
         cycle = fabric.cycle
         self._begin_cycle(cycle)
-        orig_step = self._orig_step
-        if orig_step is None:  # pragma: no cover - attach() sets it
-            raise RuntimeError("fault engine is not attached")
-        orig_step()
+        self._orig_step()
         self._end_cycle(cycle)
 
     _ACTIVE_LIST = {

@@ -28,13 +28,14 @@ Equivalence is a hard contract, not an aspiration: for any workload,
 figure-table tests and ``tests/test_backend.py`` enforce this.
 
 Backends also respect the per-instance shadowing contract (see
-``docs/architecture.md``): when perf, faults, or telemetry have
-shadowed ``fabric.step``, the skip backend defers to that shadowed
-per-cycle step, because those layers observe every cycle.  The
-invariant checker is the one observer the skip kernel composes with
-directly — its laws hold at every cycle boundary, so the kernel drives
-:meth:`~repro.analysis.invariants.InvariantChecker.note_steps` at the
-checker's own cadence instead of stepping densely.
+``docs/architecture.md``): when a ``per_cycle`` layer of the
+:mod:`repro.noc.layers` registry (perf, faults, telemetry, explain) or
+any unregistered wrapper has shadowed ``fabric.step``, the skip backend
+defers to that shadowed per-cycle step, because it observes every
+cycle.  The invariant checker is the one layer that is not
+``per_cycle`` — its laws hold at every cycle boundary, so the kernel
+drives :meth:`~repro.analysis.invariants.InvariantChecker.note_steps`
+at the checker's own cadence instead of stepping densely.
 
 Backend selection: ``MultiNocFabric(config, backend="skip")`` or the
 ``REPRO_BACKEND`` environment variable (the experiments CLI's
@@ -47,6 +48,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.gating import GatingPolicy
 from repro.noc.buffers import vc_candidates
+from repro.noc.layers import shadow_chain
 from repro.noc.router import PowerState
 from repro.noc.topology import Port
 from repro.util import env
@@ -239,28 +241,23 @@ class SkipBackend(FabricBackend):
     # ------------------------------------------------------------------
     # Shadowing-contract composition
     # ------------------------------------------------------------------
-    def _shadow_mode(self) -> str:
-        """How ``fabric.step`` is currently shadowed.
+    def _shadow_mode(self) -> tuple[bool, object]:
+        """``(defer, observer)`` for how ``fabric.step`` is shadowed.
 
-        ``"none"``   — plain class bytecode; the kernel may run freely.
-        ``"checker"`` — only the invariant checker wraps ``step``; the
-        kernel runs and drives the checker's cadence itself.
-        ``"defer"``  — perf, faults, or telemetry (alone or stacked)
-        observe every cycle; the kernel defers to the shadowed step.
+        The kernel runs when ``step`` is plain class bytecode
+        (``observer`` None) or wrapped by exactly one layer whose
+        registry record is not ``per_cycle`` — the kernel then drives
+        that layer's ``note_steps`` itself.  Any other shadow on
+        ``step``, registered or not, observes every cycle: ``defer``
+        is True and the kernel steps through the shadow chain.
         """
-        fabric = self.fabric
-        shadow = vars(fabric).get("step")
-        if shadow is None:
-            return "none"
-        checker = fabric.invariant_checker
-        if (
-            checker is not None
-            and shadow == checker._checked_step
-            and getattr(checker._orig_step, "__func__", None)
-            is type(fabric).step
-        ):
-            return "checker"
-        return "defer"
+        chain = shadow_chain(self.fabric, "step")
+        if not chain:
+            return False, None
+        layer, binding = chain[0]
+        if len(chain) > 1 or layer is None or layer.per_cycle:
+            return True, None
+        return False, binding.__self__
 
     # ------------------------------------------------------------------
     # Entry points
@@ -269,8 +266,8 @@ class SkipBackend(FabricBackend):
         if cycles <= 0:
             return
         fabric = self.fabric
-        mode = self._shadow_mode()
-        if mode == "defer":
+        defer, checker = self._shadow_mode()
+        if defer:
             # Per-cycle observers are attached; dense semantics through
             # the shadow chain is the only faithful execution.
             if source is None:
@@ -282,7 +279,6 @@ class SkipBackend(FabricBackend):
                     source_step(fabric.cycle)
                     fabric.step()
             return
-        checker = fabric.invariant_checker if mode == "checker" else None
         self._sync()
         end = fabric.cycle + cycles
         while fabric.cycle < end:
@@ -291,13 +287,9 @@ class SkipBackend(FabricBackend):
 
     def drain(self, max_cycles: int) -> bool:
         fabric = self.fabric
-        if self._shadow_mode() == "defer":
+        defer, checker = self._shadow_mode()
+        if defer:
             return super().drain(max_cycles)
-        checker = (
-            fabric.invariant_checker
-            if self._shadow_mode() == "checker"
-            else None
-        )
         self._sync()
         nis = fabric.nis
         for _ in range(max_cycles):

@@ -1,0 +1,224 @@
+"""The instrumentation-layer registry and the one shadow installer.
+
+Five optional layers observe a :class:`~repro.noc.multinoc.
+MultiNocFabric`.  Each is one :class:`Layer` record in :data:`LAYERS`,
+in attach order; the fabric constructor, the experiments CLI, the sweep
+artifact observer, the run ledger and the skip kernel's defer decision
+all loop over it.  Adding a layer means adding one record.
+
+Layers observe by *shadowing*: per-instance attributes over class
+methods (``fabric.step``, ``gating._sleep``, NI sinks, ...), so an
+un-attached fabric runs plain class bytecode.  :class:`ShadowSet` is
+the only code that installs or restores them (contract ``SIM101``);
+each layer keeps one as ``self._saved``.  A restore under another
+layer's shadow raises instead of dropping or resurrecting anyone's
+binding — detach in reverse attach order, or use
+:meth:`~repro.noc.multinoc.MultiNocFabric.swap_layer`.
+
+Factories and spec parsers are dotted paths imported on first use, so
+a plain fabric never loads a layer package.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+from dataclasses import dataclass
+from typing import Any
+
+from repro.util import env
+
+__all__ = ["Layer", "LAYERS", "BY_NAME", "ShadowSet", "shadow_chain"]
+
+
+def _resolve(path: str) -> Any:
+    """``"pkg.module:Attr.attr"`` → the named object (imported lazily)."""
+    module, _, qualname = path.partition(":")
+    target: Any = importlib.import_module(module)
+    for part in qualname.split("."):
+        target = getattr(target, part)
+    return target
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One instrumentation layer, as everything else needs to know it.
+
+    ``per_cycle`` is False only for layers whose wrapped ``step`` may be
+    batched: the skip kernel then runs and reports skipped cycles to
+    the layer's ``note_steps`` instead of stepping densely.
+    """
+
+    name: str
+    #: Fabric attribute holding the attached instance (or None).
+    attr: str
+    #: Enabling variable; its value is also the layer's spec text.
+    env: str
+    #: ``module:callable`` taking the fabric, returning a detached layer.
+    factory: str
+    #: Experiments-CLI flag that sets :attr:`env`.
+    flag: str
+    per_cycle: bool = True
+    #: ``module:callable`` validating the spec text (raises ValueError).
+    spec_parser: str | None = None
+    #: Artifact directory variable, its default, and the CLI flag
+    #: setting it (which implies :attr:`flag`); empty without artifacts.
+    dir_env: str = ""
+    default_dir: str = ""
+    out_flag: str = ""
+    #: ``(suffix, kind)`` of every artifact file the layer flushes.
+    artifacts: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def suffixes(self) -> tuple[str, ...]:
+        return tuple(suffix for suffix, _ in self.artifacts)
+
+    def enabled(self) -> bool:
+        """True when :attr:`env` asks for this layer."""
+        return env.flag(self.env)
+
+    def out_dir(self) -> str:
+        """Artifact directory from :attr:`dir_env` (or the default)."""
+        return env.text(self.dir_env, self.default_dir)
+
+    def build(self, fabric: Any) -> Any:
+        """A detached instance configured from the environment."""
+        return _resolve(self.factory)(fabric)
+
+    def parse_spec(self, text: str) -> None:
+        """Validate spec text; raises ValueError on a bad spec."""
+        if self.spec_parser is not None:
+            _resolve(self.spec_parser)(text)
+
+
+#: Every layer, in attach order: each wraps whatever the previous ones
+#: installed, so faults see the phased step, the checker reconciles
+#: post-fault truth, and telemetry and explain observe all of it.
+LAYERS: tuple[Layer, ...] = (
+    Layer(
+        "perf", "perf", "REPRO_PERF",
+        "repro.perf.profiler:PhaseProfiler.from_env", "--perf",
+        dir_env="REPRO_PERF_DIR",
+        default_dir=os.path.join("results", "perf"),
+        out_flag="--perf-out",
+        artifacts=(
+            (".perf.json", "perf-profile"),
+            (".pstats", "perf-pstats"),
+            (".folded.txt", "perf-folded"),
+        ),
+    ),
+    Layer(
+        "faults", "faults", "REPRO_FAULTS",
+        "repro.faults.engine:FaultEngine.from_env", "--faults",
+        spec_parser="repro.faults.spec:parse_fault_spec",
+    ),
+    Layer(
+        "checker", "invariant_checker", "REPRO_CHECK",
+        "repro.analysis.invariants:InvariantChecker", "--check",
+        per_cycle=False,
+    ),
+    Layer(
+        "telemetry", "telemetry", "REPRO_TELEMETRY",
+        "repro.telemetry.hub:TelemetryHub.from_env", "--telemetry",
+        dir_env="REPRO_TELEMETRY_DIR",
+        default_dir=os.path.join("results", "telemetry"),
+        out_flag="--trace-out",
+        artifacts=(
+            (".timeseries.json", "telemetry-timeseries"),
+            (".trace.json", "telemetry-trace"),
+            (".summary.txt", "telemetry-summary"),
+        ),
+    ),
+    Layer(
+        "explain", "explain", "REPRO_EXPLAIN",
+        "repro.explain.hub:ExplainHub.from_env", "--explain",
+        spec_parser="repro.explain.hub:parse_explain_spec",
+        dir_env="REPRO_EXPLAIN_DIR",
+        default_dir=os.path.join("results", "explain"),
+        out_flag="--explain-out",
+        artifacts=((".explain.json", "explain-attribution"),),
+    ),
+)
+
+BY_NAME: dict[str, Layer] = {layer.name: layer for layer in LAYERS}
+
+
+class ShadowSet:
+    """The instance attributes one layer installed, for exact restore.
+
+    Records are ``(obj, name, had, previous, installed)``: whether
+    ``obj`` had its own ``name`` before, that instance value, and the
+    value installed over it.
+    """
+
+    def __init__(self, layer: str) -> None:
+        self.layer = layer
+        self._records: list[tuple[Any, str, bool, Any, Any]] = []
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def install(self, obj: Any, name: str, value: Any) -> Any:
+        """Shadow ``obj.name`` with ``value``; return the displaced binding."""
+        displaced = getattr(obj, name)
+        own = vars(obj)
+        self._records.append((obj, name, name in own, own.get(name), value))
+        setattr(obj, name, value)
+        return displaced
+
+    def restore(self) -> None:
+        """Undo every install, newest first.
+
+        Raises RuntimeError, changing nothing, when another layer (or
+        anyone else) has since shadowed or deleted one of the bindings.
+        """
+        for obj, name, _, _, value in self._records:
+            current = vars(obj).get(name)
+            top = _owner(current)
+            if current is value or top is self:
+                continue
+            culprit = top.layer if top else f"an unregistered binding {current!r}"
+            raise RuntimeError(
+                f"cannot detach {self.layer}: {type(obj).__name__}.{name} "
+                f"is shadowed by {culprit}; detach in reverse attach order"
+            )
+        for obj, name, had, previous, _ in reversed(self._records):
+            if had:
+                setattr(obj, name, previous)
+            else:
+                delattr(obj, name)
+        self._records.clear()
+
+    def _displaced(self, obj: Any, name: str, value: Any) -> tuple[bool, Any]:
+        """``(found, previous)`` for the install of ``value`` as ``obj.name``."""
+        for rec_obj, rec_name, _, previous, installed in self._records:
+            if rec_obj is obj and rec_name == name and installed is value:
+                return True, previous
+        return False, None
+
+
+def _owner(binding: Any) -> ShadowSet | None:
+    """The ShadowSet of the layer a bound-method shadow belongs to (each
+    layer keeps its set as ``self._saved``), or None."""
+    saved = getattr(getattr(binding, "__self__", None), "_saved", None)
+    return saved if isinstance(saved, ShadowSet) else None
+
+
+def shadow_chain(obj: Any, name: str) -> list[tuple[Layer | None, Any]]:
+    """The instance bindings stacked on ``obj.name``, top first, as
+    ``(layer, binding)``.  The walk follows each layer's displaced value
+    down to the class attribute; ``layer`` is None for a set whose name
+    is not registered, and for a binding no set installed, where the
+    walk stops."""
+    chain: list[tuple[Layer | None, Any]] = []
+    value = vars(obj).get(name)
+    while value is not None:
+        saved = _owner(value)
+        found, previous = (
+            saved._displaced(obj, name, value) if saved else (False, None)
+        )
+        chain.append((BY_NAME.get(saved.layer) if found else None, value))
+        if not found:
+            break
+        value = previous
+    return chain

@@ -15,7 +15,7 @@ and experiment drivers need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.gating import GatingStats, PowerGatingController
 from repro.core.monitor import CongestionMonitor
@@ -24,12 +24,19 @@ from repro.noc.backend import backend_from_env, make_backend
 from repro.noc.config import NocConfig
 from repro.noc.flit import Packet
 from repro.noc.interface import NetworkInterface
+from repro.noc.layers import LAYERS
 from repro.noc.network import SubnetNetwork
 from repro.noc.routing import XYRouting
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import ConcentratedMesh
-from repro.util import env
 from repro.util.rng import DeterministicRng
+
+if TYPE_CHECKING:
+    from repro.analysis.invariants import InvariantChecker
+    from repro.explain.hub import ExplainHub
+    from repro.faults.engine import FaultEngine
+    from repro.perf.profiler import PhaseProfiler
+    from repro.telemetry.hub import TelemetryHub
 
 __all__ = ["MultiNocFabric", "FabricReport"]
 
@@ -79,6 +86,13 @@ class FabricReport:
 
 class MultiNocFabric:
     """A complete multiple network-on-chip instance."""
+
+    #: Attached instrumentation layers (:mod:`repro.noc.layers`).
+    perf: "PhaseProfiler | None"
+    faults: "FaultEngine | None"
+    invariant_checker: "InvariantChecker | None"
+    telemetry: "TelemetryHub | None"
+    explain: "ExplainHub | None"
 
     def __init__(
         self,
@@ -132,50 +146,37 @@ class MultiNocFabric:
         # satisfy the same state-equivalence contract, so the choice
         # never alters results — only wall-clock.
         self.backend = make_backend(backend or backend_from_env(), self)
-        # Simulator self-profiling (repro.perf): attached FIRST so the
-        # invariant checker and telemetry hub below wrap the phased
-        # step — their instance shadows capture whatever ``step`` is
-        # bound at attach time, so the three observers compose.
-        self.perf = None
-        if env.flag("REPRO_PERF"):
-            from repro.perf.profiler import PhaseProfiler
+        # Instrumentation layers (repro.noc.layers), attached in
+        # registry order from their REPRO_* variables.  Each shadows
+        # methods on this instance only, so a fabric with every layer
+        # off runs the plain class bytecode.
+        for layer in LAYERS:
+            setattr(
+                self,
+                layer.attr,
+                layer.build(self).attach() if layer.enabled() else None,
+            )
 
-            self.perf = PhaseProfiler.from_env(self).attach()
-        # Fault injection (repro.faults): attached after perf (so the
-        # engine wraps the phased step) and before the checker and
-        # telemetry (so the checker reconciles post-fault truth and
-        # telemetry observes injected behaviour).
-        self.faults = None
-        if env.flag("REPRO_FAULTS"):
-            from repro.faults.engine import FaultEngine
-
-            self.faults = FaultEngine.from_env(self).attach()
-        # Runtime invariant checking (repro.analysis.invariants): the
-        # checker shadows ``step`` on this instance only, so unchecked
-        # fabrics keep the unhooked fast path with zero overhead.
-        self.invariant_checker = None
-        if env.flag("REPRO_CHECK"):
-            from repro.analysis.invariants import InvariantChecker
-
-            self.invariant_checker = InvariantChecker(self).attach()
-        # Telemetry (repro.telemetry): same per-instance shadowing
-        # contract — an unattached fabric keeps the unhooked class
-        # methods, so telemetry-off runs execute the identical code
-        # path as a build without the telemetry package.
-        self.telemetry = None
-        if env.flag("REPRO_TELEMETRY"):
-            from repro.telemetry.hub import TelemetryHub
-
-            self.telemetry = TelemetryHub.from_env(self).attach()
-        # Attribution (repro.explain): attached LAST so the phase and
-        # energy decompositions observe post-fault, checked,
-        # telemetry-visible behaviour — and so the hub can merge its
-        # phase spans into the telemetry trace when both are on.
-        self.explain = None
-        if env.flag("REPRO_EXPLAIN"):
-            from repro.explain.hub import ExplainHub
-
-            self.explain = ExplainHub.from_env(self).attach()
+    def swap_layer(self, name: str, instance: Any) -> None:
+        """Replace the attached ``name`` layer with ``instance`` (a
+        detached layer object, or None to remove it) in its registry
+        position: the layers above it detach first and re-attach after,
+        so they keep wrapping it."""
+        index = [layer.name for layer in LAYERS].index(name)
+        above = [
+            getattr(self, layer.attr)
+            for layer in LAYERS[index + 1 :]
+            if getattr(self, layer.attr) is not None
+        ]
+        for hub in reversed(above):
+            hub.detach()
+        attr = LAYERS[index].attr
+        current = getattr(self, attr)
+        if current is not None:
+            current.detach()
+        setattr(self, attr, None if instance is None else instance.attach())
+        for hub in above:
+            hub.attach()
 
     # ------------------------------------------------------------------
     # Plumbing

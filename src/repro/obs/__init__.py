@@ -21,8 +21,8 @@ execution durable and queryable:
   energy-proportionality rollup plus a machine-readable
   ``report.json``;
 * :mod:`repro.obs.artifacts` — the fresh-artifact directory scanner
-  shared with :class:`repro.telemetry.observer.TelemetryObserver` and
-  :class:`repro.perf.observer.PerfObserver`.
+  shared by the run ledger and :class:`~repro.obs.ledger.
+  ArtifactObserver`, which announces each layer's new artifacts.
 
 Enable per run with ``catnap-experiments <fig> --ledger`` (or
 ``REPRO_OBS=1``); artifacts land under ``REPRO_OBS_DIR`` (default

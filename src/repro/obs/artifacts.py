@@ -1,14 +1,14 @@
 """Artifact-directory scanning and artifact readers for the rollup.
 
-Three subsystems drop per-point files into ``results/`` directories
-while a sweep runs: telemetry (``*.timeseries.json``, ``*.trace.json``,
-``*.summary.txt``), perf (``*.perf.json``, ``*.pstats``,
-``*.folded.txt``), and the ledger itself.  :class:`ArtifactScanner` is
-the one implementation of "which files appeared since I last looked" —
-:class:`repro.telemetry.observer.TelemetryObserver`,
-:class:`repro.perf.observer.PerfObserver`, and the run ledger all scan
-through it, so a new artifact suffix only has to be taught in one
-place.
+The instrumentation layers with artifacts — telemetry
+(``*.timeseries.json``, ``*.trace.json``, ``*.summary.txt``), perf
+(``*.perf.json``, ``*.pstats``, ``*.folded.txt``) and explain
+(``*.explain.json``) — drop per-point files into ``results/``
+directories while a sweep runs; their suffixes live in the
+:mod:`repro.noc.layers` registry.  :class:`ArtifactScanner` is the one
+implementation of "which files appeared since I last looked" — the
+sweep's :class:`repro.obs.ledger.ArtifactObserver` and the run ledger
+both scan through it.
 
 The module also holds the readers the campaign rollup
 (:mod:`repro.obs.report`) uses to *join* a ledger with the artifacts
@@ -23,10 +23,9 @@ from __future__ import annotations
 import json
 import os
 
+from repro.noc.layers import LAYERS
+
 __all__ = [
-    "TELEMETRY_SUFFIXES",
-    "PERF_SUFFIXES",
-    "EXPLAIN_SUFFIXES",
     "ArtifactScanner",
     "classify_artifact",
     "explain_tax",
@@ -35,29 +34,9 @@ __all__ = [
     "sleep_fractions",
 ]
 
-#: File suffixes the telemetry hub's ``flush`` produces.
-TELEMETRY_SUFFIXES: tuple[str, ...] = (
-    ".timeseries.json",
-    ".trace.json",
-    ".summary.txt",
-)
-
-#: File suffixes the phase profiler's ``flush`` produces.
-PERF_SUFFIXES: tuple[str, ...] = (".perf.json", ".pstats", ".folded.txt")
-
-#: File suffixes the attribution hub's ``flush`` produces.
-EXPLAIN_SUFFIXES: tuple[str, ...] = (".explain.json",)
-
-#: Suffix → artifact kind, most specific first (``.timeseries.json``
-#: must win over a hypothetical bare ``.json`` entry).
-_KINDS: tuple[tuple[str, str], ...] = (
-    (".timeseries.json", "telemetry-timeseries"),
-    (".trace.json", "telemetry-trace"),
-    (".summary.txt", "telemetry-summary"),
-    (".perf.json", "perf-profile"),
-    (".pstats", "perf-pstats"),
-    (".folded.txt", "perf-folded"),
-    (".explain.json", "explain-attribution"),
+#: Suffix → artifact kind, over every layer's artifacts.
+_KINDS: tuple[tuple[str, str], ...] = tuple(
+    pair for layer in LAYERS for pair in layer.artifacts
 )
 
 

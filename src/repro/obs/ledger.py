@@ -44,12 +44,8 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any
 
 from repro.experiments.runner import SweepObserver
-from repro.obs.artifacts import (
-    EXPLAIN_SUFFIXES,
-    PERF_SUFFIXES,
-    TELEMETRY_SUFFIXES,
-    ArtifactScanner,
-)
+from repro.noc.layers import LAYERS, Layer
+from repro.obs.artifacts import ArtifactScanner
 from repro.util import env
 
 if TYPE_CHECKING:
@@ -59,6 +55,7 @@ __all__ = [
     "LEDGER_SCHEMA",
     "LEDGER_NAME",
     "DEFAULT_DIR",
+    "ArtifactObserver",
     "LedgerObserver",
     "ledger_enabled",
     "run_id_for",
@@ -232,6 +229,54 @@ def read_ledger(
     return events, warnings
 
 
+class ArtifactObserver(SweepObserver):
+    """Announces one layer's new artifacts as sweep points complete.
+
+    Layers attach inside sweep worker processes, so the parent CLI
+    never sees the hubs — only the files they flush into the layer's
+    artifact directory, one ``  <layer>: <path>`` line per file.
+    """
+
+    def __init__(
+        self,
+        layer: Layer,
+        directory: str | None = None,
+        stream: "IO[str] | None" = None,
+    ) -> None:
+        self.layer = layer
+        self.directory = directory or layer.out_dir()
+        self.stream: IO[str] = (
+            stream if stream is not None else sys.stderr
+        )
+        self._scanner = ArtifactScanner(self.directory, layer.suffixes)
+        #: Every artifact path reported so far, in report order.
+        self.reported: list[str] = []
+
+    def _report_fresh(self) -> None:
+        for path in self._scanner.fresh():
+            self.reported.append(path)
+            print(f"  {self.layer.name}: {path}", file=self.stream)
+
+    def sweep_started(self, total: int) -> None:
+        # Pre-existing artifacts belong to earlier runs.
+        self._scanner.prime()
+
+    def point_finished(
+        self,
+        index: int,
+        spec: Any,
+        rows: list[dict[str, Any]],
+        elapsed: float,
+        cached: bool,
+    ) -> None:
+        self._report_fresh()
+
+    def sweep_finished(self, stats: "SweepStats") -> None:
+        # Parallel workers may flush after their point_finished record
+        # was consumed; catch any stragglers.
+        self._report_fresh()
+
+
 class LedgerObserver(SweepObserver):
     """Sweep observer that writes one run ledger per observed sweep."""
 
@@ -328,32 +373,11 @@ class LedgerObserver(SweepObserver):
             run_dir / LEDGER_NAME, "a", buffering=1, encoding="utf-8"
         )
         self._seq = 0
-        self._scanners = []
-        from repro.perf.profiler import DEFAULT_DIR as PERF_DIR
-        from repro.telemetry.hub import DEFAULT_DIR as TELEMETRY_DIR
-
-        if env.flag("REPRO_TELEMETRY"):
-            self._scanners.append(
-                ArtifactScanner(
-                    env.text("REPRO_TELEMETRY_DIR", TELEMETRY_DIR),
-                    TELEMETRY_SUFFIXES,
-                )
-            )
-        if env.flag("REPRO_PERF"):
-            self._scanners.append(
-                ArtifactScanner(
-                    env.text("REPRO_PERF_DIR", PERF_DIR), PERF_SUFFIXES
-                )
-            )
-        if env.flag("REPRO_EXPLAIN"):
-            from repro.explain.hub import DEFAULT_DIR as EXPLAIN_DIR
-
-            self._scanners.append(
-                ArtifactScanner(
-                    env.text("REPRO_EXPLAIN_DIR", EXPLAIN_DIR),
-                    EXPLAIN_SUFFIXES,
-                )
-            )
+        self._scanners = [
+            ArtifactScanner(layer.out_dir(), layer.suffixes)
+            for layer in LAYERS
+            if layer.artifacts and layer.enabled()
+        ]
         for scanner in self._scanners:
             scanner.prime()
         self._emit(

@@ -30,8 +30,6 @@ from repro.perf.profiler import (
     PROFILE_SCHEMA,
     PhaseProfiler,
     cprofile_enabled,
-    maybe_attach,
-    perf_enabled,
 )
 
 __all__ = [
@@ -44,8 +42,6 @@ __all__ = [
     "cprofile_enabled",
     "load_bench_dir",
     "make_bench_record",
-    "maybe_attach",
-    "perf_enabled",
     "throughput_suffix",
     "validate_bench_record",
     "write_bench_record",

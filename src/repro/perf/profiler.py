@@ -29,7 +29,7 @@ phase and per bracketed stage event) — it buys a per-phase breakdown;
 use the throughput meters (:mod:`repro.perf.meters`) when only
 aggregate rates are needed.
 
-Enable with ``REPRO_PERF=1`` (see :func:`perf_enabled`); artifacts go
+Enable with ``REPRO_PERF=1`` (see :mod:`repro.noc.layers`); artifacts go
 to ``REPRO_PERF_DIR`` (default ``results/perf``).  Setting
 ``REPRO_PERF_CPROFILE=1`` additionally captures a deterministic
 ``cProfile`` of every step and flushes a ``.pstats`` dump plus a
@@ -44,6 +44,7 @@ import os
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.noc.layers import BY_NAME, ShadowSet
 from repro.perf.phases import (
     ROUTER_STAGES,
     STEP_PHASES,
@@ -63,16 +64,14 @@ __all__ = [
     "PROFILE_SCHEMA",
     "DEFAULT_DIR",
     "PhaseProfiler",
-    "perf_enabled",
     "cprofile_enabled",
-    "maybe_attach",
 ]
 
 #: Schema tag stamped into every ``*.perf.json`` artifact.
 PROFILE_SCHEMA = "repro.perf.profile/1"
 
 #: Default artifact directory (override with ``REPRO_PERF_DIR``).
-DEFAULT_DIR = os.path.join("results", "perf")
+DEFAULT_DIR = BY_NAME["perf"].default_dir
 
 #: Coarse phases sampled per step into bounded histograms.
 _HISTOGRAM_PHASES = (
@@ -85,22 +84,9 @@ _HISTOGRAM_PHASES = (
 )
 
 
-def perf_enabled() -> bool:
-    """True when ``REPRO_PERF`` asks for simulator self-profiling."""
-    return env.flag("REPRO_PERF")
-
-
 def cprofile_enabled() -> bool:
     """True when ``REPRO_PERF_CPROFILE`` asks for a cProfile capture."""
     return env.flag("REPRO_PERF_CPROFILE")
-
-
-def maybe_attach(fabric: "MultiNocFabric") -> "PhaseProfiler | None":
-    """Attach a profiler to ``fabric`` when ``REPRO_PERF`` is set."""
-    if not perf_enabled():
-        return None
-    return PhaseProfiler.from_env(fabric).attach()
-
 
 class PhaseProfiler:
     """Per-phase wall-clock accounting for one fabric instance."""
@@ -129,7 +115,7 @@ class PhaseProfiler:
         }
         self._flits_at_attach = self._flits_routed_now()
         self._flush_count = 0
-        self._saved: list[tuple[object, str, bool, object]] = []
+        self._saved = ShadowSet("perf")
         self._cprofile: "cProfile.Profile | None" = None
         if capture_cprofile:
             import cProfile as _cprofile
@@ -142,7 +128,7 @@ class PhaseProfiler:
     @classmethod
     def from_env(cls, fabric: "MultiNocFabric") -> "PhaseProfiler":
         """Build a profiler configured by ``REPRO_PERF_*`` variables."""
-        out_dir = env.text("REPRO_PERF_DIR", DEFAULT_DIR)
+        out_dir = BY_NAME["perf"].out_dir()
         return cls(
             fabric,
             out_dir=out_dir,
@@ -152,22 +138,19 @@ class PhaseProfiler:
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
-    def _shadow(self, obj: Any, name: str, replacement: Any) -> None:
-        had = name in obj.__dict__
-        self._saved.append((obj, name, had, obj.__dict__.get(name)))
-        setattr(obj, name, replacement)
-
     def attach(self) -> "PhaseProfiler":
         """Install the step/report/regional probes; returns ``self``."""
         if self.attached:
             return self
         fabric = self.fabric
-        regional = fabric.monitor.regional
-        self._orig_report: Callable[[], "FabricReport"] = fabric.report
-        self._orig_regional_update = regional.update
-        self._shadow(fabric, "step", self._profiled_step)
-        self._shadow(fabric, "report", self._profiled_report)
-        self._shadow(regional, "update", self._timed_regional_update)
+        install = self._saved.install
+        install(fabric, "step", self._profiled_step)
+        self._orig_report: Callable[[], "FabricReport"] = install(
+            fabric, "report", self._profiled_report
+        )
+        self._orig_regional_update = install(
+            fabric.monitor.regional, "update", self._timed_regional_update
+        )
         self.attached = True
         return self
 
@@ -175,12 +158,7 @@ class PhaseProfiler:
         """Remove every probe, restoring the pre-attach attributes."""
         if not self.attached:
             return
-        for obj, name, had, value in reversed(self._saved):
-            if had:
-                setattr(obj, name, value)
-            else:
-                delattr(obj, name)
-        self._saved.clear()
+        self._saved.restore()
         self.attached = False
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ Enable with ``REPRO_TELEMETRY=1`` or ``catnap-experiments
 --telemetry``; artifacts land under ``results/telemetry/`` by default.
 """
 
-from repro.telemetry.hub import TelemetryHub, maybe_attach, telemetry_enabled
+from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.samplers import TimeSeriesSampler
 from repro.telemetry.trace import build_chrome_trace, validate_trace
 
@@ -24,7 +24,5 @@ __all__ = [
     "TelemetryHub",
     "TimeSeriesSampler",
     "build_chrome_trace",
-    "maybe_attach",
-    "telemetry_enabled",
     "validate_trace",
 ]

@@ -18,7 +18,7 @@ same contract as :class:`repro.analysis.invariants.InvariantChecker`):
 Because shadowing only touches *instances*, a fabric without a hub
 executes the original unhooked class methods: telemetry-off runs take
 the identical code path as a build without this package.  Enable with
-``REPRO_TELEMETRY=1`` (see :func:`telemetry_enabled`); tune with
+``REPRO_TELEMETRY=1`` (see :mod:`repro.noc.layers`); tune with
 ``REPRO_TELEMETRY_PERIOD`` (sampling period, default 64 cycles),
 ``REPRO_TELEMETRY_DIR`` (output directory, default
 ``results/telemetry``) and ``REPRO_TELEMETRY_MAX_PACKETS`` (packet
@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
+from repro.noc.layers import BY_NAME, ShadowSet
 from repro.noc.router import PowerState, Router
 from repro.telemetry.samplers import TimeSeriesSampler
 from repro.telemetry.trace import build_chrome_trace
@@ -53,24 +54,12 @@ if TYPE_CHECKING:
     from repro.noc.flit import Packet
     from repro.noc.multinoc import MultiNocFabric
 
-__all__ = ["TelemetryHub", "telemetry_enabled", "maybe_attach"]
+__all__ = ["TelemetryHub"]
 
 #: Defaults for the environment knobs.
 DEFAULT_PERIOD = 64
-DEFAULT_DIR = os.path.join("results", "telemetry")
+DEFAULT_DIR = BY_NAME["telemetry"].default_dir
 DEFAULT_MAX_PACKETS = 20_000
-
-
-def telemetry_enabled() -> bool:
-    """True when ``REPRO_TELEMETRY`` asks for fabric telemetry."""
-    return env.flag("REPRO_TELEMETRY")
-
-
-def maybe_attach(fabric: "MultiNocFabric") -> "TelemetryHub | None":
-    """Attach a hub to ``fabric`` when ``REPRO_TELEMETRY`` is set."""
-    if not telemetry_enabled():
-        return None
-    return TelemetryHub.from_env(fabric).attach()
 
 
 class TelemetryHub:
@@ -89,9 +78,7 @@ class TelemetryHub:
         self.sampler = TimeSeriesSampler(fabric, period)
         self.attached = False
         num_subnets = fabric.config.num_subnets
-        # (object, attribute, had_instance_attr, saved_value) records
-        # for detach; restored in reverse attach order.
-        self._saved: list[tuple[object, str, bool, object]] = []
+        self._saved = ShadowSet("telemetry")
         # --- power transitions ------------------------------------------
         # Open intervals keyed by id(router); totals per subnet follow
         # the GatingStats entry-count convention (module docstring).
@@ -129,7 +116,6 @@ class TelemetryHub:
         self.ejected_per_subnet = [0] * num_subnets
         self.latency = BoundedHistogram()
         self._flush_count = 0
-        self._orig_step: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     # Construction from the environment
@@ -138,7 +124,7 @@ class TelemetryHub:
     def from_env(cls, fabric: "MultiNocFabric") -> "TelemetryHub":
         """Build a hub configured by ``REPRO_TELEMETRY_*`` variables."""
         period = env.integer("REPRO_TELEMETRY_PERIOD", DEFAULT_PERIOD)
-        out_dir = env.text("REPRO_TELEMETRY_DIR", DEFAULT_DIR)
+        out_dir = BY_NAME["telemetry"].out_dir()
         max_packets = env.integer(
             "REPRO_TELEMETRY_MAX_PACKETS", DEFAULT_MAX_PACKETS
         )
@@ -152,36 +138,32 @@ class TelemetryHub:
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
-    def _shadow(self, obj: Any, name: str, replacement: Any) -> None:
-        had = name in obj.__dict__
-        self._saved.append((obj, name, had, obj.__dict__.get(name)))
-        setattr(obj, name, replacement)
-
     def attach(self) -> "TelemetryHub":
         """Install every probe on the fabric; returns ``self``."""
         if self.attached:
             return self
         fabric = self.fabric
         gating = fabric.gating
-        regional = fabric.monitor.regional
-        self._orig_step = fabric.step
-        self._orig_report = fabric.report
-        self._orig_sleep = gating._sleep
-        self._orig_begin_wakeup = gating._begin_wakeup
-        self._orig_wake_complete = gating._wake_complete
-        self._orig_request_wakeup = gating.request_wakeup
-        self._orig_regional_update = regional.update
-        self._shadow(fabric, "step", self._telemetry_step)
-        self._shadow(fabric, "report", self._telemetry_report)
-        self._shadow(gating, "_sleep", self._tap_sleep)
-        self._shadow(gating, "_begin_wakeup", self._tap_begin_wakeup)
-        self._shadow(gating, "_wake_complete", self._tap_wake_complete)
-        self._shadow(gating, "request_wakeup", self._tap_request_wakeup)
-        self._shadow(regional, "update", self._tap_regional_update)
+        install = self._saved.install
+        self._orig_step = install(fabric, "step", self._telemetry_step)
+        self._orig_report = install(
+            fabric, "report", self._telemetry_report
+        )
+        self._orig_sleep = install(gating, "_sleep", self._tap_sleep)
+        self._orig_begin_wakeup = install(
+            gating, "_begin_wakeup", self._tap_begin_wakeup
+        )
+        self._orig_wake_complete = install(
+            gating, "_wake_complete", self._tap_wake_complete
+        )
+        self._orig_request_wakeup = install(
+            gating, "request_wakeup", self._tap_request_wakeup
+        )
+        self._orig_regional_update = install(
+            fabric.monitor.regional, "update", self._tap_regional_update
+        )
         for ni in fabric.nis:
-            self._shadow(
-                ni, "packet_sink", self._make_packet_tap(ni.packet_sink)
-            )
+            install(ni, "packet_sink", self._make_packet_tap(ni.packet_sink))
         self.attached = True
         return self
 
@@ -189,12 +171,7 @@ class TelemetryHub:
         """Remove every probe, restoring the pre-attach attributes."""
         if not self.attached:
             return
-        for obj, name, had, value in reversed(self._saved):
-            if had:
-                setattr(obj, name, value)
-            else:
-                delattr(obj, name)
-        self._saved.clear()
+        self._saved.restore()
         self.attached = False
 
     # ------------------------------------------------------------------
@@ -207,10 +184,7 @@ class TelemetryHub:
             # Pre-step sample: a consistent post-gating snapshot of the
             # previous cycle (gating.step runs last inside step()).
             self.sampler.sample(cycle)
-        orig_step = self._orig_step
-        if orig_step is None:  # pragma: no cover - attach() sets it
-            raise RuntimeError("telemetry hub is not attached")
-        orig_step()
+        self._orig_step()
         # LCS toggle diff: monitor.update ran inside the step, so the
         # latched rows are the post-step truth for this cycle.
         prev = self._prev_lcs

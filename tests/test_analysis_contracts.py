@@ -127,89 +127,98 @@ _BASE_FILES: dict[str, str] = {
         def backend_from_env() -> str:
             return env.text("REPRO_BACKEND", "dense")
     """,
-    "repro/perf/__init__.py": "",
-    "repro/perf/profiler.py": """
+    "repro/noc/layers.py": """
         from typing import Any
 
+
+        class ShadowSet:
+            def __init__(self, layer: str) -> None:
+                self.layer = layer
+                self._records: list = []
+
+            def install(self, obj: Any, name: str, value: Any) -> Any:
+                displaced = getattr(obj, name)
+                had = name in vars(obj)
+                self._records.append((obj, name, had, vars(obj).get(name)))
+                setattr(obj, name, value)
+                return displaced
+
+            def restore(self) -> None:
+                for obj, name, had, previous in reversed(self._records):
+                    if had:
+                        setattr(obj, name, previous)
+                    else:
+                        delattr(obj, name)
+                self._records.clear()
+    """,
+    "repro/perf/__init__.py": "",
+    "repro/perf/profiler.py": """
+        from repro.noc.layers import ShadowSet
         from repro.noc.multinoc import MultiNocFabric
 
 
         class PhaseProfiler:
             def __init__(self, fabric: MultiNocFabric) -> None:
                 self.fabric = fabric
-                self._saved: list = []
-
-            def _shadow(self, obj: Any, name: str, replacement: Any) -> None:
-                had = name in obj.__dict__
-                self._saved.append((obj, name, had, obj.__dict__.get(name)))
-                setattr(obj, name, replacement)
+                self._saved = ShadowSet("perf")
 
             def attach(self) -> "PhaseProfiler":
-                self._shadow(self.fabric, "step", self._profiled_step)
+                self._saved.install(self.fabric, "step", self._profiled_step)
                 return self
 
             def detach(self) -> None:
-                for obj, name, had, value in reversed(self._saved):
-                    if had:
-                        setattr(obj, name, value)
-                    else:
-                        delattr(obj, name)
-                self._saved.clear()
+                self._saved.restore()
 
             def _profiled_step(self) -> None:
                 pass
     """,
     "repro/telemetry/__init__.py": "",
     "repro/telemetry/hub.py": """
-        from typing import Any
-
+        from repro.noc.layers import ShadowSet
         from repro.noc.multinoc import MultiNocFabric
 
 
         class TelemetryHub:
             def __init__(self, fabric: MultiNocFabric) -> None:
                 self.fabric = fabric
-                self._saved: list = []
-
-            def _shadow(self, obj: Any, name: str, replacement: Any) -> None:
-                had = name in obj.__dict__
-                self._saved.append((obj, name, had, obj.__dict__.get(name)))
-                setattr(obj, name, replacement)
+                self._saved = ShadowSet("telemetry")
+                self.attached = False
 
             def attach(self) -> "TelemetryHub":
-                self._shadow(self.fabric, "step", self._telemetry_step)
+                install = self._saved.install
+                self._orig_step = install(
+                    self.fabric, "step", self._telemetry_step
+                )
+                self.attached = True
                 return self
 
             def detach(self) -> None:
-                for obj, name, had, value in reversed(self._saved):
-                    if had:
-                        setattr(obj, name, value)
-                    else:
-                        delattr(obj, name)
-                self._saved.clear()
+                self._saved.restore()
+                self.attached = False
 
             def _telemetry_step(self) -> None:
-                pass
+                self._orig_step()
     """,
     "repro/analysis/__init__.py": "",
     "repro/analysis/invariants.py": """
+        from repro.noc.layers import ShadowSet
         from repro.noc.multinoc import MultiNocFabric
 
 
         class InvariantChecker:
             def __init__(self, fabric: MultiNocFabric) -> None:
                 self.fabric = fabric
-                self._orig_step = None
+                self._saved = ShadowSet("checker")
 
             def attach(self) -> "InvariantChecker":
                 fabric = self.fabric
-                self._orig_step = fabric.step
-                fabric.step = self._checked_step
+                self._orig_step = self._saved.install(
+                    fabric, "step", self._checked_step
+                )
                 return self
 
             def detach(self) -> None:
-                del self.fabric.step
-                self._orig_step = None
+                self._saved.restore()
 
             def _checked_step(self) -> None:
                 self._orig_step()
@@ -304,61 +313,63 @@ def test_real_repository_is_clean():
 # ----------------------------------------------------------------------
 
 
-def test_sim101_detects_missing_detach(tmp_path):
-    profiler = src("repro/perf/profiler.py")
-    head, _, _ = profiler.partition("    def detach")
+def test_sim101_detects_unrestored_direct_shadow(tmp_path):
+    checker = src("repro/analysis/invariants.py").replace(
+        """        self._orig_step = self._saved.install(
+            fabric, "step", self._checked_step
+        )""",
+        """        self._orig_step = fabric.step
+        fabric.step = self._checked_step""",
+    )
+    assert "fabric.step = self._checked_step" in checker
     assert rules_of(
-        tmp_path, {"repro/perf/profiler.py": head}
-    ).count("SIM101") == 1
+        tmp_path, {"repro/analysis/invariants.py": checker}
+    ) == ["SIM101"]
 
 
 def test_sim101_detects_detach_that_skips_the_unwind(tmp_path):
-    profiler = src("repro/perf/profiler.py")
-    head, _, tail = profiler.partition("        for obj")
-    _, _, rest = tail.partition("self._saved.clear()")
-    planted = head + "        self._saved.clear()" + rest
-    assert "SIM101" in rules_of(
-        tmp_path, {"repro/perf/profiler.py": planted}
+    profiler = src("repro/perf/profiler.py").replace(
+        "        self._saved.restore()",
+        '        delattr(self.fabric, "step")',
     )
+    assert 'delattr(self.fabric, "step")' in profiler
+    assert rules_of(
+        tmp_path, {"repro/perf/profiler.py": profiler}
+    ) == ["SIM101"]
 
 
-def test_sim101_detects_unrestored_direct_shadow(tmp_path):
+def test_sim101_detects_deleting_a_shadow_in_detach(tmp_path):
     checker = src("repro/analysis/invariants.py").replace(
-        "del self.fabric.step\n        ", ""
+        "        self._saved.restore()",
+        "        del self.fabric.step",
     )
-    assert "SIM101" in rules_of(
+    assert "del self.fabric.step" in checker
+    assert rules_of(
         tmp_path, {"repro/analysis/invariants.py": checker}
-    )
+    ) == ["SIM101"]
 
 
-def test_sim101_detects_attach_order_violation(tmp_path):
-    wiring = """
-        from repro.noc.multinoc import MultiNocFabric
-        from repro.perf.profiler import PhaseProfiler
-        from repro.telemetry.hub import TelemetryHub
+def test_sim101_detects_setattr_outside_shadowset(tmp_path):
+    helper = """
+        from typing import Any
 
 
-        def instrument(fabric: MultiNocFabric) -> None:
-            TelemetryHub(fabric).attach()
-            PhaseProfiler(fabric).attach()
+        class HandRolled:
+            def _shadow(self, obj: Any, name: str, value: Any) -> None:
+                setattr(obj, name, value)
+
+            def _own(self, name: str, value: Any) -> None:
+                setattr(self, name, value)
     """
-    assert "SIM101" in rules_of(tmp_path, {"repro/wiring.py": wiring})
+    assert rules_of(tmp_path, {"repro/noc/hand.py": helper}) == ["SIM101"]
 
 
-def test_sim101_accepts_documented_attach_order(tmp_path):
-    wiring = """
-        from repro.noc.multinoc import MultiNocFabric
-        from repro.perf.profiler import PhaseProfiler
-        from repro.analysis.invariants import InvariantChecker
-        from repro.telemetry.hub import TelemetryHub
-
-
-        def instrument(fabric: MultiNocFabric) -> None:
-            PhaseProfiler(fabric).attach()
-            InvariantChecker(fabric).attach()
-            TelemetryHub(fabric).attach()
-    """
-    assert rules_of(tmp_path, {"repro/wiring.py": wiring}) == []
+def test_sim101_accepts_shadowset_use(tmp_path):
+    # The fixture hubs install through ShadowSet, whose own setattr /
+    # delattr calls are the sanctioned ones.
+    assert "setattr(obj, name, value)" in src("repro/noc/layers.py")
+    assert "self._saved.install" in src("repro/telemetry/hub.py")
+    assert rules_of(tmp_path) == []
 
 
 # ----------------------------------------------------------------------

@@ -28,17 +28,12 @@ from repro.explain.cli import main as explain_main
 from repro.explain.hub import (
     PHASE_NAMES,
     ExplainHub,
-    explain_enabled,
-    maybe_attach,
     parse_explain_spec,
 )
-from repro.explain.observer import ExplainObserver
+from repro.noc.layers import BY_NAME
 from repro.noc.multinoc import MultiNocFabric
-from repro.obs.artifacts import (
-    EXPLAIN_SUFFIXES,
-    classify_artifact,
-    explain_tax,
-)
+from repro.obs.artifacts import classify_artifact, explain_tax
+from repro.obs.ledger import ArtifactObserver
 from repro.power.network_power import compute_network_power
 from repro.traffic.generators import (
     BurstyTrafficSource,
@@ -115,13 +110,14 @@ class TestSpecParsing:
             parse_explain_spec("latency,bogus")
 
     def test_enabled_reads_env(self, monkeypatch):
-        assert not explain_enabled()
+        layer = BY_NAME["explain"]
+        assert not layer.enabled()
         monkeypatch.setenv("REPRO_EXPLAIN", "0")
-        assert not explain_enabled()
+        assert not layer.enabled()
         monkeypatch.setenv("REPRO_EXPLAIN", "1")
-        assert explain_enabled()
+        assert layer.enabled()
         monkeypatch.setenv("REPRO_EXPLAIN", "latency")
-        assert explain_enabled()
+        assert layer.enabled()
 
 
 class TestZeroOverhead:
@@ -153,11 +149,11 @@ class TestZeroOverhead:
         assert any(n.endswith(".explain.json") for n in names)
 
     def test_maybe_attach_respects_env(self, monkeypatch):
-        fabric = gated_fabric()
-        assert maybe_attach(fabric) is None
+        assert gated_fabric().explain is None
         monkeypatch.setenv("REPRO_EXPLAIN", "1")
-        hub = maybe_attach(gated_fabric())
+        hub = gated_fabric().explain
         assert hub is not None and hub.attached
+        hub.detach()
 
     def test_detach_restores_every_shadow(self):
         fabric = gated_fabric()
@@ -360,7 +356,7 @@ class TestArtifactsAndObserver:
 
     def test_flush_writes_classified_artifact(self, tmp_path):
         path = self._flushed(tmp_path)
-        assert path.endswith(EXPLAIN_SUFFIXES)
+        assert path.endswith(BY_NAME["explain"].suffixes)
         assert classify_artifact(path) == "explain-attribution"
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -397,8 +393,8 @@ class TestArtifactsAndObserver:
         import io
 
         stream = io.StringIO()
-        observer = ExplainObserver(
-            directory=str(tmp_path), stream=stream
+        observer = ArtifactObserver(
+            BY_NAME["explain"], directory=str(tmp_path), stream=stream
         )
         (tmp_path / "old.explain.json").write_text("{}")
         observer.sweep_started(1)
@@ -410,8 +406,8 @@ class TestArtifactsAndObserver:
         assert "explain:" in stream.getvalue()
 
     def test_observer_survives_missing_directory(self, tmp_path):
-        observer = ExplainObserver(
-            directory=str(tmp_path / "missing")
+        observer = ArtifactObserver(
+            BY_NAME["explain"], directory=str(tmp_path / "missing")
         )
         observer.sweep_started(1)
         observer.point_finished(0, None, [], 0.0, False)

@@ -17,7 +17,7 @@ from repro.faults.campaign import (
     run_campaign,
     run_fault_point,
 )
-from repro.faults.engine import FaultEngine, faults_enabled, maybe_attach
+from repro.faults.engine import FaultEngine
 from repro.faults.recovery import RecoveryConfig
 from repro.faults.spec import (
     FAULT_CLASSES,
@@ -26,6 +26,7 @@ from repro.faults.spec import (
     compile_schedule,
     parse_fault_spec,
 )
+from repro.noc.layers import BY_NAME
 from repro.noc.multinoc import MultiNocFabric
 from repro.noc.router import PowerState
 from repro.noc.simulator import SimulationPhases, run_open_loop
@@ -160,16 +161,19 @@ class TestZeroOverhead:
             assert "deliver_arrivals" not in network.__dict__
 
     def test_faults_enabled_switch(self, monkeypatch):
+        layer = BY_NAME["faults"]
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert not faults_enabled()
+        assert not layer.enabled()
         monkeypatch.setenv("REPRO_FAULTS", "0")
-        assert not faults_enabled()
+        assert not layer.enabled()
         monkeypatch.setenv("REPRO_FAULTS", "rate=0.01")
-        assert faults_enabled()
+        assert layer.enabled()
 
-    def test_maybe_attach_is_noop_when_off(self, monkeypatch, fabric):
+    def test_maybe_attach_is_noop_when_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert maybe_attach(fabric) is None
+        fabric = MultiNocFabric(small_config(), seed=5)
+        assert fabric.faults is None
+        assert "step" not in fabric.__dict__
 
     def test_env_attach_in_constructor(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "rate=0.01;seed=4")

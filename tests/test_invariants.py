@@ -18,11 +18,10 @@ from repro.analysis.invariants import (
     InvariantViolation,
     _CheckedPolicy,
     _find_cycle,
-    checking_enabled,
-    maybe_attach,
 )
 from repro.core.policies import CatnapPolicy
 from repro.noc.flit import Flit, Packet
+from repro.noc.layers import BY_NAME
 from repro.noc.multinoc import MultiNocFabric
 from repro.noc.router import PowerState
 from repro.noc.topology import Port
@@ -48,7 +47,7 @@ def offer_traffic(fabric: MultiNocFabric, packets: int = 20) -> None:
 class TestAttachment:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECK", raising=False)
-        assert not checking_enabled()
+        assert not BY_NAME["checker"].enabled()
         fabric = small_fabric()
         assert fabric.invariant_checker is None
         # Zero overhead off: the class method is not shadowed.
@@ -59,7 +58,7 @@ class TestAttachment:
 
     def test_zero_value_means_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "0")
-        assert not checking_enabled()
+        assert not BY_NAME["checker"].enabled()
         assert small_fabric().invariant_checker is None
 
     def test_env_var_attaches_checker(self, monkeypatch):
@@ -70,15 +69,6 @@ class TestAttachment:
         assert all(
             isinstance(ni.policy, _CheckedPolicy) for ni in fabric.nis
         )
-
-    def test_maybe_attach_respects_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECK", raising=False)
-        fabric = small_fabric()
-        assert maybe_attach(fabric) is None
-        monkeypatch.setenv("REPRO_CHECK", "1")
-        checker = maybe_attach(fabric)
-        assert checker is not None
-        checker.detach()
 
     def test_detach_restores_fast_path(self):
         fabric, checker = checked_fabric()

@@ -17,14 +17,12 @@ import os
 import pytest
 
 from repro.noc.config import NocConfig, PowerGatingConfig
+from repro.noc.layers import BY_NAME
 from repro.noc.multinoc import MultiNocFabric
 from repro.perf.phases import ROUTER_STAGES, STEP_PHASES
 from repro.perf.profiler import (
     PROFILE_SCHEMA,
     PhaseProfiler,
-    cprofile_enabled,
-    maybe_attach,
-    perf_enabled,
 )
 from repro.traffic.generators import SyntheticTrafficSource
 from repro.traffic.patterns import make_pattern
@@ -58,19 +56,12 @@ class TestZeroOverheadWhenDetached:
         monkeypatch.delenv("REPRO_PERF", raising=False)
         fabric = MultiNocFabric(_config(), seed=7)
         assert fabric.perf is None
-        assert not perf_enabled()
+        assert not BY_NAME["perf"].enabled()
         assert "step" not in fabric.__dict__
         assert "report" not in fabric.__dict__
         assert fabric.step.__func__ is MultiNocFabric.step
         assert fabric.report.__func__ is MultiNocFabric.report
         assert "update" not in fabric.monitor.regional.__dict__
-
-    def test_maybe_attach_respects_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PERF", raising=False)
-        assert maybe_attach(MultiNocFabric(_config(), seed=7)) is None
-        monkeypatch.setenv("REPRO_PERF", "0")
-        assert maybe_attach(MultiNocFabric(_config(), seed=7)) is None
-        assert not cprofile_enabled()
 
     def test_detach_restores_everything(self, monkeypatch):
         monkeypatch.delenv("REPRO_PERF", raising=False)

@@ -18,15 +18,11 @@ import pytest
 
 from tests.conftest import gated_config, small_fabric
 
+from repro.noc.layers import BY_NAME
 from repro.noc.multinoc import MultiNocFabric
-from repro.telemetry import (
-    TelemetryHub,
-    maybe_attach,
-    telemetry_enabled,
-    validate_trace,
-)
+from repro.obs.ledger import ArtifactObserver
+from repro.telemetry import TelemetryHub, validate_trace
 from repro.telemetry.__main__ import main as telemetry_main
-from repro.telemetry.observer import TelemetryObserver
 from repro.traffic.generators import (
     BurstyTrafficSource,
     SyntheticTrafficSource,
@@ -121,19 +117,19 @@ class TestZeroOverhead:
         hub.detach()
 
     def test_telemetry_enabled_reads_env(self, monkeypatch):
+        layer = BY_NAME["telemetry"]
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert not telemetry_enabled()
+        assert not layer.enabled()
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert not telemetry_enabled()
+        assert not layer.enabled()
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert telemetry_enabled()
+        assert layer.enabled()
 
     def test_maybe_attach_respects_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        fabric = small_fabric()
-        assert maybe_attach(fabric) is None
+        assert small_fabric().telemetry is None
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        hub = maybe_attach(fabric)
+        hub = small_fabric().telemetry
         assert hub is not None and hub.attached
         hub.detach()
 
@@ -361,7 +357,9 @@ class TestTraceExport:
 
 class TestObserver:
     def test_observer_reports_new_artifacts(self, tmp_path, capsys):
-        observer = TelemetryObserver(directory=str(tmp_path))
+        observer = ArtifactObserver(
+            BY_NAME["telemetry"], directory=str(tmp_path)
+        )
         (tmp_path / "old.trace.json").write_text("{}")
         observer.sweep_started(1)
         fabric = gated_fabric()
@@ -376,8 +374,8 @@ class TestObserver:
         assert all("old" not in path for path in observer.reported)
 
     def test_observer_survives_missing_directory(self, tmp_path):
-        observer = TelemetryObserver(
-            directory=str(tmp_path / "missing")
+        observer = ArtifactObserver(
+            BY_NAME["telemetry"], directory=str(tmp_path / "missing")
         )
         observer.sweep_started(1)
         observer.point_finished(0, None, [], 0.0, False)
