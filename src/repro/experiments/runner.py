@@ -371,9 +371,7 @@ def _run_bursty(spec: PointSpec) -> list[dict]:
     last_received = 0
     last_per_subnet = [0] * num_subnets
     while fabric.cycle < spec.cycles:
-        for _ in range(sample_period):
-            source.step(fabric.cycle)
-            fabric.step()
+        fabric.backend.run(sample_period, source)
         generated = source.packets_generated
         received = fabric.stats.packets_received
         per_subnet = [

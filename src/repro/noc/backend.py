@@ -20,7 +20,8 @@ ship:
     quiescent spans are skipped in one jump to the next event horizon —
     the earliest pending injection, in-flight arrival, wakeup
     completion, or requested span end — with the power-gating state
-    machine advanced in closed form.
+    machine advanced in closed form.  On busy cycles the gating phase
+    costs O(1) per sleeping router.
 
 Equivalence is a hard contract, not an aspiration: for any workload,
 ``skip`` must leave the fabric in a byte-identical state to ``dense``
@@ -114,6 +115,11 @@ def _alloc_orders(
     return orders
 
 
+def _subnet_node(router) -> tuple[int, int]:
+    """Sort key: a router's (subnet, node) position."""
+    return router.subnet, router.node
+
+
 class FabricBackend:
     """Time-loop strategy for one fabric instance.
 
@@ -136,14 +142,18 @@ class FabricBackend:
 
     def drain(self, max_cycles: int) -> bool:
         """Run until the fabric is empty; True when fully drained."""
-        fabric = self.fabric
         for _ in range(max_cycles):
-            if fabric.in_flight_flits == 0 and all(
-                not ni.queue and not ni.active_streams for ni in fabric.nis
-            ):
+            if self._drained():
                 return True
             self.run(1)
         return False
+
+    def _drained(self) -> bool:
+        """No flit in the fabric and no packet waiting at any NI."""
+        fabric = self.fabric
+        return fabric.in_flight_flits == 0 and all(
+            not ni.queue and not ni.active_streams for ni in fabric.nis
+        )
 
 
 class DenseBackend(FabricBackend):
@@ -237,6 +247,28 @@ class SkipBackend(FabricBackend):
         self._channels: list[list[tuple]] = [
             [()] * fabric.mesh.num_nodes for _ in fabric.subnets
         ]
+        # _gating_fast: the gating controller is the stock class with
+        # none of its stepped methods shadowed, so the kernel may run
+        # its own sleep-aware gating phase.  Rebuilt by _sync.
+        self._gating_fast = False
+        # _awake[subnet] / _asleep[subnet]: that subnet's routers split
+        # by "power_state is SLEEP", each in node order; _plain0: subnet
+        # 0 is un-gated and all its routers are ACTIVE (its gating phase
+        # is one add).  Rebuilt by _sync, after every jump, and on every
+        # sleep or wake transition of the fast gating phase.
+        self._awake: list[list] = [[] for _ in fabric.subnets]
+        self._asleep: list[list] = [[] for _ in fabric.subnets]
+        self._plain0 = False
+        # _status_index[node]: where a node reads its gating status in
+        # a subnet's status row (its region in the RCS rows, itself in
+        # the LCS rows of the BFM-local variant).  Set by _sync.
+        self._status_index: list[int] = []
+        #: Cycles run by the mirror kernel, covered by quiescence
+        #: jumps, and stepped densely through a per-cycle shadow.
+        #: Each grows once per span.
+        self.cycles_mirrored = 0
+        self.cycles_jumped = 0
+        self.cycles_deferred = 0
 
     # ------------------------------------------------------------------
     # Shadowing-contract composition
@@ -270,14 +302,8 @@ class SkipBackend(FabricBackend):
         if defer:
             # Per-cycle observers are attached; dense semantics through
             # the shadow chain is the only faithful execution.
-            if source is None:
-                for _ in range(cycles):
-                    fabric.step()
-            else:
-                source_step = source.step
-                for _ in range(cycles):
-                    source_step(fabric.cycle)
-                    fabric.step()
+            DenseBackend.run(self, cycles, source)
+            self.cycles_deferred += cycles
             return
         self._sync()
         end = fabric.cycle + cycles
@@ -289,13 +315,12 @@ class SkipBackend(FabricBackend):
         fabric = self.fabric
         defer, checker = self._shadow_mode()
         if defer:
+            # Each cycle goes through run(1), which re-reads the shadow
+            # and steps densely (counted as deferred) while it stays.
             return super().drain(max_cycles)
         self._sync()
-        nis = fabric.nis
         for _ in range(max_cycles):
-            if fabric.in_flight_flits == 0 and all(
-                not ni.queue and not ni.active_streams for ni in nis
-            ):
+            if self._drained():
                 return True
             self._kernel_span(fabric.cycle + 1, None, checker)
         return False
@@ -338,6 +363,7 @@ class SkipBackend(FabricBackend):
                     ch for port in router.ports for ch in port.vcs
                 )
         self._sync_eject_fast()
+        self._sync_gating()
 
     @staticmethod
     def _credit_target(sink):
@@ -403,6 +429,57 @@ class SkipBackend(FabricBackend):
                 and getattr(sink, "__self__", None) is fabric
             )
 
+    def _sync_gating(self) -> None:
+        """Detect the stock gating controller and split the routers.
+
+        The fast gating phase requires the stock controller and
+        congestion monitor with none of the methods it replaces or
+        reads around shadowed per instance (telemetry and the fault
+        engine tap the transitions; both also defer the kernel).
+        """
+        from repro.core.gating import PowerGatingController
+        from repro.core.monitor import CongestionMonitor
+        from repro.core.regional import RegionalCongestionNetwork
+
+        fabric = self.fabric
+        gating = fabric.gating
+        monitor = fabric.monitor
+        self._gating_fast = (
+            type(gating) is PowerGatingController
+            and not (
+                vars(gating).keys()
+                & {"step", "_sleep", "_begin_wakeup", "_wake_complete"}
+            )
+            and type(monitor) is CongestionMonitor
+            and "gating_status" not in vars(monitor)
+            and type(monitor.regional) is RegionalCongestionNetwork
+            and "rcs" not in vars(monitor.regional)
+        )
+        if not self._gating_fast:
+            return
+        self._status_index = (
+            monitor.regional._region_of
+            if monitor.use_regional
+            else list(range(fabric.mesh.num_nodes))
+        )
+        for subnet_idx in range(len(fabric.subnets)):
+            self._split_subnet(subnet_idx)
+
+    def _split_subnet(self, subnet_idx: int) -> None:
+        """Re-derive one subnet's awake/asleep split from ground truth."""
+        gating = self.fabric.gating
+        routers = gating.subnets[subnet_idx].routers
+        sleep = PowerState.SLEEP
+        awake = [r for r in routers if r.power_state != sleep]
+        self._awake[subnet_idx] = awake
+        self._asleep[subnet_idx] = [
+            r for r in routers if r.power_state == sleep
+        ]
+        if subnet_idx == 0:
+            self._plain0 = gating.keep_subnet0 and all(
+                r.power_state == PowerState.ACTIVE for r in routers
+            )
+
     # ------------------------------------------------------------------
     # Busy cycles: the mirror kernel
     # ------------------------------------------------------------------
@@ -428,6 +505,9 @@ class SkipBackend(FabricBackend):
         source_step = source.step if source is not None else None
         quiet_source = self._source_quiet_probe(source)
         gating_none = gating.policy == GatingPolicy.NONE
+        step_gating = (
+            self._step_gating if self._gating_fast else gating.step
+        )
         # Batched gating stats for the NONE policy (flushed before any
         # checker pass and at span exit, so observers see exact counts):
         # under NONE every router of every subnet is active every cycle,
@@ -443,7 +523,7 @@ class SkipBackend(FabricBackend):
                     )
                 none_cycles = 0
 
-        cycle = fabric.cycle
+        start = cycle = fabric.cycle
         while cycle < end:
             if source_step is not None:
                 source_step(cycle)
@@ -495,7 +575,7 @@ class SkipBackend(FabricBackend):
             if gating_none:
                 none_cycles += 1
             else:
-                gating.step(cycle)
+                step_gating(cycle)
             cycle += 1
             fabric.cycle = cycle
             if checker is not None:
@@ -504,9 +584,95 @@ class SkipBackend(FabricBackend):
             if not fabric_active and quiet_source(cycle):
                 if self._quiescent():
                     flush_none()
+                    self.cycles_mirrored += cycle - start
                     return False
         flush_none()
+        self.cycles_mirrored += cycle - start
         return True
+
+    def _step_gating(self, cycle: int) -> None:
+        """:meth:`PowerGatingController.step` at O(1) per sleeping router
+        (guarded by ``_gating_fast``; never called under policy NONE).
+
+        Every router's transition depends only on its own state, the
+        pending-wake set and the subnet h-1 status row, none of which
+        the phase itself changes, so each subnet is split: sleepers are
+        credited ``sleep_cycles`` in one add, and a sleeper is visited
+        only when it has a pending wake or its status bit is high —
+        first, in node order, so the awake list visited after it is
+        exactly the routers the dense loop saw awake.  The un-gated
+        subnet 0 is one add while all its routers are ACTIVE.
+        """
+        gating = self.fabric.gating
+        monitor = gating.monitor
+        pending = gating._pending_wakes
+        rcs_policy = gating.policy == GatingPolicy.RCS
+        status_rows = (
+            monitor.regional._rcs if monitor.use_regional else monitor.lcs
+        )
+        status_index = self._status_index
+        detect = gating.idle_detect_cycles
+        states = gating._state
+        sleep = PowerState.SLEEP
+        active_state = PowerState.ACTIVE
+        woken: list = []
+        if pending:
+            router_by_id = gating._router_by_id
+            woken = sorted(
+                (router_by_id[key] for key in pending), key=_subnet_node
+            )
+        for subnet_idx, stats in enumerate(gating.stats):
+            awake = self._awake[subnet_idx]
+            if subnet_idx == 0 and self._plain0:
+                stats.active_cycles += len(awake)
+                continue
+            asleep = self._asleep[subnet_idx]
+            row = status_rows[subnet_idx - 1] if rcs_policy else None
+            changed = False
+            if asleep:
+                stats.sleep_cycles += len(asleep)
+                wake = [r for r in woken if r.subnet == subnet_idx]
+                if row is not None and True in row:
+                    flagged = [
+                        r for r in asleep if row[status_index[r.node]]
+                    ]
+                    if wake:
+                        wake = sorted(set(wake) | set(flagged),
+                                      key=_subnet_node)
+                    else:
+                        wake = flagged
+                for router in wake:
+                    if router.power_state == sleep:
+                        gating._begin_wakeup(router, cycle, stats)
+                        changed = True
+            gate = not (gating.keep_subnet0 and subnet_idx == 0)
+            active = 0
+            waking = 0
+            for router in awake:
+                if router.power_state == active_state:
+                    active += 1
+                    if not gate:
+                        continue
+                    if router.buffered_flits or router.expected_arrivals:
+                        router.idle_cycles = 0
+                        continue
+                    idle = router.idle_cycles + 1
+                    router.idle_cycles = idle
+                    if idle < detect:
+                        continue
+                    if row is not None and row[status_index[router.node]]:
+                        continue
+                    gating._sleep(router, cycle)
+                    changed = True
+                else:  # WAKEUP
+                    waking += 1
+                    if cycle >= states[id(router)].wake_ready:
+                        gating._wake_complete(router, cycle)
+            stats.active_cycles += active
+            stats.wakeup_cycles += waking
+            if changed:
+                self._split_subnet(subnet_idx)
+        pending.clear()
 
     def _step_nis(self, cycle: int) -> bool:
         """Mirror of the fabric's NI phase (guarded by ``_ni_fast``).
@@ -919,7 +1085,9 @@ class SkipBackend(FabricBackend):
             return
         span = horizon - start
         self._advance_gating(start, horizon)
+        self._sync_gating()
         fabric.cycle = horizon
+        self.cycles_jumped += span
         if checker is not None:
             checker.note_steps(span, horizon - 1)
 
@@ -938,14 +1106,16 @@ class SkipBackend(FabricBackend):
             stats = gating.stats[subnet_idx]
             gate_this_subnet = not (gating.keep_subnet0 and subnet_idx == 0)
             for router in network.routers:
-                if not gate_this_subnet:
-                    stats.active_cycles += span
-                    continue
                 t = start
                 while t < end:
                     state = router.power_state
                     if state == PowerState.SLEEP:
                         stats.sleep_cycles += end - t
+                        t = end
+                    elif state == PowerState.ACTIVE and not gate_this_subnet:
+                        # The always-on subnet never gates and leaves
+                        # the idle counter untouched.
+                        stats.active_cycles += end - t
                         t = end
                     elif state == PowerState.ACTIVE:
                         # Drained and uncongested: sleeps once the idle

@@ -29,6 +29,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.noc.backend import NEVER
 from repro.noc.config import CONTROL_PACKET_BITS, DATA_PACKET_BITS
 from repro.noc.flit import MessageClass, Packet
 from repro.noc.multinoc import MultiNocFabric
@@ -105,6 +106,11 @@ class CoherenceEngine:
     ) -> None:
         heapq.heappush(self._events, (cycle, self._seq, action))
         self._seq += 1
+
+    def next_event_cycle(self) -> int:
+        """Cycle of the earliest scheduled action (``NEVER`` if none)."""
+        events = self._events
+        return events[0][0] if events else NEVER
 
     def process_due(self, cycle: int) -> None:
         """Run every scheduled action due at or before ``cycle``."""

@@ -156,6 +156,28 @@ class Processor:
             self._schedule_stall_check(core)
 
     # ------------------------------------------------------------------
+    # Traffic-source protocol (driven by the fabric's backend)
+    # ------------------------------------------------------------------
+    def step(self, cycle: int) -> None:
+        """Run the coherence events and core misses due at ``cycle``."""
+        self.engine.process_due(cycle)
+        self._fire_due_misses(cycle)
+
+    def next_offer_cycle(self, cycle: int) -> int:
+        """Earliest cycle >= ``cycle`` at which :meth:`step` may act.
+
+        The minimum head of the coherence event queue and the miss and
+        stall heaps.  Stale heap entries (lazily invalidated) can only
+        make this horizon early, never late, so the skip backend may
+        jump to it safely.
+        """
+        horizon = self.engine.next_event_cycle()
+        for heap in (self._miss_heap, self._stall_heap):
+            if heap and heap[0][0] < horizon:
+                horizon = heap[0][0]
+        return horizon if horizon > cycle else cycle
+
+    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, cycles: int) -> SystemResult:
@@ -163,12 +185,7 @@ class Processor:
         fabric = self.fabric
         engine = self.engine
         fabric.stats.begin_measurement(fabric.cycle)
-        end = fabric.cycle + cycles
-        while fabric.cycle < end:
-            cycle = fabric.cycle
-            engine.process_due(cycle)
-            self._fire_due_misses(cycle)
-            fabric.step()
+        fabric.backend.run(cycles, self)
         fabric.stats.end_measurement(fabric.cycle)
         self.cycles_run += cycles
         for core in self.cores:

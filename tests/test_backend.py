@@ -14,8 +14,9 @@ import dataclasses
 
 import pytest
 
-from tests.conftest import gated_config, small_config
+from tests.conftest import CongestionConfig, gated_config, small_config
 
+from repro.experiments.runner import PointSpec, execute_point
 from repro.noc.backend import (
     DEFAULT_BACKEND,
     DenseBackend,
@@ -24,9 +25,15 @@ from repro.noc.backend import (
     backend_names,
     make_backend,
 )
+from repro.noc.config import NocConfig
 from repro.noc.multinoc import MultiNocFabric
 from repro.noc.router import PowerState, Router
-from repro.traffic.generators import SyntheticTrafficSource
+from repro.system.processor import Processor
+from repro.system.workloads import WorkloadSpec
+from repro.traffic.generators import (
+    BurstyTrafficSource,
+    SyntheticTrafficSource,
+)
 from repro.traffic.patterns import make_pattern
 
 
@@ -156,3 +163,180 @@ class TestSkipKernel:
         fabric.step = lambda: (seen.append(fabric.cycle), class_step(fabric))
         fabric.run(10)
         assert seen == list(range(10))
+
+
+# ----------------------------------------------------------------------
+# Closed-loop and bursty executors run through backend.run
+# ----------------------------------------------------------------------
+
+
+def _processor_state(monkeypatch, backend, config, spec, cycles):
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    processor = Processor(config, spec, seed=4)
+    result = processor.run(cycles)
+    fabric = processor.fabric
+    state = (
+        dataclasses.asdict(result),
+        fabric.rng.getstate(),
+        processor.engine.rng.getstate(),
+        fabric.cycle,
+    )
+    return state, fabric.backend
+
+
+class TestClosedLoopKernels:
+    @pytest.mark.parametrize("mix", ["Light", "Heavy"])
+    def test_processor_skip_matches_dense(self, monkeypatch, mix):
+        config = NocConfig.multi_noc(4, power_gating=True)
+        dense, _ = _processor_state(
+            monkeypatch, "dense", config, mix, 300
+        )
+        skip, backend = _processor_state(
+            monkeypatch, "skip", config, mix, 300
+        )
+        assert dense == skip
+        assert backend.cycles_deferred == 0
+        assert backend.cycles_mirrored + backend.cycles_jumped == 300
+
+    def test_closed_loop_jump_matches_dense(self, monkeypatch):
+        # A 2x2 mesh (16 cores) whose NI rate averages decay in one
+        # cycle, so the fabric goes fully quiescent between misses.
+        config = gated_config(
+            mesh_cols=2,
+            mesh_rows=2,
+            congestion=CongestionConfig(injection_rate_window=1),
+        )
+        spec = WorkloadSpec("quiet", ("gromacs",), config.num_cores)
+        dense, _ = _processor_state(
+            monkeypatch, "dense", config, spec, 2000
+        )
+        skip, backend = _processor_state(
+            monkeypatch, "skip", config, spec, 2000
+        )
+        assert dense == skip
+        assert backend.cycles_jumped > 0
+        assert backend.cycles_mirrored + backend.cycles_jumped == 2000
+
+    def test_bursty_rows_match_across_kernels(self, monkeypatch):
+        spec = PointSpec.bursty(
+            gated_config(
+                num_subnets=4,
+                congestion=CongestionConfig(injection_rate_window=1),
+            ),
+            "uniform",
+            ((0, 0.02), (200, 0.4), (350, 0.0), (600, 0.05)),
+            sample_period=50,
+            total_cycles=800,
+            seed=3,
+        )
+        rows = {}
+        for backend in ("dense", "skip"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            rows[backend] = execute_point(spec)
+        assert rows["dense"] == rows["skip"]
+        assert len(rows["skip"]) == 16
+
+
+# ----------------------------------------------------------------------
+# The skip kernel's sleep-aware gating phase
+# ----------------------------------------------------------------------
+
+
+def _bursty_fabric(backend, use_regional=True):
+    fabric = MultiNocFabric(
+        gated_config(
+            num_subnets=4,
+            congestion=CongestionConfig(
+                injection_rate_window=1, use_regional=use_regional
+            ),
+        ),
+        seed=8,
+        backend=backend,
+    )
+    source = BurstyTrafficSource(
+        fabric,
+        make_pattern("uniform", fabric.mesh),
+        [(0, 0.0), (300, 0.45), (420, 0.01), (700, 0.0)],
+        seed=8,
+    )
+    return fabric, source
+
+
+def _fabric_state(fabric, source):
+    routers = [r for network in fabric.subnets for r in network.routers]
+    return (
+        dataclasses.asdict(fabric.report()),
+        fabric.rng.getstate(),
+        source.rng.getstate(),
+        fabric.cycle,
+        [router.power_state for router in routers],
+        [router.idle_cycles for router in routers],
+    )
+
+
+class TestGatingPhase:
+    @pytest.mark.parametrize(
+        "use_regional", [True, False], ids=["rcs", "bfm-local"]
+    )
+    def test_status_wakeups_match_dense(self, use_regional):
+        """Idle sleepers, a burst that raises status bits and sends NI
+        wakeups into sleeping subnets, then sleep again."""
+        states = {}
+        for backend in ("dense", "skip"):
+            fabric, source = _bursty_fabric(backend, use_regional)
+            monitor = fabric.monitor
+            seen_status = False
+            for _ in range(20):
+                fabric.backend.run(50, source)
+                rows = (
+                    monitor.regional._rcs if use_regional else monitor.lcs
+                )
+                seen_status |= any(any(row) for row in rows)
+            assert seen_status
+            states[backend] = _fabric_state(fabric, source)
+        assert states["dense"] == states["skip"]
+        gating = states["skip"][0]["gating"]
+        assert sum(g["wake_requests"] for g in gating) > 0
+        assert sum(g["sleep_periods"] for g in gating) > 3
+        assert fabric.backend._gating_fast
+        assert fabric.backend.cycles_jumped > 0
+
+    def test_power_state_written_between_spans(self):
+        """_sync must re-split the routers from ground truth."""
+
+        def run(backend):
+            fabric, source = _bursty_fabric(backend)
+            fabric.backend.run(250, source)  # higher subnets asleep
+            sub0, sub1 = fabric.subnets[0], fabric.subnets[1]
+            sub0.routers[5].power_state = PowerState.SLEEP
+            sub1.routers[2].power_state = PowerState.ACTIVE
+            sub1.routers[7].power_state = PowerState.WAKEUP
+            fabric.backend.run(150, source)
+            return _fabric_state(fabric, source)
+
+        assert run("dense") == run("skip")
+
+    def test_shadowed_transition_uses_controller_step(self):
+        fabric, source = _bursty_fabric("skip")
+        seen = []
+        sleep = type(fabric.gating)._sleep
+        fabric.gating._sleep = lambda router, cycle: (
+            seen.append(cycle), sleep(fabric.gating, router, cycle)
+        )
+        fabric.backend.run(100, source)
+        assert not fabric.backend._gating_fast
+        assert seen
+
+
+class TestKernelCounters:
+    def test_counters_split_every_cycle(self):
+        fabric, source = _bursty_fabric("skip")
+        fabric.backend.run(900, source)
+        backend = fabric.backend
+        assert backend.cycles_mirrored > 0 and backend.cycles_jumped > 0
+        assert backend.cycles_deferred == 0
+        assert backend.cycles_mirrored + backend.cycles_jumped == 900
+        class_step = type(fabric).step
+        fabric.step = lambda: class_step(fabric)
+        fabric.backend.run(30, source)
+        assert backend.cycles_deferred == 30
