@@ -18,8 +18,8 @@ conservation laws the simulator's distributed state must obey:
     injection link.
 ``router-accounting``
     Router-internal counters (``buffered_flits``,
-    ``expected_arrivals``, credit bounds) match first-principles
-    recounts.
+    ``expected_arrivals``, credit bounds) and the occupancy mask the
+    router step scans match first-principles recounts.
 ``gating-state``
     Sleep/wakeup bookkeeping in the gating controller is consistent
     with each router's power state.
@@ -414,6 +414,19 @@ class InvariantChecker:
                     f"subnet {network.subnet} node {router.node}: "
                     f"buffered_flits = {router.buffered_flits} but "
                     f"ports hold {recount} flit(s)",
+                )
+            mask = 0
+            for index, channel in enumerate(router.channels):
+                if channel.fifo:
+                    mask |= 1 << index
+            if mask != router.mask:
+                raise InvariantViolation(
+                    "router-accounting",
+                    cycle,
+                    f"subnet {network.subnet} node {router.node}: "
+                    f"occupancy mask {router.mask:#x} but the non-empty "
+                    f"input VCs give {mask:#x} (the router step would "
+                    "skip a VC or read an empty one)",
                 )
             inbound = census.per_router.get(id(router), 0)
             if inbound != router.expected_arrivals:

@@ -13,15 +13,15 @@ ship:
 
 ``skip``
     An energy-proportional kernel for an energy-proportionality paper:
-    routers that hold no flits cost no Python work.  Busy cycles run a
-    *mirror* of ``MultiNocFabric.step`` that iterates only occupied
-    virtual channels (via per-router occupancy bitmasks that reproduce
-    the dense allocator's rotated scan order bit for bit), and fully
-    quiescent spans are skipped in one jump to the next event horizon —
-    the earliest pending injection, in-flight arrival, wakeup
-    completion, or requested span end — with the power-gating state
-    machine advanced in closed form.  On busy cycles the gating phase
-    costs O(1) per sleeping router.
+    subnets and routers that hold no flits cost no Python work.  Busy
+    cycles run the fabric's own link delivery and router step
+    (``SubnetNetwork.step_routers``, which visits only occupied virtual
+    channels), skipping subnets that hold no flits, and fully quiescent
+    spans are skipped in one jump to the next event horizon — the
+    earliest pending injection, in-flight arrival, wakeup completion,
+    or requested span end — with the power-gating state machine
+    advanced in closed form.  On busy cycles the gating phase costs
+    O(1) per sleeping router.
 
 Equivalence is a hard contract, not an aspiration: for any workload,
 ``skip`` must leave the fabric in a byte-identical state to ``dense``
@@ -48,7 +48,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.gating import GatingPolicy
-from repro.noc.buffers import vc_candidates
 from repro.noc.layers import shadow_chain
 from repro.noc.router import PowerState
 from repro.noc.topology import Port
@@ -74,46 +73,6 @@ DEFAULT_BACKEND = "dense"
 
 #: Sentinel horizon for "the source never becomes active again".
 NEVER = 1 << 62
-
-#: ``Port.OPPOSITE`` as a dense tuple (LOCAL has no opposite: -1).
-_OPPOSITE = tuple(
-    Port.OPPOSITE.get(port, -1) for port in range(Port.COUNT)
-)
-
-#: Qualnames of the standard credit-sink closures.  Both close over
-#: exactly one ``credits`` list and do ``credits[vc] += 1``, so the
-#: skip kernel may update that list directly instead of calling the
-#: closure; any other installed sink is called as-is.
-_STD_SINK_QUALNAMES = frozenset(
-    {
-        "Router._make_credit_sink.<locals>.sink",
-        "NetworkInterface._make_credit_sink.<locals>.sink",
-    }
-)
-
-
-#: _alloc_orders(mc, V)[start] — the VC-allocation visit order
-#: ``candidates[(j + start) % n]`` of the dense allocator, precomputed
-#: per (message class, VC count) so the mirror kernel's inlined
-#: allocator does no per-attempt index arithmetic.
-_ALLOC_ORDERS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-
-def _alloc_orders(
-    message_class: int, vcs: int
-) -> tuple[tuple[int, ...], ...]:
-    key = (message_class, vcs)
-    orders = _ALLOC_ORDERS.get(key)
-    if orders is None:
-        candidates = vc_candidates(message_class, vcs)
-        n = len(candidates)
-        orders = tuple(
-            tuple(candidates[(j + start) % n] for j in range(n))
-            for start in range(n)
-        )
-        _ALLOC_ORDERS[key] = orders
-    return orders
-
 
 def _subnet_node(router) -> tuple[int, int]:
     """Sort key: a router's (subnet, node) position."""
@@ -177,76 +136,21 @@ class DenseBackend(FabricBackend):
 
 
 class SkipBackend(FabricBackend):
-    """Idle-aware kernel: occupied-channel scans and quiescence jumps.
+    """Idle-aware kernel: busy-subnet steps and quiescence jumps.
 
-    The kernel keeps one occupancy bitmask per router (bit ``p * V + v``
-    set iff input VC ``(p, v)`` buffers at least one flit).  Masks are
-    rebuilt from ground truth at every span start (:meth:`_sync`), so
-    external callers may still drive ``fabric.step`` directly between
-    spans.
+    Every span start re-derives the kernel's fast-path wiring from
+    ground truth (:meth:`_sync`), so external callers may still drive
+    ``fabric.step`` directly between spans.
     """
 
     name = "skip"
 
     def __init__(self, fabric: "MultiNocFabric") -> None:
         super().__init__(fabric)
-        config = fabric.config
-        self._vcs = config.vcs_per_port
-        self._chan_count = Port.COUNT * config.vcs_per_port
-        self._full_mask = (1 << self._chan_count) - 1
-        # _masks[subnet][node]: occupied-channel bitmask of that router.
-        self._masks: list[list[int]] = [
-            [0] * fabric.mesh.num_nodes for _ in fabric.subnets
-        ]
-        # _credit_targets[subnet][node][in_port]: the credits list the
-        # standard sink closure would update (None = no sink, callable
-        # = non-standard sink to invoke).  Rebuilt by _sync.
-        self._credit_targets: list[list[list | None]] = [
-            [None] * fabric.mesh.num_nodes for _ in fabric.subnets
-        ]
-        # _eject_fast[subnet]: the subnet's ejection chain is the stock
-        # fabric wiring, so the kernel may run its tail-flit bookkeeping
-        # inline (non-tail ejections are then pure no-ops).
-        self._eject_fast: list[bool] = [False] * len(fabric.subnets)
         # _ni_fast: every NI is a plain, unshadowed NetworkInterface,
         # so the kernel may run the NI phase through its own mirror of
         # NetworkInterface.step.  Rebuilt by _sync.
         self._ni_fast = False
-        # _track_any[subnet]: some router keeps blocking-delay
-        # counters, so the mirror must maintain them.  Rebuilt by
-        # _sync (False for every metric except Delay).
-        self._track_any: list[bool] = [False] * len(fabric.subnets)
-        # Static decomposition of the dense scan index (p * V + v):
-        # blocked channel visits in the mirror only ever touch the input
-        # bit, so the three fields live in parallel tuples instead of
-        # the router's (port, bit, vc, channel) tuples.
-        total = self._chan_count
-        vcs = self._vcs
-        self._scan_in_ports = tuple(i // vcs for i in range(total))
-        self._scan_in_vcs = tuple(i % vcs for i in range(total))
-        # _port_masks[offset][port]: that port's channel bits, rotated
-        # by ``offset`` — the kernel clears them from its scan mask the
-        # moment a port wins the crossbar (dense: ``used_in``), so the
-        # one-flit-per-input-port rule costs no per-visit test.
-        ones = (1 << vcs) - 1
-        full = self._full_mask
-        self._port_masks = tuple(
-            tuple(
-                full
-                & ~(
-                    (((ones << (p * vcs)) >> off)
-                     | ((ones << (p * vcs)) << (total - off)))
-                    & full
-                )
-                for p in range(Port.COUNT)
-            )
-            for off in range(total)
-        )
-        # _channels[subnet][node]: input VC channels in scan-index
-        # order (the fourth field of Router._scan).  Rebuilt by _sync.
-        self._channels: list[list[tuple]] = [
-            [()] * fabric.mesh.num_nodes for _ in fabric.subnets
-        ]
         # _gating_fast: the gating controller is the stock class with
         # none of its stepped methods shadowed, so the kernel may run
         # its own sleep-aware gating phase.  Rebuilt by _sync.
@@ -263,8 +167,8 @@ class SkipBackend(FabricBackend):
         # a subnet's status row (its region in the RCS rows, itself in
         # the LCS rows of the BFM-local variant).  Set by _sync.
         self._status_index: list[int] = []
-        #: Cycles run by the mirror kernel, covered by quiescence
-        #: jumps, and stepped densely through a per-cycle shadow.
+        #: Busy cycles run by the kernel, cycles covered by quiescence
+        #: jumps, and cycles stepped densely through a per-cycle shadow.
         #: Each grows once per span.
         self.cycles_mirrored = 0
         self.cycles_jumped = 0
@@ -326,108 +230,28 @@ class SkipBackend(FabricBackend):
         return False
 
     # ------------------------------------------------------------------
-    # Mask maintenance
+    # Fast-path wiring
     # ------------------------------------------------------------------
     def _sync(self) -> None:
-        """Rebuild masks and fast-path wiring from ground truth.
+        """Re-derive the fast-path guards from ground truth.
 
         Runs at every span start, so wiring changed between spans
-        (fault campaigns swapping sinks, tests overriding hooks) is
-        picked up before the kernel trusts any cached view of it.
-        """
-        credit_target = self._credit_target
-        track_any = self._track_any
-        for masks, targets, channels, network in zip(
-            self._masks,
-            self._credit_targets,
-            self._channels,
-            self.fabric.subnets,
-        ):
-            track_any[network.subnet] = any(
-                router.track_blocking for router in network.routers
-            )
-            for router in network.routers:
-                mask = 0
-                bit = 1
-                for port in router.ports:
-                    for channel in port.vcs:
-                        if channel.fifo:
-                            mask |= bit
-                        bit <<= 1
-                masks[router.node] = mask
-                targets[router.node] = [
-                    credit_target(sink) for sink in router.credit_sinks
-                ]
-                # Same p-major, v-minor order as the dense scan.
-                channels[router.node] = tuple(
-                    ch for port in router.ports for ch in port.vcs
-                )
-        self._sync_eject_fast()
-        self._sync_gating()
-
-    @staticmethod
-    def _credit_target(sink):
-        """Credits list behind a standard sink closure, else the sink.
-
-        The stock sinks (router-to-router and NI-to-router) both close
-        over one ``credits`` list and increment ``credits[vc]``;
-        returning the list lets the kernel skip the call.  ``None`` and
-        unrecognized callables pass through untouched.
-        """
-        if sink is None:
-            return None
-        if (
-            getattr(sink, "__qualname__", "") in _STD_SINK_QUALNAMES
-            and sink.__closure__ is not None
-            and len(sink.__closure__) == 1
-        ):
-            cell = sink.__closure__[0].cell_contents
-            if type(cell) is list:
-                return cell
-        return sink
-
-    def _sync_eject_fast(self) -> None:
-        """Detect the stock ejection chain, per subnet.
-
-        The chain ``SubnetNetwork.eject_sink -> MultiNocFabric.
-        _eject_to_ni -> NetworkInterface.receive_flit ->
-        MultiNocFabric._on_packet_received`` reduces to: tail flits set
-        ``received_cycle``, hit ``stats.record_received``, and invoke
-        ``fabric.packet_sink``; non-tail flits do nothing.  When every
-        link of the chain is the unmodified stock method, the kernel
-        inlines exactly that; otherwise it calls the sink per flit.
+        (layers attaching, tests overriding hooks) is picked up before
+        the kernel trusts any cached view of it.
         """
         from repro.noc.interface import NetworkInterface
-        from repro.noc.multinoc import MultiNocFabric
         from repro.noc.routing import XYRouting
 
-        fabric = self.fabric
         # The NI-step mirror requires the stock class with none of the
-        # mirrored methods shadowed per instance; the ejection fast
-        # path additionally requires the stock packet sink.
-        shadowable = {
-            "step", "_stream_subnet", "_assign_head", "receive_flit",
-        }
+        # mirrored methods shadowed per instance.
+        shadowable = {"step", "_stream_subnet", "_assign_head"}
         self._ni_fast = all(
             type(ni) is NetworkInterface
             and type(ni.routing) is XYRouting
             and not (vars(ni).keys() & shadowable)
-            for ni in fabric.nis
+            for ni in self.fabric.nis
         )
-        ni_fast = self._ni_fast and all(
-            getattr(ni.packet_sink, "__func__", None)
-            is MultiNocFabric._on_packet_received
-            and getattr(ni.packet_sink, "__self__", None) is fabric
-            for ni in fabric.nis
-        )
-        for idx, network in enumerate(fabric.subnets):
-            sink = network.eject_sink
-            self._eject_fast[idx] = (
-                ni_fast
-                and getattr(sink, "__func__", None)
-                is MultiNocFabric._eject_to_ni
-                and getattr(sink, "__self__", None) is fabric
-            )
+        self._sync_gating()
 
     def _sync_gating(self) -> None:
         """Detect the stock gating controller and split the routers.
@@ -481,10 +305,10 @@ class SkipBackend(FabricBackend):
             )
 
     # ------------------------------------------------------------------
-    # Busy cycles: the mirror kernel
+    # Busy cycles
     # ------------------------------------------------------------------
     def _kernel_span(self, end: int, source, checker) -> bool:
-        """Run mirrored per-cycle steps until ``end`` or quiescence.
+        """Run kernel cycles until ``end`` or quiescence.
 
         Returns True when the span reached ``end``; False when the
         fabric went fully quiescent first (the caller may then jump).
@@ -494,12 +318,6 @@ class SkipBackend(FabricBackend):
         nis = fabric.nis
         monitor = fabric.monitor
         gating = fabric.gating
-        masks_by_subnet = self._masks
-        vcs = self._vcs
-        total = self._chan_count
-        full = self._full_mask
-        local = Port.LOCAL
-        step_subnet = self._step_subnet
         step_nis = self._step_nis
         ni_fast = self._ni_fast
         source_step = source.step if source is not None else None
@@ -528,28 +346,8 @@ class SkipBackend(FabricBackend):
             if source_step is not None:
                 source_step(cycle)
             fabric_active = False
-            for subnet_idx, network in enumerate(subnets):
-                masks = masks_by_subnet[subnet_idx]
-                ring = network._ring
-                slot = ring[cycle % network._ring_len]
-                if slot:
-                    # Router.deliver + InputPort.push, inlined.
-                    for router, in_port, vc, flit in slot:
-                        port_obj = router.ports[in_port]
-                        channel = port_obj.vcs[vc]
-                        fifo = channel.fifo
-                        if len(fifo) >= channel.depth:
-                            raise OverflowError(
-                                "flit arrived at a full VC (credit bug)"
-                            )
-                        fifo.append(flit)
-                        port_obj.occupancy += 1
-                        router.buffered_flits += 1
-                        router.expected_arrivals -= 1
-                        router.idle_cycles = 0
-                        masks[router.node] |= 1 << (in_port * vcs + vc)
-                    network.counters.buffer_writes += len(slot)
-                    slot.clear()
+            for network in subnets:
+                network.deliver_arrivals(cycle)
             monitor.update(cycle, subnets, nis)
             if ni_fast:
                 if step_nis(cycle):
@@ -562,16 +360,11 @@ class SkipBackend(FabricBackend):
                         # skipping the call is byte-identical.
                         ni.step(cycle)
                         fabric_active = True
-            for subnet_idx, network in enumerate(subnets):
+            for network in subnets:
+                # An empty subnet's router step is a no-op.
                 if network.flits_in_network:
                     fabric_active = True
-                    step_subnet(
-                        network, masks_by_subnet[subnet_idx], cycle,
-                        total, full, local,
-                    )
-                # Dense step_routers integrates occupancy after this
-                # subnet's ejections, so the post-step count is charged.
-                network.counters.flit_cycles += network.flits_in_network
+                    network.step_routers(cycle)
             if gating_none:
                 none_cycles += 1
             else:
@@ -687,7 +480,7 @@ class SkipBackend(FabricBackend):
         """
         fabric = self.fabric
         subnets = fabric.subnets
-        vcs = self._vcs
+        vcs = fabric.config.vcs_per_port
         n_sub = len(subnets)
         local = Port.LOCAL
         pipeline = fabric.config.timing.pipeline_cycles
@@ -785,245 +578,6 @@ class SkipBackend(FabricBackend):
             ni._assigned_subnet = -1
         return active_any
 
-    def _step_subnet(
-        self,
-        network,
-        masks: list,
-        cycle: int,
-        total: int,
-        full: int,
-        local: int,
-    ) -> None:
-        """Mirror of :meth:`SubnetNetwork.step_routers` (minus the
-        ``flit_cycles`` charge) over occupied channels only.
-
-        One call per busy subnet per cycle: network-level state
-        (counters, delay-line slot, ejection sink) is hoisted out of
-        the per-router loop, and each router's occupancy mask is
-        iterated in exactly the order the dense rotated scan visits
-        non-empty channels.  The bodies of ``Router._forward``,
-        ``Router._eject``, and ``Router._allocate_vc`` (and the
-        ``SubnetNetwork.send`` / ``SubnetNetwork.eject`` calls they
-        make) are inlined statement for statement — every counter,
-        credit, VC round-robin advance, and allocation moves
-        identically to the dense kernel.  Counter increments (and each
-        router's ``buffered_flits``) are batched per subnet-cycle;
-        nothing inside the loop reads them.
-        """
-        vcs = self._vcs
-        orders_get = _ALLOC_ORDERS.get
-        in_ports = self._scan_in_ports
-        in_vcs = self._scan_in_vcs
-        port_masks = self._port_masks
-        channels_row = self._channels[network.subnet]
-        track_subnet = self._track_any[network.subnet]
-        counters = network.counters
-        send_append = network._ring[
-            (cycle + network._hop_cycles) % network._ring_len
-        ].append
-        eject_sink = network.eject_sink
-        subnet = network.subnet
-        eject_fast = self._eject_fast[subnet]
-        targets_by_node = self._credit_targets[subnet]
-        fabric = self.fabric
-        record_received = fabric.stats.record_received
-        request_wakeup = network.request_wakeup
-        opposite = _OPPOSITE
-        buffer_reads = 0
-        crossbar = 0
-        links = 0
-        flits_ejected = 0
-        packets_ejected = 0
-        ejected = 0
-        for node, router in enumerate(network.routers):
-            mask = masks[node]
-            if not mask:
-                continue
-            offset = router._rr
-            nrr = offset + 1
-            router._rr = nrr if nrr < total else 0
-            if offset:
-                rot = ((mask >> offset) | (mask << (total - offset))) & full
-            else:
-                rot = mask
-            # Dense heads_waiting counts every channel non-empty when
-            # the scan visits it; pops only empty the channel being
-            # visited, so that equals the start-of-cycle popcount.
-            if track_subnet:
-                track = router.track_blocking
-                heads_waiting = mask.bit_count() if track else 0
-            else:
-                track = False
-            channels = channels_row[node]
-            ports = router.ports
-            credits = router.credits
-            neighbor = router.neighbor_router
-            ctargets = targets_by_node[node]
-            pmasks = port_masks[offset]
-            used_out = 0
-            moved = 0
-            removed = 0
-            while rot:
-                low = rot & -rot
-                rot &= rot - 1
-                index = low.bit_length() - 1 + offset
-                if index >= total:
-                    index -= total
-                channel = channels[index]
-                fifo = channel.fifo
-                flit = fifo[0]
-                out_port = flit.route
-                out_bit = 1 << out_port
-                if used_out & out_bit:
-                    continue
-                if out_port == local:
-                    # Router._eject + SubnetNetwork.eject, inlined.
-                    in_port = in_ports[index]
-                    fifo.popleft()
-                    ports[in_port].occupancy -= 1
-                    removed += 1
-                    target = ctargets[in_port]
-                    if target is not None:
-                        if target.__class__ is list:
-                            target[in_vcs[index]] += 1
-                        else:
-                            target(in_vcs[index])
-                    is_tail = flit.is_tail
-                    if is_tail and channel.out_port >= 0:
-                        channel.out_port = -1
-                        channel.out_vc = -1
-                    buffer_reads += 1
-                    crossbar += 1
-                    flits_ejected += 1
-                    ejected += 1
-                    if is_tail:
-                        packets_ejected += 1
-                        if eject_fast:
-                            # The stock chain, inlined (_sync proved
-                            # the wiring): tail bookkeeping only.
-                            packet = flit.packet
-                            packet.received_cycle = cycle
-                            record_received(packet, cycle)
-                            fsink = fabric.packet_sink
-                            if fsink is not None:
-                                fsink(packet, cycle)
-                        else:
-                            if eject_sink is None:
-                                raise RuntimeError(
-                                    "no ejection sink installed"
-                                )
-                            eject_sink(flit, subnet, node, cycle)
-                    elif not eject_fast:
-                        if eject_sink is None:
-                            raise RuntimeError(
-                                "no ejection sink installed"
-                            )
-                        eject_sink(flit, subnet, node, cycle)
-                    if not fifo:
-                        mask &= ~(1 << index)
-                    rot &= pmasks[in_port]
-                    used_out |= out_bit
-                    moved += 1
-                    continue
-                if channel.out_port < 0:
-                    # Router._allocate_vc, inlined.  A successful
-                    # allocation proves the downstream router active,
-                    # so the dense kernel's re-fetch and power-state
-                    # re-check after allocation are pure no-ops here.
-                    downstream = neighbor[out_port]
-                    if downstream is None:
-                        raise RuntimeError(
-                            f"route to missing neighbour at node "
-                            f"{node} port {Port.NAMES[out_port]}"
-                        )
-                    if downstream.power_state:
-                        request_wakeup(downstream, node)
-                        continue
-                    orders = orders_get((flit.packet.message_class, vcs))
-                    if orders is None:
-                        orders = _alloc_orders(
-                            flit.packet.message_class, vcs
-                        )
-                    n = len(orders)
-                    start = router._vc_rr
-                    router._vc_rr = (start + 1) % n
-                    owner = router.out_owner[out_port]
-                    out_vc = -1
-                    for c in orders[start % n]:
-                        if not owner[c]:
-                            owner[c] = True
-                            channel.out_port = out_port
-                            channel.out_vc = c
-                            out_vc = c
-                            break
-                    if out_vc < 0:
-                        continue
-                    if credits[out_port][out_vc] <= 0:
-                        continue
-                else:
-                    out_vc = channel.out_vc
-                    if credits[out_port][out_vc] <= 0:
-                        continue
-                    downstream = neighbor[out_port]
-                    if downstream is None or downstream.power_state:
-                        if downstream is not None:
-                            request_wakeup(downstream, node)
-                        continue
-                # Router._forward + SubnetNetwork.send, inlined.
-                table = router._route_table
-                dst = flit.packet.dst
-                if table is not None:
-                    next_route = table[
-                        router.neighbor_node[out_port]
-                        * router._route_nodes
-                        + dst
-                    ]
-                else:
-                    next_route = router._lookahead_route(out_port, dst)
-                in_port = in_ports[index]
-                fifo.popleft()
-                ports[in_port].occupancy -= 1
-                removed += 1
-                credits[out_port][out_vc] -= 1
-                target = ctargets[in_port]
-                if target is not None:
-                    if target.__class__ is list:
-                        target[in_vcs[index]] += 1
-                    else:
-                        target(in_vcs[index])
-                if flit.is_tail:
-                    router.out_owner[out_port][out_vc] = False
-                    channel.out_port = -1
-                    channel.out_vc = -1
-                flit.route = next_route
-                flit.vc = out_vc
-                downstream.expected_arrivals += 1
-                send_append(
-                    (downstream, opposite[out_port], out_vc, flit)
-                )
-                if flit.is_head:
-                    flit.packet.hops += 1
-                buffer_reads += 1
-                crossbar += 1
-                links += 1
-                if not fifo:
-                    mask &= ~(1 << index)
-                rot &= pmasks[in_port]
-                used_out |= out_bit
-                moved += 1
-            if removed:
-                router.buffered_flits -= removed
-            if track:
-                router.blocked_accum += heads_waiting - moved
-                router.moved_accum += moved
-            masks[node] = mask
-        counters.buffer_reads += buffer_reads
-        counters.crossbar_traversals += crossbar
-        counters.link_traversals += links
-        counters.flits_ejected += flits_ejected
-        counters.packets_ejected += packets_ejected
-        network.flits_in_network -= ejected
-
     # ------------------------------------------------------------------
     # Quiescence
     # ------------------------------------------------------------------
@@ -1080,7 +634,7 @@ class SkipBackend(FabricBackend):
             horizon = min(horizon, source.next_offer_cycle(start))
         if horizon <= start:
             # The source reactivates immediately; nothing to skip —
-            # run one mirrored cycle and let the caller re-evaluate.
+            # run one kernel cycle and let the caller re-evaluate.
             self._kernel_span(start + 1, source, checker)
             return
         span = horizon - start

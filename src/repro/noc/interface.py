@@ -96,8 +96,8 @@ class NetworkInterface:
         self._stream_rr = [0] * config.num_subnets
         self._stream_orders = _rr_orders(vcs)
         for subnet, network in enumerate(subnets):
-            network.routers[node].credit_sinks[Port.LOCAL] = (
-                self._make_credit_sink(subnet)
+            network.routers[node].upstream_credits[Port.LOCAL] = (
+                self._credits[subnet]
             )
         self.policy: "SubnetSelectionPolicy | None" = None
         self.gating: "PowerGatingController | None" = None
@@ -111,14 +111,6 @@ class NetworkInterface:
         self._assigned_subnet = -1
         #: Packets injected per subnet (Figure 12b utilization).
         self.injected_per_subnet = [0] * config.num_subnets
-
-    def _make_credit_sink(self, subnet: int) -> Callable[[int], None]:
-        credits = self._credits[subnet]
-
-        def sink(vc: int) -> None:
-            credits[vc] += 1
-
-        return sink
 
     # ------------------------------------------------------------------
     # Source side

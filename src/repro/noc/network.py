@@ -2,15 +2,18 @@
 
 One of the N equal subnets of the paper's Multi-NoC (§2.2, Figure 1) —
 a Single-NoC is the N=1 special case.  :class:`SubnetNetwork` owns the
-routers of one subnet, moves flits between them with the configured
-pipeline + link latency, returns credits, and accumulates the
-:class:`ActivityCounters` the power model (§4.2) consumes.
+routers of one subnet, runs their pipeline
+(:meth:`SubnetNetwork.step_routers`, the one router step every kernel
+calls), moves flits between them with the configured pipeline + link
+latency, returns credits, and accumulates the :class:`ActivityCounters`
+the power model (§4.2) consumes.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from repro.noc.buffers import vc_candidates
 from repro.noc.config import NocConfig
 from repro.noc.flit import Flit
 from repro.noc.router import PowerState, Router
@@ -18,6 +21,66 @@ from repro.noc.routing import XYRouting
 from repro.noc.topology import ConcentratedMesh, Port
 
 __all__ = ["SubnetNetwork", "ActivityCounters"]
+
+#: ``Port.OPPOSITE`` as a dense tuple (LOCAL has no opposite: -1).
+_OPPOSITE = tuple(
+    Port.OPPOSITE.get(port, -1) for port in range(Port.COUNT)
+)
+
+#: _ALLOC_ORDERS[(mc, V)][start]: the VC allocator's visit order
+#: ``candidates[(j + start) % n]`` for message class ``mc``.
+_ALLOC_ORDERS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+#: _SCAN_TABLES[V]: constant allocator tables for V VCs per port —
+#: (in_ports, in_vcs, port_masks); see :func:`_scan_tables`.
+_SCAN_TABLES: dict[int, tuple] = {}
+
+
+def _alloc_orders(
+    message_class: int, vcs: int
+) -> tuple[tuple[int, ...], ...]:
+    key = (message_class, vcs)
+    orders = _ALLOC_ORDERS.get(key)
+    if orders is None:
+        candidates = vc_candidates(message_class, vcs)
+        n = len(candidates)
+        orders = tuple(
+            tuple(candidates[(j + start) % n] for j in range(n))
+            for start in range(n)
+        )
+        _ALLOC_ORDERS[key] = orders
+    return orders
+
+
+def _scan_tables(vcs: int) -> tuple:
+    """Allocator tables over scan index ``i = p * V + v``, built once
+    per VC count: ``in_ports[i]`` and ``in_vcs[i]`` decompose ``i``, and
+    ``port_masks[offset][p]`` is every bit but port ``p``'s channels in
+    a scan mask rotated by ``offset`` — clearing them the moment ``p``
+    wins the crossbar enforces one flit per input port per cycle."""
+    tables = _SCAN_TABLES.get(vcs)
+    if tables is None:
+        total = Port.COUNT * vcs
+        full = (1 << total) - 1
+        ones = (1 << vcs) - 1
+        port_masks = tuple(
+            tuple(
+                full
+                & ~(
+                    (((ones << (p * vcs)) >> off)
+                     | ((ones << (p * vcs)) << (total - off)))
+                    & full
+                )
+                for p in range(Port.COUNT)
+            )
+            for off in range(total)
+        )
+        tables = _SCAN_TABLES[vcs] = (
+            tuple(i // vcs for i in range(total)),
+            tuple(i % vcs for i in range(total)),
+            port_masks,
+        )
+    return tables
 
 
 class ActivityCounters:
@@ -84,10 +147,6 @@ class SubnetNetwork:
             Router(node, subnet, config.vcs_per_port, config.flits_per_vc)
             for node in range(mesh.num_nodes)
         ]
-        for router in self.routers:
-            router.network = self
-            router._route_table = routing.table
-            router._route_nodes = routing.num_nodes
         for node in range(mesh.num_nodes):
             for port, neighbor in mesh.neighbors(node).items():
                 self.routers[node].connect(
@@ -99,7 +158,11 @@ class SubnetNetwork:
             [] for _ in range(ring_len)
         ]
         self._ring_len = ring_len
-        #: callable(flit, subnet, node, cycle) installed by the fabric.
+        self._route_table = routing.table
+        self._route_stride = routing.num_nodes
+        self._scan = _scan_tables(config.vcs_per_port)
+        #: callable(flit, subnet, node, cycle) installed by the fabric;
+        #: receives the tail flit of every ejected packet.
         self.eject_sink: Callable[[Flit, int, int, int], None] | None = None
         #: callable(router, requester_node) installed by the gating
         #: controller; collects look-ahead wakeup requests.
@@ -149,17 +212,21 @@ class SubnetNetwork:
             counters.packets_injected += 1
 
     def eject(self, flit: Flit, node: int, cycle: int) -> None:
-        """Hand an ejected flit to the fabric's network interface."""
+        """Count an ejected flit; hand a tail to the fabric's NI.
+
+        The NI completes a packet on its tail flit and ignores the
+        rest, so only tails reach ``eject_sink``.
+        """
         counters = self.counters
         counters.buffer_reads += 1
         counters.crossbar_traversals += 1
         counters.flits_ejected += 1
+        self.flits_in_network -= 1
         if flit.is_tail:
             counters.packets_ejected += 1
-        self.flits_in_network -= 1
-        if self.eject_sink is None:
-            raise RuntimeError("no ejection sink installed")
-        self.eject_sink(flit, self.subnet, node, cycle)
+            if self.eject_sink is None:
+                raise RuntimeError("no ejection sink installed")
+            self.eject_sink(flit, self.subnet, node, cycle)
 
     def request_wakeup(self, router: Router, requester_node: int) -> None:
         """Forward a look-ahead wakeup request to the gating controller."""
@@ -174,18 +241,208 @@ class SubnetNetwork:
         slot = self._ring[cycle % self._ring_len]
         if not slot:
             return
-        writes = len(slot)
         for router, in_port, vc, flit in slot:
             router.deliver(in_port, vc, flit)
+        self.counters.buffer_writes += len(slot)
         slot.clear()
-        self.counters.buffer_writes += writes
 
     def step_routers(self, cycle: int) -> None:
-        """Run switch allocation + traversal on every busy router."""
+        """One router clock: VC allocation, switch allocation and
+        traversal on every router holding flits (paper §2.1, §4.1).
+
+        Each router's allocator scans its input VCs ``(p, v)`` in index
+        order ``p * V + v``, starting at its round-robin offset ``_rr``
+        (advanced every busy cycle).  The scan walks the set bits of the
+        router's occupancy mask, rotated by that offset, so empty VCs
+        cost nothing.  A head flit wins when its input port and output
+        port are both unclaimed this cycle, it holds (or is granted) an
+        output VC, the downstream VC has a credit, and the next hop is
+        awake; a sleeping or waking next hop gets a look-ahead wakeup
+        request instead.  Winners leave for the downstream router's
+        input ``hop_cycles`` later with their look-ahead route computed,
+        or eject to the NI, and return a credit upstream.
+
+        Counters and ``flits_in_network`` are charged once per call,
+        each router's ``buffered_flits`` once per router.  Instance
+        shadows of :meth:`send` or :meth:`eject` (explain's latency
+        probes) are honoured: when either is shadowed, every departure
+        goes through the two methods.
+        """
+        if not self.flits_in_network:
+            return
+        in_ports, in_vcs, port_masks = self._scan
+        total = len(in_ports)
+        full = (1 << total) - 1
+        vcs = self.config.vcs_per_port
+        shadows = self.__dict__
+        probed = "send" in shadows or "eject" in shadows
+        send = self.send
+        eject = self.eject
+        send_append = self._ring[
+            (cycle + self._hop_cycles) % self._ring_len
+        ].append
+        eject_sink = self.eject_sink
+        subnet = self.subnet
+        route_table = self._route_table
+        stride = self._route_stride
+        request_wakeup = self.request_wakeup
+        orders_get = _ALLOC_ORDERS.get
+        opposite = _OPPOSITE
+        local = Port.LOCAL
+        forwarded = 0
+        ejected = 0
+        packets_ejected = 0
         for router in self.routers:
-            if router.buffered_flits:
-                router.step(cycle)
-        self.counters.flit_cycles += self.flits_in_network
+            mask = router.mask
+            if not mask:
+                continue
+            node = router.node
+            offset = router._rr
+            nrr = offset + 1
+            router._rr = nrr if nrr < total else 0
+            if offset:
+                rot = ((mask >> offset) | (mask << (total - offset))) & full
+            else:
+                rot = mask
+            # Every head flit present at the start of the cycle is a
+            # candidate (a pop only empties the VC being visited).
+            track = router.track_blocking
+            heads = mask.bit_count() if track else 0
+            channels = router.channels
+            ports = router.ports
+            credits = router.credits
+            neighbor = router.neighbor_router
+            upstream = router.upstream_credits
+            pmasks = port_masks[offset]
+            used_out = 0
+            moved = 0
+            while rot:
+                low = rot & -rot
+                rot ^= low
+                index = low.bit_length() - 1 + offset
+                if index >= total:
+                    index -= total
+                channel = channels[index]
+                fifo = channel.fifo
+                flit = fifo[0]
+                out_port = flit.route
+                out_bit = 1 << out_port
+                if used_out & out_bit:
+                    continue
+                if out_port == local:
+                    # Ejection: no VC allocation, one flit per cycle
+                    # through the local output.
+                    in_port = in_ports[index]
+                    fifo.popleft()
+                    ports[in_port].occupancy -= 1
+                    returns = upstream[in_port]
+                    if returns is not None:
+                        returns[in_vcs[index]] += 1
+                    if flit.is_tail and channel.out_port >= 0:
+                        channel.out_port = -1
+                        channel.out_vc = -1
+                    if probed:
+                        eject(flit, node, cycle)
+                    else:
+                        ejected += 1
+                        if flit.is_tail:
+                            packets_ejected += 1
+                            if eject_sink is None:
+                                raise RuntimeError(
+                                    "no ejection sink installed"
+                                )
+                            eject_sink(flit, subnet, node, cycle)
+                else:
+                    downstream = neighbor[out_port]
+                    if channel.out_port < 0:
+                        # VC allocation: round-robin over the VCs the
+                        # packet's message class may use.
+                        if downstream is None:
+                            raise RuntimeError(
+                                f"route to missing neighbour at node "
+                                f"{node} port {Port.NAMES[out_port]}"
+                            )
+                        if downstream.power_state:
+                            request_wakeup(downstream, node)
+                            continue
+                        mc = flit.packet.message_class
+                        orders = orders_get((mc, vcs))
+                        if orders is None:
+                            orders = _alloc_orders(mc, vcs)
+                        n = len(orders)
+                        start = router._vc_rr
+                        router._vc_rr = (start + 1) % n
+                        owner = router.out_owner[out_port]
+                        for out_vc in orders[start % n]:
+                            if not owner[out_vc]:
+                                owner[out_vc] = True
+                                channel.out_port = out_port
+                                channel.out_vc = out_vc
+                                break
+                        else:
+                            continue
+                        if credits[out_port][out_vc] <= 0:
+                            continue
+                    else:
+                        out_vc = channel.out_vc
+                        if credits[out_port][out_vc] <= 0:
+                            continue
+                        if downstream is None or downstream.power_state:
+                            if downstream is not None:
+                                request_wakeup(downstream, node)
+                            continue
+                    # Look-ahead route compute for the next hop, then
+                    # switch traversal onto the link.
+                    next_route = route_table[
+                        router.neighbor_node[out_port] * stride
+                        + flit.packet.dst
+                    ]
+                    in_port = in_ports[index]
+                    fifo.popleft()
+                    ports[in_port].occupancy -= 1
+                    credits[out_port][out_vc] -= 1
+                    returns = upstream[in_port]
+                    if returns is not None:
+                        returns[in_vcs[index]] += 1
+                    if flit.is_tail:
+                        router.out_owner[out_port][out_vc] = False
+                        channel.out_port = -1
+                        channel.out_vc = -1
+                    flit.route = next_route
+                    flit.vc = out_vc
+                    downstream.expected_arrivals += 1
+                    if probed:
+                        send(flit, downstream, opposite[out_port], out_vc,
+                             cycle)
+                    else:
+                        send_append(
+                            (downstream, opposite[out_port], out_vc, flit)
+                        )
+                        if flit.is_head:
+                            flit.packet.hops += 1
+                        forwarded += 1
+                if not fifo:
+                    mask &= ~(1 << index)
+                rot &= pmasks[in_port]
+                used_out |= out_bit
+                moved += 1
+            router.mask = mask
+            router.buffered_flits -= moved
+            if track:
+                # Blocking proxy for the Delay metric: every head flit
+                # that stayed put this cycle accrued one blocked cycle.
+                router.blocked_accum += heads - moved
+                router.moved_accum += moved
+        counters = self.counters
+        if forwarded or ejected:
+            moved_flits = forwarded + ejected
+            counters.buffer_reads += moved_flits
+            counters.crossbar_traversals += moved_flits
+            counters.link_traversals += forwarded
+            counters.flits_ejected += ejected
+            counters.packets_ejected += packets_ejected
+            self.flits_in_network -= ejected
+        counters.flit_cycles += self.flits_in_network
 
     # ------------------------------------------------------------------
     # Recovery

@@ -4,8 +4,8 @@
 ``repro.telemetry`` makes the simulated network observable:
 
 * :mod:`repro.perf.profiler` — a zero-overhead-when-detached phase
-  profiler (``REPRO_PERF=1`` / ``--perf``) that times the router
-  pipeline stages, gating controller, congestion monitor, and NI
+  profiler (``REPRO_PERF=1`` / ``--perf``) that times link delivery,
+  the router pipeline, gating controller, congestion monitor, and NI
   packetization per step, with an optional cProfile capture
   (``REPRO_PERF_CPROFILE=1``) for flame graphs;
 * :mod:`repro.perf.meters` — always-on simulated-work counters behind

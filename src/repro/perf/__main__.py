@@ -8,7 +8,9 @@ scale-mismatched pairs are reported but never fail the comparison —
 CI's soft gate relies on that contract.
 
 ``show PATH ...`` pretty-prints ``*.perf.json`` phase-profile
-artifacts written by the profiler (``REPRO_PERF=1`` / ``--perf``).
+artifacts written by the profiler (``REPRO_PERF=1`` / ``--perf``);
+keys it does not know, such as the ``router_stages`` table of older
+artifacts, are ignored.
 """
 
 from __future__ import annotations
@@ -48,16 +50,6 @@ def _show_profile(path: str) -> int:
     ]
     if rows:
         print(format_table(rows, ["phase", "seconds", "share_pct"]))
-    rows = [
-        {
-            "stage": name,
-            "seconds": entry.get("seconds", 0.0),
-            "pipeline_pct": 100.0 * entry.get("share_of_pipeline", 0.0),
-        }
-        for name, entry in doc.get("router_stages", {}).items()
-    ]
-    if rows:
-        print(format_table(rows, ["stage", "seconds", "pipeline_pct"]))
     return 0
 
 

@@ -7,7 +7,8 @@ by *shadowing* instance methods, the exact contract of
 
 * ``fabric.step`` — replaced by a phase-bracketed mirror of the step
   loop that times link delivery, the congestion monitor, NI
-  packetization, the router pipeline, and the gating controller with
+  packetization, the router pipeline (each subnet's
+  ``step_routers``), and the gating controller with
   ``time.perf_counter_ns``;
 * ``fabric.report`` — autoflushes a ``*.perf.json`` profile artifact
   next to the report when the profiler was attached via the
@@ -15,17 +16,11 @@ by *shadowing* instance methods, the exact contract of
 * ``monitor.regional.update`` — timed separately so the RCS OR-network
   cost is split out of the monitor phase.
 
-The router pipeline slice is further split into the paper's four
-stages (route compute, VC alloc, switch alloc, switch traversal) by
-:func:`repro.perf.phases.profiled_router_step`; ``Router`` declares
-``__slots__`` so it cannot be shadowed per instance, and the profiler
-therefore drives that stage-timed mirror from its own step loop.
-
 Because shadowing only touches *instances*, a fabric without a
 profiler executes the original unhooked class methods: profiling-off
 runs take the identical code path as a build without this package.
 Profiling *on* has a deliberate observer cost (two clock reads per
-phase and per bracketed stage event) — it buys a per-phase breakdown;
+phase) — it buys a per-phase breakdown;
 use the throughput meters (:mod:`repro.perf.meters`) when only
 aggregate rates are needed.
 
@@ -45,12 +40,6 @@ from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.noc.layers import BY_NAME, ShadowSet
-from repro.perf.phases import (
-    ROUTER_STAGES,
-    STEP_PHASES,
-    StageClock,
-    profiled_router_step,
-)
 from repro.util import env
 from repro.util.ascii_plot import bar_chart
 from repro.util.histogram import BoundedHistogram
@@ -63,6 +52,7 @@ if TYPE_CHECKING:
 __all__ = [
     "PROFILE_SCHEMA",
     "DEFAULT_DIR",
+    "STEP_PHASES",
     "PhaseProfiler",
     "cprofile_enabled",
 ]
@@ -72,6 +62,18 @@ PROFILE_SCHEMA = "repro.perf.profile/1"
 
 #: Default artifact directory (override with ``REPRO_PERF_DIR``).
 DEFAULT_DIR = BY_NAME["perf"].default_dir
+
+#: Slices of one ``MultiNocFabric.step`` call, in execution order;
+#: ``step_other`` is the residual (cycle bookkeeping, timer overhead).
+STEP_PHASES = (
+    "link_delivery",
+    "monitor_lcs",
+    "regional_update",
+    "ni_packetization",
+    "router_pipeline",
+    "gating",
+    "step_other",
+)
 
 #: Coarse phases sampled per step into bounded histograms.
 _HISTOGRAM_PHASES = (
@@ -109,7 +111,6 @@ class PhaseProfiler:
         self._ns_router = 0
         self._ns_gating = 0
         self._ns_step = 0
-        self._clock = StageClock()
         self.step_histograms = {
             name: BoundedHistogram() for name in _HISTOGRAM_PHASES
         }
@@ -173,7 +174,6 @@ class PhaseProfiler:
         reads at the phase boundaries.
         """
         fabric = self.fabric
-        clock = self._clock
         prof = self._cprofile
         if prof is not None:
             prof.enable()
@@ -189,10 +189,7 @@ class PhaseProfiler:
             ni.step(cycle)
         t3 = perf_counter_ns()
         for network in subnets:
-            for router in network.routers:
-                if router.buffered_flits:
-                    profiled_router_step(router, cycle, clock)
-            network.counters.flit_cycles += network.flits_in_network
+            network.step_routers(cycle)
         t4 = perf_counter_ns()
         fabric.gating.step(cycle)
         t5 = perf_counter_ns()
@@ -264,22 +261,6 @@ class PhaseProfiler:
         }
         return {name: values[name] / 1e9 for name in STEP_PHASES}
 
-    def router_stage_seconds(self) -> dict[str, float]:
-        """Seconds per router pipeline stage (:data:`ROUTER_STAGES`).
-
-        ``switch_alloc`` is the scan/arbitration residual of the
-        pipeline slice around the three bracketed stages.
-        """
-        clock = self._clock
-        alloc = max(0, self._ns_router - clock.bracketed_total())
-        values = {
-            "switch_alloc": alloc,
-            "vc_alloc": clock.vc_alloc,
-            "route_compute": clock.route_compute,
-            "switch_traversal": clock.switch_traversal,
-        }
-        return {name: values[name] / 1e9 for name in ROUTER_STAGES}
-
     @property
     def step_seconds(self) -> float:
         """Wall-clock spent inside profiled fabric steps."""
@@ -303,8 +284,6 @@ class PhaseProfiler:
         fabric = self.fabric
         step_seconds = self.step_seconds
         phases = self.phase_seconds()
-        stages = self.router_stage_seconds()
-        pipeline = phases["router_pipeline"]
         return {
             "schema": PROFILE_SCHEMA,
             "config": fabric.config.name,
@@ -318,15 +297,6 @@ class PhaseProfiler:
                     "share": seconds / step_seconds if step_seconds else 0.0,
                 }
                 for name, seconds in phases.items()
-            },
-            "router_stages": {
-                name: {
-                    "seconds": seconds,
-                    "share_of_pipeline": (
-                        seconds / pipeline if pipeline else 0.0
-                    ),
-                }
-                for name, seconds in stages.items()
             },
             "throughput": self.throughput(),
             "step_histograms_ns": {
@@ -355,16 +325,6 @@ class PhaseProfiler:
                     title="step time by phase:",
                 )
             )
-            stages = self.router_stage_seconds()
-            pipeline = phases["router_pipeline"]
-            if pipeline:
-                lines.append(
-                    bar_chart(
-                        list(stages),
-                        [s / pipeline for s in stages.values()],
-                        title="router pipeline by stage:",
-                    )
-                )
         return "\n".join(lines)
 
     # ------------------------------------------------------------------

@@ -12,6 +12,18 @@ import pytest
 os.environ.setdefault("REPRO_JOBS", "1")
 os.environ.setdefault("REPRO_NO_CACHE", "1")
 
+# CI's differential-test step runs ``--hypothesis-profile=ci``: ten times
+# hypothesis's default example budget, no per-example deadline.  Tier-1
+# runs under the default profile.  CI jobs that install only pytest run
+# no hypothesis test, so the profile is registered only when hypothesis
+# is importable.
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("ci", max_examples=1000, deadline=None)
+
 from repro.noc.config import (
     CongestionConfig,
     NocConfig,

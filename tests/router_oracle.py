@@ -1,0 +1,173 @@
+"""Reference router pipeline: a per-router, full-scan allocator.
+
+The simulator runs one router step, the occupancy-mask scan of
+:meth:`repro.noc.network.SubnetNetwork.step_routers`.  This module keeps
+the straightforward formulation it replaced as a test oracle: every
+router with buffered flits scans all of its input VCs in round-robin
+rotated order and moves winners one flit at a time through
+``SubnetNetwork.send`` / ``SubnetNetwork.eject``.  The two must leave a
+fabric in the same state, bit for bit.
+
+Install it on a fabric with :func:`install_oracle`; the kernels call
+``network.step_routers`` on the instance, so the shadow replaces the
+step on both ``dense`` and ``skip``.
+"""
+
+from __future__ import annotations
+
+from repro.noc.buffers import vc_candidates
+from repro.noc.topology import Port
+
+__all__ = ["oracle_router_step", "oracle_step_routers", "install_oracle"]
+
+
+def oracle_router_step(network, router, cycle: int) -> None:
+    """Run VC allocation, switch allocation, and traversal on ``router``.
+
+    Winners are popped from their input VCs and handed to the network's
+    delay line (or ejected to the NI); credits flow back to the
+    senders.  At most one flit leaves per input port and per output port
+    per cycle (crossbar constraint).
+    """
+
+    def allocate_vc(channel, flit, out_port: int) -> bool:
+        # A sleeping downstream router cannot grant VCs; the allocator
+        # issues a wakeup request instead.
+        downstream = router.neighbor_router[out_port]
+        if downstream is None:
+            raise RuntimeError(
+                f"route to missing neighbour at node {router.node} "
+                f"port {Port.NAMES[out_port]}"
+            )
+        if downstream.power_state:
+            network.request_wakeup(downstream, router.node)
+            return False
+        owner = router.out_owner[out_port]
+        candidates = vc_candidates(
+            flit.packet.message_class, router.vcs_per_port
+        )
+        start = router._vc_rr
+        router._vc_rr = (start + 1) % len(candidates)
+        for j in range(len(candidates)):
+            vc = candidates[(j + start) % len(candidates)]
+            if not owner[vc]:
+                owner[vc] = True
+                channel.out_port = out_port
+                channel.out_vc = vc
+                return True
+        return False
+
+    def lookahead_route(out_port: int, dst: int) -> int:
+        return network.routing.output_port(
+            router.neighbor_node[out_port], dst
+        )
+
+    def pop(in_port: int, in_vc: int):
+        # Dequeue, keep the occupancy mask the real step scans in
+        # sync, and return the credit upstream.
+        port = router.ports[in_port]
+        channel = port.vcs[in_vc]
+        port.pop(in_vc)
+        if not channel.fifo:
+            router.mask &= ~(1 << (in_port * router.vcs_per_port + in_vc))
+        router.buffered_flits -= 1
+        returns = router.upstream_credits[in_port]
+        if returns is not None:
+            returns[in_vc] += 1
+        return channel
+
+    def forward(in_port, in_vc, flit, out_port, out_vc, downstream,
+                next_route) -> None:
+        channel = router.ports[in_port].vcs[in_vc]
+        pop(in_port, in_vc)
+        router.credits[out_port][out_vc] -= 1
+        if flit.is_tail:
+            router.out_owner[out_port][out_vc] = False
+            channel.release_allocation()
+        flit.route = next_route
+        flit.vc = out_vc
+        downstream.expected_arrivals += 1
+        network.send(flit, downstream, Port.OPPOSITE[out_port], out_vc, cycle)
+
+    def eject(in_port, in_vc, flit) -> None:
+        channel = pop(in_port, in_vc)
+        if flit.is_tail and channel.has_allocation:
+            channel.release_allocation()
+        network.eject(flit, router.node, cycle)
+
+    if router.buffered_flits == 0:
+        return
+    scan = [
+        (p, 1 << p, v, router.ports[p].vcs[v])
+        for p in range(Port.COUNT)
+        for v in range(router.vcs_per_port)
+    ]
+    total = len(scan)
+    offset = router._rr
+    router._rr = (offset + 1) % total
+    if offset:
+        scan = scan[offset:] + scan[:offset]
+    used_in = 0
+    used_out = 0
+    heads_waiting = 0
+    moved = 0
+    credits = router.credits
+    for in_port, in_bit, in_vc, channel in scan:
+        fifo = channel.fifo
+        if not fifo:
+            continue
+        heads_waiting += 1
+        if used_in & in_bit:
+            continue
+        flit = fifo[0]
+        out_port = flit.route
+        out_bit = 1 << out_port
+        if used_out & out_bit:
+            continue
+        if out_port == Port.LOCAL:
+            # Ejection: no VC allocation needed, bandwidth one
+            # flit/cycle through the local output.
+            eject(in_port, in_vc, flit)
+            used_in |= in_bit
+            used_out |= out_bit
+            moved += 1
+            continue
+        if channel.out_port < 0 and not allocate_vc(channel, flit, out_port):
+            continue
+        out_vc = channel.out_vc
+        if credits[out_port][out_vc] <= 0:
+            continue
+        downstream = router.neighbor_router[out_port]
+        if downstream is None or downstream.power_state:
+            # Sleeping/waking next hop: look-ahead wakeup request.
+            if downstream is not None:
+                network.request_wakeup(downstream, router.node)
+            continue
+        forward(
+            in_port, in_vc, flit, out_port, out_vc, downstream,
+            lookahead_route(out_port, flit.packet.dst),
+        )
+        used_in |= in_bit
+        used_out |= out_bit
+        moved += 1
+    if router.track_blocking:
+        # Blocking proxy for the Delay metric: every head flit that
+        # stayed put this cycle accrued one blocked flit-cycle.
+        router.blocked_accum += heads_waiting - moved
+        router.moved_accum += moved
+
+
+def oracle_step_routers(network, cycle: int) -> None:
+    """``SubnetNetwork.step_routers`` built on :func:`oracle_router_step`."""
+    for router in network.routers:
+        if router.buffered_flits:
+            oracle_router_step(network, router, cycle)
+    network.counters.flit_cycles += network.flits_in_network
+
+
+def install_oracle(fabric) -> None:
+    """Shadow every subnet's ``step_routers`` with the oracle."""
+    for network in fabric.subnets:
+        network.step_routers = (
+            lambda cycle, network=network: oracle_step_routers(network, cycle)
+        )

@@ -4,8 +4,8 @@ The skip kernel's contract is byte-identical *state*, not merely
 similar tables: after the same seeded workload, the fabric report, the
 fabric and source RNG positions, and the cycle counter must all match
 the dense reference exactly.  The skip-specific tests pin down the
-kernel's defining property — idle and gated routers cost no Python
-work (``Router.step`` is never invoked by the kernel).
+kernel's defining property — idle and gated subnets cost no Python
+work (``SubnetNetwork.step_routers`` is never invoked for them).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from repro.noc.backend import (
 )
 from repro.noc.config import NocConfig
 from repro.noc.multinoc import MultiNocFabric
-from repro.noc.router import PowerState, Router
+from repro.noc.network import SubnetNetwork
+from repro.noc.router import PowerState
 from repro.system.processor import Processor
 from repro.system.workloads import WorkloadSpec
 from repro.traffic.generators import (
@@ -135,7 +136,7 @@ class TestEquivalence:
 class TestSkipKernel:
     def test_gated_subnet_advances_without_router_step(self, monkeypatch):
         """A fully gated subnet advances the clock at zero router cost:
-        the skip kernel never invokes ``Router.step`` at all."""
+        the skip kernel never runs its router step."""
         fabric = MultiNocFabric(gated_config(), seed=9, backend="skip")
         fabric.run(600)  # idle warmup: higher-order routers gate off
         assert all(
@@ -143,16 +144,18 @@ class TestSkipKernel:
             for router in fabric.subnets[1].routers
         )
         calls = []
-        real_step = Router.step
+        real_step = SubnetNetwork.step_routers
         monkeypatch.setattr(
-            Router,
-            "step",
-            lambda self, cycle: (calls.append(self), real_step(self, cycle)),
+            SubnetNetwork,
+            "step_routers",
+            lambda self, cycle: (
+                calls.append(self.subnet), real_step(self, cycle)
+            ),
         )
         start = fabric.cycle
         fabric.run(200)
         assert fabric.cycle == start + 200
-        assert calls == []
+        assert 1 not in calls
 
     def test_shadowed_step_defers_to_dense_path(self):
         """An instance shadow on ``fabric.step`` (how perf/faults/

@@ -298,6 +298,16 @@ class TestMutations:
             fabric.run(1)
         assert err.value.invariant == "flit-conservation"
 
+    def test_stale_mask_bit_is_caught(self, backend):
+        fabric, _checker = checked_fabric(backend=backend)
+        router = fabric.subnets[0].routers[5]
+        router.mask |= 1 << 3  # an occupancy bit for an empty VC
+        with pytest.raises(InvariantViolation) as err:
+            fabric.run(1)
+        assert err.value.invariant == "router-accounting"
+        assert "occupancy mask" in err.value.details
+        assert "node 5" in err.value.details
+
 
 # ----------------------------------------------------------------------
 # Deadlock watchdog and dependency witness

@@ -19,9 +19,9 @@ import pytest
 from repro.noc.config import NocConfig, PowerGatingConfig
 from repro.noc.layers import BY_NAME
 from repro.noc.multinoc import MultiNocFabric
-from repro.perf.phases import ROUTER_STAGES, STEP_PHASES
 from repro.perf.profiler import (
     PROFILE_SCHEMA,
+    STEP_PHASES,
     PhaseProfiler,
 )
 from repro.traffic.generators import SyntheticTrafficSource
@@ -79,11 +79,11 @@ class TestZeroOverheadWhenDetached:
 class TestBehavioralEquivalence:
     @pytest.mark.parametrize("backend", ["dense", "skip"])
     def test_profiled_run_matches_plain_run(self, monkeypatch, backend):
-        """The stage-timed router mirror and the phased step must not
-        drift from the plain code path: same seed, same traffic —
-        identical fabric report, field for field.  On the skip kernel
-        the attached profiler forces the defer path (it observes every
-        cycle), which must match the plain skip-kernel run."""
+        """The phased step must not drift from the plain code path:
+        same seed, same traffic — identical fabric report, field for
+        field.  On the skip kernel the attached profiler forces the
+        defer path (it observes every cycle), which must match the
+        plain skip-kernel run."""
         monkeypatch.delenv("REPRO_PERF", raising=False)
         plain = MultiNocFabric(_config(), seed=7, backend=backend)
         _run(plain)
@@ -116,20 +116,6 @@ class TestPhaseAccounting:
         # (by construction they partition it minus clamping).
         assert total >= 0.9 * step
         assert total <= step * 1.0000001
-
-    def test_router_stages_partition_pipeline(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PERF", raising=False)
-        fabric = MultiNocFabric(_config(), seed=7)
-        profiler = PhaseProfiler(fabric, out_dir=None).attach()
-        _run(fabric)
-        stages = profiler.router_stage_seconds()
-        assert tuple(stages) == ROUTER_STAGES
-        pipeline = profiler.phase_seconds()["router_pipeline"]
-        assert sum(stages.values()) <= pipeline * 1.0000001
-        # Traffic flowed, so traversal and allocation actually ran.
-        assert stages["switch_traversal"] > 0
-        assert stages["vc_alloc"] > 0
-        assert stages["route_compute"] > 0
 
     def test_throughput_counts_real_work(self, monkeypatch):
         monkeypatch.delenv("REPRO_PERF", raising=False)
@@ -164,7 +150,6 @@ class TestArtifacts:
         assert doc["config"] == fabric.config.name
         assert doc["steps_profiled"] == 50
         assert set(doc["phases"]) == set(STEP_PHASES)
-        assert set(doc["router_stages"]) == set(ROUTER_STAGES)
         assert "step" in doc["step_histograms_ns"]
         # Repeated flushes get fresh names (no clobbering).
         second = profiler.flush()
@@ -218,7 +203,26 @@ class TestShowCli:
         assert main(["show", paths["profile"]]) == 0
         out = capsys.readouterr().out
         assert "router_pipeline" in out
-        assert "switch_traversal" in out
+
+    def test_show_loads_older_artifact_with_router_stages(
+        self, tmp_path, capsys
+    ):
+        from repro.perf.__main__ import main
+
+        doc = {
+            "config": "old",
+            "seed": 1,
+            "steps_profiled": 10,
+            "step_seconds": 0.5,
+            "phases": {"router_pipeline": {"seconds": 0.25, "share": 0.5}},
+            "router_stages": {
+                "switch_alloc": {"seconds": 0.1, "share_of_pipeline": 0.4}
+            },
+        }
+        path = tmp_path / "old.perf.json"
+        path.write_text(json.dumps(doc))
+        assert main(["show", str(path)]) == 0
+        assert "router_pipeline" in capsys.readouterr().out
 
     def test_show_unreadable_path_fails(self, tmp_path, capsys):
         from repro.perf.__main__ import main

@@ -1,4 +1,8 @@
-"""Tests for the router microarchitecture via a minimal two-node net."""
+"""Tests for the router microarchitecture via a minimal two-node net.
+
+The pipeline runs through ``SubnetNetwork.step_routers``, the one
+router step every kernel calls.
+"""
 
 from __future__ import annotations
 
@@ -139,7 +143,7 @@ class TestPowerStateInteraction:
         r0.expected_arrivals += 1
         network.flits_in_network += 1
         r0.deliver(Port.LOCAL, 0, flit)
-        r0.step(fabric.cycle)
+        network.step_routers(fabric.cycle)
         assert (1, 0) in requests
         assert r0.buffered_flits == 1, "flit must wait for wakeup"
 
@@ -155,7 +159,7 @@ class TestBlockingCounters:
             r0.expected_arrivals += 1
             network.flits_in_network += 1
             r0.deliver(Port.LOCAL, vc, flit)
-        r0.step(0)
+        network.step_routers(0)
         assert r0.moved_accum == 1
         assert r0.blocked_accum == 1  # the loser waited this cycle
 
