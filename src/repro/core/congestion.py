@@ -46,6 +46,9 @@ class LocalCongestionMetric(ABC):
     #: Whether routers must maintain blocking-delay counters for this
     #: metric (only the Delay metric needs them).
     needs_blocking_counters = False
+    #: Whether NIs must maintain their windowed injection-rate averages
+    #: for this metric (only the IR metric reads them).
+    needs_injection_rate = False
 
     @abstractmethod
     def evaluate(
@@ -103,6 +106,8 @@ class InjectionRateMetric(LocalCongestionMetric):
     varies with the traffic pattern (Figure 13) — and that is exactly
     why the paper rejects IR in favour of BFM.
     """
+
+    needs_injection_rate = True
 
     def __init__(self, threshold: float, window: int) -> None:
         self.threshold = threshold

@@ -61,6 +61,11 @@ class CongestionMonitor:
             if self.num_nodes
             else False
         )
+        self.needs_injection_rate = (
+            self._metrics[0][0].needs_injection_rate
+            if self.num_nodes
+            else False
+        )
         # Buffer-occupancy metrics are identically False over an empty
         # subnet, so idle subnets can skip per-node evaluation entirely
         # (as long as no latch is still holding a congested status).

@@ -542,7 +542,9 @@ class FaultEngine:
                 return
             if event.subnet not in (-1, subnet):
                 continue
-            router, in_port, vc, flit = slot.pop(0)
+            channel, flit = slot.pop(0)
+            router = channel.router
+            in_port, vc = channel.position
             network.flits_in_network -= 1
             router.expected_arrivals -= 1
             key = (subnet, router.node, in_port, vc)
@@ -558,7 +560,7 @@ class FaultEngine:
                 return
             if event.subnet not in (-1, subnet):
                 continue
-            flit = slot[0][3]
+            flit = slot[0][1]
             self.damaged_packets.add(flit.packet.packet_id)
             event.hits += 1
             self._log({"cycle": cycle, "event": "hit", "seq": event.seq})

@@ -482,15 +482,15 @@ class SkipBackend(FabricBackend):
         subnets = fabric.subnets
         vcs = fabric.config.vcs_per_port
         n_sub = len(subnets)
-        local = Port.LOCAL
+        local_base = Port.LOCAL * vcs
         pipeline = fabric.config.timing.pipeline_cycles
         active_any = False
         for ni in fabric.nis:
             if not ni.queue and not ni._active_slots:
                 # The exact decay-only branch of NetworkInterface.step.
-                rate = ni._ir_rate
-                if rate > 1e-9:
+                if ni.track_rate and ni._ir_rate > 1e-9:
                     active_any = True
+                    rate = ni._ir_rate
                     alpha = ni._ir_alpha
                     ni._ir_rate = rate - alpha * rate
                     rates = ni._ir_rate_subnet
@@ -533,7 +533,6 @@ class SkipBackend(FabricBackend):
                             continue
                         flit = slot.flits[slot.index]
                         credits[vc] -= 1
-                        flit.vc = vc
                         # XYRouting.output_port is exactly this flat
                         # table lookup.
                         flit.route = rtable[
@@ -545,7 +544,7 @@ class SkipBackend(FabricBackend):
                         router.expected_arrivals += 1
                         network._ring[
                             (cycle + pipeline) % network._ring_len
-                        ].append((router, local, vc, flit))
+                        ].append((router.channels[local_base + vc], flit))
                         network.flits_in_network += 1
                         counters = network.counters
                         counters.flits_injected += 1
@@ -564,18 +563,18 @@ class SkipBackend(FabricBackend):
             fresh = ni._assign_head(cycle)
             if fresh >= 0 and not sent & (1 << fresh):
                 ni._stream_subnet(fresh, cycle)
-            alpha = ni._ir_alpha
-            r = ni._ir_rate
-            ni._ir_rate = r + alpha * (ni._assigned_this_cycle - r)
-            rates = ni._ir_rate_subnet
-            assigned = ni._assigned_subnet
-            for s in range(n_sub):
-                r = rates[s]
-                rates[s] = r + alpha * (
-                    (1.0 if s == assigned else 0.0) - r
+            if ni.track_rate:
+                alpha = ni._ir_alpha
+                r = ni._ir_rate
+                ni._ir_rate = r + alpha * (
+                    (1.0 if fresh >= 0 else 0.0) - r
                 )
-            ni._assigned_this_cycle = 0
-            ni._assigned_subnet = -1
+                rates = ni._ir_rate_subnet
+                for s in range(n_sub):
+                    r = rates[s]
+                    rates[s] = r + alpha * (
+                        (1.0 if s == fresh else 0.0) - r
+                    )
         return active_any
 
     # ------------------------------------------------------------------
@@ -595,17 +594,18 @@ class SkipBackend(FabricBackend):
         """True when a clock jump is provably invisible.
 
         Requires: no flit anywhere (buffered or in flight), every NI
-        frozen (empty and with decayed injection-rate averages), the
-        congestion monitor structurally clear (idle-skippable metric,
-        zero latched LCS bits, all regional bits low), no pending or
-        watchdog-armed wakeups, and no fault engine attached.
+        empty, the congestion monitor structurally clear (idle-skippable
+        metric, zero latched LCS bits, all regional bits low), no
+        pending or watchdog-armed wakeups, and no fault engine attached.
+        NIs track decaying injection-rate averages only under the IR
+        metric, which is never idle-skippable, so an empty NI is frozen.
         """
         fabric = self.fabric
         for network in fabric.subnets:
             if network.flits_in_network:
                 return False
         for ni in fabric.nis:
-            if ni.queue or ni._active_slots or ni._ir_rate > 1e-9:
+            if ni.queue or ni._active_slots:
                 return False
         monitor = fabric.monitor
         if not monitor._idle_skippable:

@@ -10,8 +10,12 @@ occupancy is what the winning BFM congestion metric (§3.2.1) reads.
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 from repro.noc.flit import Flit, MessageClass
+
+if TYPE_CHECKING:
+    from repro.noc.router import Router
 
 __all__ = ["VirtualChannel", "InputPort", "vc_candidates"]
 
@@ -58,16 +62,24 @@ class VirtualChannel:
 
     ``out_port``/``out_vc`` record the output VC the packet at the front
     of this buffer holds; wormhole switching keeps them allocated from
-    head to tail flit.
+    head to tail flit.  ``router``, ``port`` and ``bit`` locate the VC
+    (its router, its :class:`InputPort` and its bit in the router's
+    occupancy mask), so a link delivers a flit straight into it.
     """
 
-    __slots__ = ("fifo", "out_port", "out_vc", "depth")
+    __slots__ = ("fifo", "out_port", "out_vc", "depth", "router", "port",
+                 "bit")
 
-    def __init__(self, depth: int) -> None:
+    def __init__(
+        self, depth: int, router: "Router", port: "InputPort", bit: int
+    ) -> None:
         self.fifo: deque[Flit] = deque()
         self.depth = depth
         self.out_port = -1
         self.out_vc = -1
+        self.router = router
+        self.port = port
+        self.bit = bit
 
     @property
     def occupancy(self) -> int:
@@ -84,27 +96,36 @@ class VirtualChannel:
         self.out_port = -1
         self.out_vc = -1
 
+    @property
+    def position(self) -> tuple[int, int]:
+        """``(in_port, vc)`` of this VC at its router."""
+        return divmod(self.bit.bit_length() - 1, self.router.vcs_per_port)
+
 
 class InputPort:
     """All VCs of one router input port, with an occupancy counter.
 
     ``occupancy`` (total flits across VCs) is maintained incrementally
-    because the BFM congestion metric reads it every cycle.
+    because the BFM congestion metric reads it every cycle.  Flits
+    arrive only through :meth:`repro.noc.network.SubnetNetwork.
+    deliver_arrivals`; ``index`` is the port's number at ``router``.
     """
 
     __slots__ = ("vcs", "occupancy")
 
-    def __init__(self, vcs_per_port: int, flits_per_vc: int) -> None:
-        self.vcs = [VirtualChannel(flits_per_vc) for _ in range(vcs_per_port)]
+    def __init__(
+        self,
+        vcs_per_port: int,
+        flits_per_vc: int,
+        router: "Router",
+        index: int,
+    ) -> None:
+        base = index * vcs_per_port
+        self.vcs = [
+            VirtualChannel(flits_per_vc, router, self, 1 << (base + vc))
+            for vc in range(vcs_per_port)
+        ]
         self.occupancy = 0
-
-    def push(self, vc: int, flit: Flit) -> None:
-        """Enqueue an arriving flit into virtual channel ``vc``."""
-        channel = self.vcs[vc]
-        if len(channel.fifo) >= channel.depth:
-            raise OverflowError("flit arrived at a full VC (credit bug)")
-        channel.fifo.append(flit)
-        self.occupancy += 1
 
     def pop(self, vc: int) -> Flit:
         """Dequeue the front flit of virtual channel ``vc``."""

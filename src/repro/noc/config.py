@@ -188,6 +188,13 @@ class NocConfig:
         check_positive("link_width_bits", self.link_width_bits)
         check_positive("vcs_per_port", self.vcs_per_port)
         check_positive("flits_per_vc", self.flits_per_vc)
+        if self.selection_policy == "class_partition" and self.num_subnets < 2:
+            # Responses take the upper half of the subnets, which is
+            # empty with a single subnet.
+            raise ValueError(
+                "selection_policy 'class_partition' needs at least 2 "
+                f"subnets, got num_subnets={self.num_subnets}"
+            )
 
     # ------------------------------------------------------------------
     # Derived quantities

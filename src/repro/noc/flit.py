@@ -111,5 +111,3 @@ class Flit:
     index: int
     #: Output port at the current router, precomputed one hop ahead.
     route: int = -1
-    #: Virtual channel allocated at the current input port.
-    vc: int = -1

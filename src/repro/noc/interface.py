@@ -12,7 +12,9 @@ the same subnet.
 
 The NI is also where two congestion metrics are measured (injection
 rate, injection-queue occupancy) and where sleeping local routers are
-woken before injection.
+woken before injection.  The injection-rate averages are maintained
+only when ``track_rate`` is set — the fabric sets it when the
+configured congestion metric reads them (IR); otherwise they stay 0.0.
 
 :meth:`NetworkInterface.step` is the ``ni_packetization`` phase of the
 simulator's self-profile (``REPRO_PERF=1``, see ``docs/perf.md``).
@@ -104,11 +106,12 @@ class NetworkInterface:
         #: callable(packet, cycle) invoked when a packet fully arrives.
         self.packet_sink: Callable[[Packet, int], None] | None = None
         self._queue_flits = 0
+        # Injection-rate averages for the IR metric; only maintained
+        # when track_rate is set (they cost per-cycle work on every NI).
+        self.track_rate = False
         self._ir_alpha = 1.0 / config.congestion.injection_rate_window
         self._ir_rate = 0.0
         self._ir_rate_subnet = [0.0] * config.num_subnets
-        self._assigned_this_cycle = 0
-        self._assigned_subnet = -1
         #: Packets injected per subnet (Figure 12b utilization).
         self.injected_per_subnet = [0] * config.num_subnets
 
@@ -141,7 +144,8 @@ class NetworkInterface:
         return self._active_slots
 
     def injection_rate(self) -> float:
-        """Windowed average injection rate in packets/cycle (IR metric)."""
+        """Windowed average injection rate in packets/cycle (IR metric;
+        0.0 unless ``track_rate`` is set)."""
         return self._ir_rate
 
     def subnet_injection_rate(self, subnet: int) -> float:
@@ -159,9 +163,9 @@ class NetworkInterface:
     def step(self, cycle: int) -> None:
         """Assign the head packet to a subnet and stream all subnets."""
         if not self.queue and not self._active_slots:
-            # Fast path for idle NIs: only the injection-rate averages
-            # need decaying, and only while they are still meaningful.
-            if self._ir_rate > 1e-9:
+            # Fast path for idle NIs: only tracked injection-rate
+            # averages need decaying, and only while still meaningful.
+            if self.track_rate and self._ir_rate > 1e-9:
                 alpha = self._ir_alpha
                 self._ir_rate -= alpha * self._ir_rate
                 rates = self._ir_rate_subnet
@@ -182,15 +186,14 @@ class NetworkInterface:
         fresh = self._assign_head(cycle)
         if fresh >= 0 and not sent & (1 << fresh):
             self._stream_subnet(fresh, cycle)
-        alpha = self._ir_alpha
-        self._ir_rate += alpha * (self._assigned_this_cycle - self._ir_rate)
-        rates = self._ir_rate_subnet
-        assigned = self._assigned_subnet
-        for subnet in range(len(rates)):
-            hit = 1.0 if subnet == assigned else 0.0
-            rates[subnet] += alpha * (hit - rates[subnet])
-        self._assigned_this_cycle = 0
-        self._assigned_subnet = -1
+        if self.track_rate:
+            alpha = self._ir_alpha
+            assigned = 1.0 if fresh >= 0 else 0.0
+            self._ir_rate += alpha * (assigned - self._ir_rate)
+            rates = self._ir_rate_subnet
+            for subnet in range(len(rates)):
+                hit = 1.0 if subnet == fresh else 0.0
+                rates[subnet] += alpha * (hit - rates[subnet])
 
     def _assign_head(self, cycle: int) -> int:
         """Assign the head packet to a subnet; return it (or -1)."""
@@ -220,8 +223,6 @@ class NetworkInterface:
         slots[vc] = _StreamSlot(packet, flits, vc)
         self._active_slots += 1
         self._subnet_active[subnet] += 1
-        self._assigned_this_cycle += 1
-        self._assigned_subnet = subnet
         self.injected_per_subnet[subnet] += 1
         return subnet
 
@@ -250,7 +251,6 @@ class NetworkInterface:
                 continue
             flit = slot.flits[slot.index]
             credits[vc] -= 1
-            flit.vc = vc
             flit.route = self.routing.output_port(
                 self.node, flit.packet.dst
             )

@@ -141,6 +141,9 @@ class MultiNocFabric:
             for network in self.subnets:
                 for router in network.routers:
                     router.track_blocking = True
+        if self.monitor.needs_injection_rate:
+            for ni in self.nis:
+                ni.track_rate = True
         # Time-loop kernel (repro.noc.backend): ``dense`` steps every
         # cycle; ``skip`` charges idle routers zero Python work.  Both
         # satisfy the same state-equivalence contract, so the choice

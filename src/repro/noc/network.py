@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.noc.buffers import vc_candidates
+from repro.noc.buffers import VirtualChannel, vc_candidates
 from repro.noc.config import NocConfig
 from repro.noc.flit import Flit
 from repro.noc.router import PowerState, Router
@@ -154,7 +154,9 @@ class SubnetNetwork:
                 )
         self._hop_cycles = config.timing.hop_cycles
         ring_len = self._hop_cycles + 1
-        self._ring: list[list[tuple[Router, int, int, Flit]]] = [
+        # _ring[cycle % ring_len]: (channel, flit) for every flit that
+        # lands in input VC ``channel`` at that cycle.
+        self._ring: list[list[tuple[VirtualChannel, Flit]]] = [
             [] for _ in range(ring_len)
         ]
         self._ring_len = ring_len
@@ -183,7 +185,7 @@ class SubnetNetwork:
         cycles later (router pipeline + link traversal).
         """
         slot = (cycle + self._hop_cycles) % self._ring_len
-        self._ring[slot].append((downstream, in_port, vc, flit))
+        self._ring[slot].append((downstream.ports[in_port].vcs[vc], flit))
         if flit.is_head:
             # Head-flit link traversals count the packet's hops (its
             # X-Y routing distance; validated against the topology).
@@ -204,7 +206,7 @@ class SubnetNetwork:
         router = self.routers[node]
         router.expected_arrivals += 1
         slot = (cycle + self.config.timing.pipeline_cycles) % self._ring_len
-        self._ring[slot].append((router, Port.LOCAL, vc, flit))
+        self._ring[slot].append((router.ports[Port.LOCAL].vcs[vc], flit))
         self.flits_in_network += 1
         counters = self.counters
         counters.flits_injected += 1
@@ -237,12 +239,27 @@ class SubnetNetwork:
     # Per-cycle evaluation
     # ------------------------------------------------------------------
     def deliver_arrivals(self, cycle: int) -> None:
-        """Land all flits whose link traversal completes this cycle."""
+        """Land all flits whose link traversal completes this cycle.
+
+        The one flit-arrival path: each flit is appended to its input
+        VC, and the port occupancy, the router's occupancy-mask bit,
+        ``buffered_flits``, ``expected_arrivals`` and ``idle_cycles``
+        follow.  A flit reaching a full VC is a credit bug.
+        """
         slot = self._ring[cycle % self._ring_len]
         if not slot:
             return
-        for router, in_port, vc, flit in slot:
-            router.deliver(in_port, vc, flit)
+        for channel, flit in slot:
+            fifo = channel.fifo
+            if len(fifo) >= channel.depth:
+                raise OverflowError("flit arrived at a full VC (credit bug)")
+            fifo.append(flit)
+            channel.port.occupancy += 1
+            router = channel.router
+            router.mask |= channel.bit
+            router.buffered_flits += 1
+            router.expected_arrivals -= 1
+            router.idle_cycles = 0
         self.counters.buffer_writes += len(slot)
         slot.clear()
 
@@ -312,6 +329,7 @@ class SubnetNetwork:
             ports = router.ports
             credits = router.credits
             neighbor = router.neighbor_router
+            down_channels = router.down_channels
             upstream = router.upstream_credits
             pmasks = port_masks[offset]
             used_out = 0
@@ -409,15 +427,12 @@ class SubnetNetwork:
                         channel.out_port = -1
                         channel.out_vc = -1
                     flit.route = next_route
-                    flit.vc = out_vc
                     downstream.expected_arrivals += 1
                     if probed:
                         send(flit, downstream, opposite[out_port], out_vc,
                              cycle)
                     else:
-                        send_append(
-                            (downstream, opposite[out_port], out_vc, flit)
-                        )
+                        send_append((down_channels[out_port][out_vc], flit))
                         if flit.is_head:
                             flit.packet.hops += 1
                         forwarded += 1
@@ -497,8 +512,9 @@ class SubnetNetwork:
         the delay-line internals stay private to this class.
         """
         for slot in self._ring:
-            for router, in_port, vc, flit in slot:
-                yield router, in_port, vc, flit
+            for channel, flit in slot:
+                in_port, vc = channel.position
+                yield channel.router, in_port, vc, flit
 
     @property
     def is_idle(self) -> bool:

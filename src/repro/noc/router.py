@@ -19,8 +19,9 @@ requests when a head flit targets a sleeping next hop.
 
 from __future__ import annotations
 
-from repro.noc.buffers import InputPort
-from repro.noc.flit import Flit
+from typing import Sequence
+
+from repro.noc.buffers import InputPort, VirtualChannel
 from repro.noc.topology import Port
 
 __all__ = ["PowerState", "Router"]
@@ -54,6 +55,7 @@ class Router:
         "out_owner",
         "neighbor_router",
         "neighbor_node",
+        "down_channels",
         "upstream_credits",
         "vcs_per_port",
         "flits_per_vc",
@@ -80,7 +82,8 @@ class Router:
         self.vcs_per_port = vcs_per_port
         self.flits_per_vc = flits_per_vc
         self.ports = [
-            InputPort(vcs_per_port, flits_per_vc) for _ in range(Port.COUNT)
+            InputPort(vcs_per_port, flits_per_vc, self, port)
+            for port in range(Port.COUNT)
         ]
         # channels[p * V + v]: input VC (p, v) in the allocator's scan
         # order; mask bit p * V + v is set iff that VC holds a flit.
@@ -98,6 +101,11 @@ class Router:
         # and for LOCAL, which ejects to the NI).
         self.neighbor_router: list[Router | None] = [None] * Port.COUNT
         self.neighbor_node: list[int] = [-1] * Port.COUNT
+        # down_channels[out_port][vc]: the downstream input VC a flit
+        # leaving on (out_port, vc) lands in (empty where no neighbour).
+        self.down_channels: list[Sequence[VirtualChannel]] = (
+            [()] * Port.COUNT
+        )
         # upstream_credits[in_port]: the credits list of the sender that
         # feeds this input port (an upstream router's credits[out_port]
         # or the local NI's per-subnet credits); a departing flit from
@@ -127,20 +135,9 @@ class Router:
         """Attach ``downstream`` behind output ``out_port``."""
         self.neighbor_router[out_port] = downstream
         self.neighbor_node[out_port] = downstream_node
-        downstream.upstream_credits[Port.OPPOSITE[out_port]] = (
-            self.credits[out_port]
-        )
-
-    # ------------------------------------------------------------------
-    # Flit arrival
-    # ------------------------------------------------------------------
-    def deliver(self, in_port: int, vc: int, flit: Flit) -> None:
-        """Land an in-flight flit into input buffer ``(in_port, vc)``."""
-        self.ports[in_port].push(vc, flit)
-        self.mask |= 1 << (in_port * self.vcs_per_port + vc)
-        self.buffered_flits += 1
-        self.expected_arrivals -= 1
-        self.idle_cycles = 0
+        in_port = Port.OPPOSITE[out_port]
+        self.down_channels[out_port] = downstream.ports[in_port].vcs
+        downstream.upstream_credits[in_port] = self.credits[out_port]
 
     # ------------------------------------------------------------------
     # Congestion-metric views

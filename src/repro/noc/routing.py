@@ -31,10 +31,11 @@ class XYRouting:
         n = mesh.num_nodes
         # _table[current * n + dst] -> output port at `current`.
         self._table = [Port.LOCAL] * (n * n)
+        coords = [mesh.coordinates(node) for node in range(n)]
         for current in range(n):
-            cx, cy = mesh.coordinates(current)
+            cx, cy = coords[current]
             for dst in range(n):
-                dx, dy = mesh.coordinates(dst)
+                dx, dy = coords[dst]
                 if dx > cx:
                     port = Port.EAST
                 elif dx < cx:

@@ -72,6 +72,17 @@ def single_fabric() -> MultiNocFabric:
     return small_fabric(num_subnets=1, link_width_bits=256)
 
 
+def land_flit(network, router, in_port: int, vc: int, flit, cycle=0):
+    """Land ``flit`` in input VC ``(in_port, vc)`` of ``router`` through
+    the real link-delivery path: one ring entry for ``cycle``, then
+    ``network.deliver_arrivals(cycle)`` (which also lands anything else
+    already due at ``cycle``)."""
+    router.expected_arrivals += 1
+    channel = router.ports[in_port].vcs[vc]
+    network._ring[cycle % network._ring_len].append((channel, flit))
+    network.deliver_arrivals(cycle)
+
+
 def drain_all(fabric: MultiNocFabric, max_cycles: int = 50_000) -> None:
     """Drain the fabric and fail the test if it cannot."""
     assert fabric.drain(max_cycles), "fabric failed to drain"
@@ -82,5 +93,6 @@ __all__ = [
     "small_fabric",
     "gated_config",
     "drain_all",
+    "land_flit",
     "CongestionConfig",
 ]

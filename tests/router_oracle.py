@@ -85,7 +85,6 @@ def oracle_router_step(network, router, cycle: int) -> None:
             router.out_owner[out_port][out_vc] = False
             channel.release_allocation()
         flit.route = next_route
-        flit.vc = out_vc
         downstream.expected_arrivals += 1
         network.send(flit, downstream, Port.OPPOSITE[out_port], out_vc, cycle)
 

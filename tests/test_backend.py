@@ -26,6 +26,7 @@ from repro.noc.backend import (
     make_backend,
 )
 from repro.noc.config import NocConfig
+from repro.noc.flit import Packet
 from repro.noc.multinoc import MultiNocFabric
 from repro.noc.network import SubnetNetwork
 from repro.noc.router import PowerState
@@ -156,6 +157,20 @@ class TestSkipKernel:
         fabric.run(200)
         assert fabric.cycle == start + 200
         assert 1 not in calls
+
+    def test_jumps_as_soon_as_the_fabric_drains(self):
+        """Under BFM no NI tracks injection-rate averages, so nothing
+        decays after a drain: the kernel jumps the whole idle tail."""
+        fabric = MultiNocFabric(small_config(), seed=5, backend="skip")
+        for src in range(4):
+            fabric.offer(Packet(src=src, dst=15 - src, size_bits=512))
+        assert fabric.drain(500)
+        backend = fabric.backend
+        mirrored = backend.cycles_mirrored
+        jumped = backend.cycles_jumped
+        fabric.run(2000)
+        assert backend.cycles_mirrored - mirrored <= 5
+        assert backend.cycles_jumped - jumped >= 1995
 
     def test_shadowed_step_defers_to_dense_path(self):
         """An instance shadow on ``fabric.step`` (how perf/faults/

@@ -6,17 +6,40 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.noc.buffers import InputPort, VirtualChannel, vc_candidates
+from tests.conftest import land_flit
+
+from repro.noc.buffers import vc_candidates
+from repro.noc.config import NocConfig
 from repro.noc.flit import Flit, MessageClass, Packet
+from repro.noc.multinoc import MultiNocFabric
+from repro.noc.topology import Port
 
 
 def flit():
     return Flit(Packet(src=0, dst=1, size_bits=72), True, True, 0)
 
 
+def east_port(vcs, depth):
+    """Router 0's east input port (``vcs`` VCs of ``depth`` flits) in a
+    1x2 single-subnet fabric, and a function landing a flit in it."""
+    fabric = MultiNocFabric(
+        NocConfig(mesh_cols=2, mesh_rows=1, num_subnets=1,
+                  vcs_per_port=vcs, flits_per_vc=depth),
+        seed=1,
+    )
+    network = fabric.subnets[0]
+    router = network.routers[0]
+
+    def land(vc, f):
+        land_flit(network, router, Port.EAST, vc, f)
+
+    return router.ports[Port.EAST], land
+
+
 class TestVirtualChannel:
     def test_allocation_lifecycle(self):
-        vc = VirtualChannel(depth=4)
+        port, _land = east_port(4, 4)
+        vc = port.vcs[2]
         assert not vc.has_allocation
         vc.out_port = 1
         vc.out_vc = 2
@@ -25,28 +48,40 @@ class TestVirtualChannel:
         assert not vc.has_allocation
         assert vc.out_port == -1 and vc.out_vc == -1
 
+    def test_channel_locates_itself(self):
+        fabric = MultiNocFabric(NocConfig(mesh_cols=2, mesh_rows=1), seed=1)
+        router = fabric.subnets[0].routers[1]
+        vcs = router.vcs_per_port
+        for in_port, port in enumerate(router.ports):
+            for vc, channel in enumerate(port.vcs):
+                assert channel.router is router
+                assert channel.port is port
+                assert channel.bit == 1 << (in_port * vcs + vc)
+                assert channel.position == (in_port, vc)
+                assert router.channels[in_port * vcs + vc] is channel
+
 
 class TestInputPort:
     def test_push_pop_fifo_order(self):
-        port = InputPort(2, 4)
+        port, land = east_port(2, 4)
         flits = [flit() for _ in range(3)]
         for f in flits:
-            port.push(0, f)
+            land(0, f)
         assert port.occupancy == 3
         assert [port.pop(0) for _ in range(3)] == flits
         assert port.occupancy == 0
 
     def test_overflow_raises(self):
-        port = InputPort(1, 2)
-        port.push(0, flit())
-        port.push(0, flit())
+        _port, land = east_port(1, 2)
+        land(0, flit())
+        land(0, flit())
         with pytest.raises(OverflowError):
-            port.push(0, flit())
+            land(0, flit())
 
     def test_occupancy_across_vcs(self):
-        port = InputPort(4, 4)
-        port.push(0, flit())
-        port.push(3, flit())
+        port, land = east_port(4, 4)
+        land(0, flit())
+        land(3, flit())
         assert port.occupancy == 2
         assert not port.is_empty
         port.pop(0)

@@ -112,6 +112,14 @@ class TestNocConfig:
         config = NocConfig.multi_noc(4).with_policy("round_robin")
         assert config.selection_policy == "round_robin"
 
+    def test_class_partition_needs_two_subnets(self):
+        with pytest.raises(ValueError) as err:
+            NocConfig(num_subnets=1, selection_policy="class_partition")
+        assert "class_partition" in str(err.value)
+        assert "num_subnets=1" in str(err.value)
+        config = NocConfig.multi_noc(2).with_policy("class_partition")
+        assert config.selection_policy == "class_partition"
+
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             NocConfig(mesh_cols=0)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tests.conftest import small_fabric
+
 from repro.core.congestion import (
     BlockingDelayMetric,
     BufferAverageMetric,
@@ -137,6 +139,15 @@ class TestBlockingDelay:
     def test_needs_blocking_counters_flag(self):
         assert BlockingDelayMetric(1.5, 8).needs_blocking_counters
         assert not BufferMaxMetric(9).needs_blocking_counters
+
+    @pytest.mark.parametrize("metric", ["bfm", "bfa", "ir", "iqocc", "delay"])
+    def test_only_ir_makes_nis_track_rates(self, metric):
+        fabric = small_fabric(congestion=CongestionConfig(metric=metric))
+        tracked = metric == "ir"
+        built = make_metric(fabric.config.congestion)
+        assert built.needs_injection_rate == tracked
+        assert fabric.monitor.needs_injection_rate == tracked
+        assert all(ni.track_rate == tracked for ni in fabric.nis)
 
 
 class TestHysteresisLatch:

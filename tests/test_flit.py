@@ -41,7 +41,7 @@ class TestFlit:
     def test_defaults(self):
         packet = Packet(src=0, dst=1, size_bits=72)
         flit = Flit(packet, True, False, 0)
-        assert flit.route == -1 and flit.vc == -1
+        assert flit.route == -1
 
 
 class TestMessageClass:

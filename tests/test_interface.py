@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from tests.conftest import small_fabric
+import pytest
+
+from tests.conftest import CongestionConfig, small_fabric
 
 from repro.noc.config import NocConfig
 from repro.noc.flit import MessageClass, Packet
@@ -68,8 +70,15 @@ class TestStreaming:
         assert packet.subnet in (0, 1)
 
 
+@pytest.fixture
+def ir_fabric():
+    """Small fabric under the IR metric, the one that reads NI rates."""
+    return small_fabric(congestion=CongestionConfig(metric="ir"))
+
+
 class TestInjectionRate:
-    def test_rate_rises_with_injection(self, fabric):
+    def test_rate_rises_with_injection(self, ir_fabric):
+        fabric = ir_fabric
         ni = fabric.nis[0]
         assert ni.injection_rate() == 0.0
         for _ in range(30):
@@ -77,7 +86,8 @@ class TestInjectionRate:
             fabric.step()
         assert ni.injection_rate() > 0.05
 
-    def test_rate_decays_when_idle(self, fabric):
+    def test_rate_decays_when_idle(self, ir_fabric):
+        fabric = ir_fabric
         for _ in range(30):
             offer(fabric, bits=72)
             fabric.step()
@@ -86,6 +96,19 @@ class TestInjectionRate:
         for _ in range(300):
             fabric.step()
         assert fabric.nis[0].injection_rate() < peak / 4
+
+    def test_rates_untracked_under_bfm(self, fabric):
+        # Only the IR metric reads the averages, so under BFM no NI
+        # maintains them and they stay at zero through traffic.
+        for _ in range(30):
+            offer(fabric, bits=72)
+            fabric.step()
+        assert fabric.drain()
+        for ni in fabric.nis:
+            assert not ni.track_rate
+            assert ni.injection_rate() == 0.0
+            assert ni._ir_rate_subnet == [0.0] * fabric.config.num_subnets
+        assert fabric.subnets[0].counters.packets_injected > 0
 
 
 class TestReassembly:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.conftest import gated_config, small_fabric
+from tests.conftest import gated_config, land_flit, small_fabric
 
 from repro.analysis.invariants import (
     InvariantChecker,
@@ -258,7 +258,7 @@ class TestMutations:
             index=0,
             route=Port.EAST,
         )
-        network._ring[0].append((router, Port.WEST, 0, flit))
+        network._ring[0].append((router.ports[Port.WEST].vcs[0], flit))
         router.power_state = PowerState.SLEEP
         with pytest.raises(InvariantViolation) as err:
             checker.check_now(fabric.cycle)
@@ -318,7 +318,10 @@ def plant_circular_wait(fabric: MultiNocFabric) -> None:
     """Two head flits waiting on each other across the 0<->1 link."""
     network = fabric.subnets[0]
     r0, r1 = network.routers[0], network.routers[1]
-    r0.ports[Port.EAST].push(
+    land_flit(
+        network,
+        r0,
+        Port.EAST,
         0,
         Flit(
             packet=Packet(src=1, dst=2, size_bits=128),
@@ -328,7 +331,10 @@ def plant_circular_wait(fabric: MultiNocFabric) -> None:
             route=Port.EAST,
         ),
     )
-    r1.ports[Port.WEST].push(
+    land_flit(
+        network,
+        r1,
+        Port.WEST,
         0,
         Flit(
             packet=Packet(src=0, dst=0, size_bits=128),
@@ -370,7 +376,10 @@ class TestDeadlock:
         fabric, checker = checked_fabric()
         network = fabric.subnets[0]
         r0 = network.routers[0]
-        r0.ports[Port.LOCAL].push(
+        land_flit(
+            network,
+            r0,
+            Port.LOCAL,
             0,
             Flit(
                 packet=Packet(src=0, dst=1, size_bits=128),

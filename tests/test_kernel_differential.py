@@ -2,8 +2,9 @@
 against skip.
 
 Hypothesis draws fabric configurations (1-4 subnets, 2 or 4 VCs,
-gating on or off, every selection policy, the BFM or the Delay
-congestion metric — Delay makes routers keep blocking counters) and
+gating on or off, every selection policy, every congestion metric —
+Delay makes routers keep blocking counters, IR makes NIs track their
+injection-rate averages) and
 traffic (Bernoulli uniform or hotspot, a bursty schedule, or a small
 closed-loop ``Processor``).  Each example runs three fabrics from the
 same seed:
@@ -45,26 +46,31 @@ from repro.traffic.patterns import make_pattern
 EXAMPLES = max(1, settings.default.max_examples // 2)
 
 POLICIES = ("catnap", "round_robin", "random", "ir", "class_partition")
+METRICS = ("bfm", "bfa", "ir", "iqocc", "delay")
 RUNS = ("oracle", "dense", "skip")
 
-configs = st.builds(
-    NocConfig,
-    mesh_cols=st.integers(2, 4),
-    mesh_rows=st.integers(2, 4),
-    num_subnets=st.integers(1, 4),
-    link_width_bits=st.sampled_from([128, 256]),
-    vcs_per_port=st.sampled_from([2, 4]),
-    voltage_v=st.just(0.625),
-    selection_policy=st.sampled_from(POLICIES),
-    gating=st.booleans().map(lambda on: PowerGatingConfig(enabled=on)),
-    congestion=st.sampled_from(["bfm", "delay"]).map(
-        lambda metric: CongestionConfig(metric=metric)
-    ),
-# class_partition maps coherence responses to the upper half of the
-# subnets, so it needs two of them.
-).filter(
-    lambda c: c.selection_policy != "class_partition" or c.num_subnets > 1
-)
+
+@st.composite
+def configs(draw):
+    num_subnets = draw(st.integers(1, 4))
+    # class_partition maps coherence responses to the upper half of the
+    # subnets, so NocConfig rejects it with a single subnet; draw it
+    # only when there are two or more.
+    policies = POLICIES if num_subnets > 1 else tuple(
+        policy for policy in POLICIES if policy != "class_partition"
+    )
+    return NocConfig(
+        mesh_cols=draw(st.integers(2, 4)),
+        mesh_rows=draw(st.integers(2, 4)),
+        num_subnets=num_subnets,
+        link_width_bits=draw(st.sampled_from([128, 256])),
+        vcs_per_port=draw(st.sampled_from([2, 4])),
+        voltage_v=0.625,
+        selection_policy=draw(st.sampled_from(policies)),
+        gating=PowerGatingConfig(enabled=draw(st.booleans())),
+        congestion=CongestionConfig(metric=draw(st.sampled_from(METRICS))),
+    )
+
 
 open_loop = st.tuples(
     st.sampled_from(["uniform", "hotspot"]),
@@ -128,7 +134,7 @@ def _processor_state(config, benchmarks, run, seed, cycles):
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(
-    config=configs,
+    config=configs(),
     workload=traffic,
     seed=st.integers(1, 1_000),
     cycles=st.integers(100, 400),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from tests.conftest import small_config
+from tests.conftest import land_flit, small_config
 
 from repro.core.monitor import CongestionMonitor
 from repro.noc.config import CongestionConfig
@@ -20,8 +20,7 @@ def fill_router(network, node, flits):
         packet = Packet(src=node, dst=node, size_bits=128)
         flit = Flit(packet, True, True, 0)
         flit.route = Port.LOCAL
-        router.ports[Port.EAST].push(i % 4, flit)
-        router.buffered_flits += 1
+        land_flit(network, router, Port.EAST, i % 4, flit)
         network.flits_in_network += 1
 
 

@@ -6,6 +6,8 @@ router step every kernel calls.
 
 from __future__ import annotations
 
+from tests.conftest import land_flit
+
 from repro.noc.config import NocConfig
 from repro.noc.flit import Flit, MessageClass, Packet
 from repro.noc.multinoc import MultiNocFabric
@@ -40,9 +42,8 @@ class TestForwarding:
         network = fabric.subnets[0]
         r0, r1 = network.routers
         flit = make_flit(dst=1, route=Port.EAST)
-        r0.expected_arrivals += 1
         network.flits_in_network += 1
-        r0.deliver(Port.LOCAL, 0, flit)
+        land_flit(network, r0, Port.LOCAL, 0, flit)
         # Step until the flit lands at router 1's west input.
         for _ in range(fabric.config.timing.hop_cycles + 1):
             fabric.step()
@@ -56,9 +57,8 @@ class TestForwarding:
         r0 = network.routers[0]
         before = r0.credits[Port.EAST][0]
         flit = make_flit(dst=1, route=Port.EAST, mc=MessageClass.REQUEST)
-        r0.expected_arrivals += 1
         network.flits_in_network += 1
-        r0.deliver(Port.LOCAL, 0, flit)
+        land_flit(network, r0, Port.LOCAL, 0, flit)
         fabric.step()  # SA: flit leaves r0, credit consumed
         assert r0.credits[Port.EAST][0] == before - 1
         for _ in range(10):
@@ -77,9 +77,8 @@ class TestForwarding:
         network = fabric.subnets[0]
         r0 = network.routers[0]
         flit = make_flit(dst=2, route=Port.EAST)
-        r0.expected_arrivals += 1
         network.flits_in_network += 1
-        r0.deliver(Port.LOCAL, 0, flit)
+        land_flit(network, r0, Port.LOCAL, 0, flit)
         fabric.step()
         # While in flight to router 1, the flit's route must already be
         # router 1's output port (EAST again).
@@ -96,9 +95,8 @@ class TestOutputConstraints:
         r0 = network.routers[0]
         for vc in (0, 1):
             flit = make_flit(dst=1, route=Port.EAST)
-            r0.expected_arrivals += 1
             network.flits_in_network += 1
-            r0.deliver(Port.LOCAL, vc, flit)
+            land_flit(network, r0, Port.LOCAL, vc, flit)
         fabric.step()
         assert r0.buffered_flits == 1  # only one left per cycle
         fabric.step()
@@ -114,9 +112,8 @@ class TestOutputConstraints:
         tail = Flit(packet, False, True, 1)
         for f in (head, tail):
             f.route = Port.EAST
-            r0.expected_arrivals += 1
             network.flits_in_network += 1
-            r0.deliver(Port.LOCAL, 0, f)
+            land_flit(network, r0, Port.LOCAL, 0, f)
         fabric.step()
         channel = r0.ports[Port.LOCAL].vcs[0]
         assert channel.has_allocation, "VC held between head and tail"
@@ -140,9 +137,8 @@ class TestPowerStateInteraction:
             (router.node, node)
         )
         flit = make_flit(dst=1, route=Port.EAST)
-        r0.expected_arrivals += 1
         network.flits_in_network += 1
-        r0.deliver(Port.LOCAL, 0, flit)
+        land_flit(network, r0, Port.LOCAL, 0, flit)
         network.step_routers(fabric.cycle)
         assert (1, 0) in requests
         assert r0.buffered_flits == 1, "flit must wait for wakeup"
@@ -156,9 +152,8 @@ class TestBlockingCounters:
         r0.track_blocking = True
         for vc in (0, 1):
             flit = make_flit(dst=1, route=Port.EAST)
-            r0.expected_arrivals += 1
             network.flits_in_network += 1
-            r0.deliver(Port.LOCAL, vc, flit)
+            land_flit(network, r0, Port.LOCAL, vc, flit)
         network.step_routers(0)
         assert r0.moved_accum == 1
         assert r0.blocked_accum == 1  # the loser waited this cycle
@@ -171,9 +166,8 @@ class TestDrainedProperty:
         r0, r1 = network.routers
         assert r0.is_drained and r1.is_drained
         flit = make_flit(dst=1, route=Port.EAST)
-        r0.expected_arrivals += 1
         network.flits_in_network += 1
-        r0.deliver(Port.LOCAL, 0, flit)
+        land_flit(network, r0, Port.LOCAL, 0, flit)
         fabric.step()  # flit now in flight toward r1
         assert r0.is_drained
         assert not r1.is_drained, "expected arrival must block sleep"
