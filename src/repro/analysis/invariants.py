@@ -478,6 +478,25 @@ class InvariantChecker:
                         "router is waking but the controller never "
                         "scheduled its wake_ready cycle",
                     )
+            # The controller's step credits sleepers from its asleep
+            # list; it must hold exactly the subnet's sleeping routers.
+            held = gating.asleep(network.subnet)
+            sleeping = [
+                router
+                for router in network.routers
+                if router.power_state == PowerState.SLEEP
+            ]
+            if held != sleeping:
+                raise InvariantViolation(
+                    "gating-state",
+                    cycle,
+                    f"subnet {network.subnet}: the controller's asleep "
+                    f"list holds nodes {[r.node for r in held]} but the "
+                    "routers in state 'sleep' are nodes "
+                    f"{[r.node for r in sleeping]} (a stale awake/asleep "
+                    "split: the step credits the wrong routers as asleep; "
+                    "only the transition methods may write power_state)",
+                )
 
     # ------------------------------------------------------------------
     # Deadlock watchdog

@@ -16,6 +16,15 @@ The controller also keeps the accounting the paper reports: compensated
 sleep cycles (CSC = per-period sleep length minus T-breakeven, from Hu
 et al.), state-residency cycles, and transition counts.
 
+The controller is the one definition of the state machine.  Both
+simulation kernels run :meth:`PowerGatingController.step` (it costs
+O(1) per sleeping router: the controller keeps each subnet's routers
+split into awake and asleep lists), and the skip kernel's quiescence
+jumps run :meth:`PowerGatingController.advance`, its closed form.
+Only the transition methods ``_sleep``, ``_begin_wakeup`` and
+``_wake_complete`` write a router's ``power_state``; they are the
+probe points telemetry and the fault engine shadow.
+
 :meth:`PowerGatingController.step` is the ``gating`` phase of the
 simulator's self-profile (``REPRO_PERF=1``, see ``docs/perf.md``) —
 use it to see what this controller costs per simulated cycle.
@@ -24,7 +33,8 @@ use it to see what this controller costs per simulated cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.monitor import CongestionMonitor
 from repro.noc.config import NocConfig
@@ -36,6 +46,9 @@ if TYPE_CHECKING:
     from repro.noc.interface import NetworkInterface
 
 __all__ = ["GatingPolicy", "GatingStats", "PowerGatingController"]
+
+#: Sort key for merging routers of one subnet in node order.
+_node_of = attrgetter("node")
 
 
 class GatingPolicy:
@@ -151,6 +164,14 @@ class PowerGatingController:
         self._wait_timeout: dict[int, float] = {}
         #: Wakeups forced by the watchdog (resilience accounting).
         self.forced_wakes = 0
+        # _awake[subnet] / _asleep[subnet]: that subnet's routers split
+        # by "power_state is SLEEP", each in node order; _plain0: subnet
+        # 0 is un-gated and all its routers are ACTIVE.  Kept by _split.
+        self._awake: list[list[Router]] = [[] for _ in subnets]
+        self._asleep: list[list[Router]] = [[] for _ in subnets]
+        self._plain0 = False
+        for subnet_idx in range(len(subnets)):
+            self._split(subnet_idx)
 
     # ------------------------------------------------------------------
     # Wakeup requests (look-ahead from routers, injection from NIs)
@@ -264,65 +285,173 @@ class PowerGatingController:
     # Per-cycle evaluation
     # ------------------------------------------------------------------
     def step(self, cycle: int) -> None:
-        """Advance idle counters and run all power-state transitions."""
+        """Advance idle counters and run all power-state transitions.
+
+        The result is that of walking every router in (subnet, node)
+        order, at O(1) per sleeping router: sleepers are credited their
+        sleep cycle in one add per subnet, and a sleeper is visited
+        only when it has a pending wake or its status bit in subnet
+        h−1 is high — merged into the walk over the awake routers in
+        node order, so the transition methods run in the full walk's
+        order.  Each router's transition depends only on its own
+        state, the pending-wake set and the status row, none of which
+        the step itself changes.  The un-gated subnet 0 is one add
+        while all its routers are ACTIVE.
+        """
         if self.policy == GatingPolicy.NONE:
             for subnet_idx, network in enumerate(self.subnets):
                 self.stats[subnet_idx].active_cycles += len(network.routers)
             return
+        rows, index = self.monitor.gating_view()
         rcs_policy = self.policy == GatingPolicy.RCS
-        monitor = self.monitor
+        detect = self.idle_detect_cycles
+        states = self._state
         pending = self._pending_wakes
-        for subnet_idx, network in enumerate(self.subnets):
-            stats = self.stats[subnet_idx]
-            gate_this_subnet = not (self.keep_subnet0 and subnet_idx == 0)
-            lower = subnet_idx - 1
-            for router in network.routers:
+        sleep = PowerState.SLEEP
+        active_state = PowerState.ACTIVE
+        woken: list[Router] = []
+        if pending:
+            router_by_id = self._router_by_id
+            woken = [router_by_id[key] for key in pending]
+        for subnet_idx, stats in enumerate(self.stats):
+            awake = self._awake[subnet_idx]
+            if subnet_idx == 0 and self._plain0:
+                stats.active_cycles += len(awake)
+                continue
+            asleep = self._asleep[subnet_idx]
+            row = rows[subnet_idx - 1] if rcs_policy else None
+            visit = awake
+            if asleep:
+                stats.sleep_cycles += len(asleep)
+                wake = [
+                    r
+                    for r in woken
+                    if r.subnet == subnet_idx and r.power_state == sleep
+                ]
+                if row is not None and True in row:
+                    wake.extend(
+                        r
+                        for r in asleep
+                        if row[index[r.node]] and id(r) not in pending
+                    )
+                if wake:
+                    visit = sorted(awake + wake, key=_node_of)
+            gate = not (self.keep_subnet0 and subnet_idx == 0)
+            active = 0
+            waking = 0
+            for router in visit:
                 state = router.power_state
-                if state == PowerState.ACTIVE:
-                    stats.active_cycles += 1
-                    if not gate_this_subnet:
+                if state == active_state:
+                    active += 1
+                    if not gate:
                         continue
-                    if router.is_drained:
-                        router.idle_cycles += 1
-                    else:
+                    if router.buffered_flits or router.expected_arrivals:
                         router.idle_cycles = 0
                         continue
-                    if router.idle_cycles < self.idle_detect_cycles:
+                    idle = router.idle_cycles + 1
+                    router.idle_cycles = idle
+                    if idle < detect:
                         continue
-                    if rcs_policy and monitor.gating_status(
-                        router.node, lower
-                    ):
+                    if row is not None and row[index[router.node]]:
                         continue
                     self._sleep(router, cycle)
-                elif state == PowerState.SLEEP:
-                    stats.sleep_cycles += 1
-                    wake = id(router) in pending
-                    if not wake and rcs_policy and monitor.gating_status(
-                        router.node, lower
-                    ):
-                        wake = True
-                    if wake:
-                        self._begin_wakeup(router, cycle, stats)
+                elif state == sleep:
+                    self._begin_wakeup(router, cycle, stats)
                 else:  # WAKEUP
-                    stats.wakeup_cycles += 1
-                    if cycle >= self._state[id(router)].wake_ready:
+                    waking += 1
+                    if cycle >= states[id(router)].wake_ready:
                         self._wake_complete(router, cycle)
+            stats.active_cycles += active
+            stats.wakeup_cycles += waking
         pending.clear()
 
-    # The three transition methods below are the telemetry probe
-    # points: repro.telemetry shadows them with instance attributes to
-    # observe every power transition with its exact cycle, so the
-    # unhooked controller keeps the unconditional fast path (no
-    # listener branches).
+    def advance(self, start: int, end: int) -> None:
+        """Run :meth:`step` over quiescent cycles ``[start, end)`` in
+        closed form.
+
+        Quiescent means no flit anywhere, no wakeup request and every
+        status bit low, so each router's state machine runs on its own:
+        a waking router completes at ``wake_ready``, a drained ACTIVE
+        router of a gated subnet sleeps once its idle window fills
+        (counted active through the transition cycle), and sleepers
+        stay asleep.  The transitions are then made in cycle order,
+        (subnet, node) order within a cycle — the order ``step`` would
+        have made them in.
+        """
+        span = end - start
+        if self.policy == GatingPolicy.NONE:
+            for stats, network in zip(self.stats, self.subnets):
+                stats.active_cycles += span * len(network.routers)
+            return
+        detect = self.idle_detect_cycles
+        # (cycle, subnet, node, transition, router); the first three
+        # fields are unique per event, so routers are never compared.
+        events: list[
+            tuple[int, int, int, Callable[[Router, int], None], Router]
+        ] = []
+        idle_after: list[tuple[Router, int]] = []
+        for subnet_idx, network in enumerate(self.subnets):
+            stats = self.stats[subnet_idx]
+            gate = not (self.keep_subnet0 and subnet_idx == 0)
+            for router in network.routers:
+                t = start
+                state = router.power_state
+                idle = router.idle_cycles
+                if state == PowerState.WAKEUP:
+                    ready = self._state[id(router)].wake_ready
+                    done_at = ready if ready > t else t
+                    if done_at >= end:
+                        stats.wakeup_cycles += end - t
+                        continue
+                    stats.wakeup_cycles += done_at - t + 1
+                    events.append((done_at, subnet_idx, router.node,
+                                   self._wake_complete, router))
+                    t = done_at + 1
+                    state = PowerState.ACTIVE
+                    idle = 0
+                if state == PowerState.SLEEP:
+                    stats.sleep_cycles += end - t
+                elif not gate:
+                    # The always-on subnet never gates and leaves the
+                    # idle counter untouched.
+                    stats.active_cycles += end - t
+                else:
+                    sleep_at = t + max(0, detect - idle - 1)
+                    if sleep_at >= end:
+                        stats.active_cycles += end - t
+                        idle += end - t
+                    else:
+                        stats.active_cycles += sleep_at - t + 1
+                        idle += sleep_at - t + 1
+                        stats.sleep_cycles += end - sleep_at - 1
+                        events.append((sleep_at, subnet_idx, router.node,
+                                       self._sleep, router))
+                    idle_after.append((router, idle))
+        events.sort(key=lambda event: event[:3])
+        for cycle, _subnet, _node, transition, router in events:
+            transition(router, cycle)
+        for router, idle in idle_after:
+            router.idle_cycles = idle
+
+    # The three transition methods below are the only writers of
+    # ``power_state``, and each re-derives its router's subnet split
+    # afterwards, so the split is exact even when a caller outside
+    # step runs them or a shadow declines one.  They are also the
+    # probe points of repro.telemetry and repro.faults, which shadow
+    # them with instance attributes to observe (or veto) every power
+    # transition with its exact cycle; the unhooked controller keeps
+    # the unconditional fast path (no listener branches).
     def _sleep(self, router: Router, cycle: int) -> None:
         router.power_state = PowerState.SLEEP
         state = self._state[id(router)]
         state.sleep_start = cycle
         self.stats[router.subnet].sleep_periods += 1
+        self._split(router.subnet)
 
     def _wake_complete(self, router: Router, cycle: int) -> None:
         router.power_state = PowerState.ACTIVE
         router.idle_cycles = 0
+        self._split(router.subnet)
 
     def _begin_wakeup(
         self, router: Router, cycle: int, stats: GatingStats
@@ -331,6 +460,22 @@ class PowerGatingController:
         state = self._state[id(router)]
         state.wake_ready = cycle + self.wakeup_cycles
         self._close_period(router, state, cycle, stats)
+        self._split(router.subnet)
+
+    def _split(self, subnet_idx: int) -> None:
+        """Re-derive one subnet's awake/asleep split from power_state."""
+        routers = self.subnets[subnet_idx].routers
+        sleep = PowerState.SLEEP
+        self._awake[subnet_idx] = [
+            r for r in routers if r.power_state != sleep
+        ]
+        self._asleep[subnet_idx] = [
+            r for r in routers if r.power_state == sleep
+        ]
+        if subnet_idx == 0:
+            self._plain0 = self.keep_subnet0 and all(
+                r.power_state == PowerState.ACTIVE for r in routers
+            )
 
     def _close_period(
         self,
@@ -360,6 +505,14 @@ class PowerGatingController:
         it against the router's actual power state every cycle.
         """
         return self._state[id(router)]
+
+    def asleep(self, subnet_idx: int) -> list[Router]:
+        """The routers :meth:`step` credits as asleep in one subnet.
+
+        Read-only view for the invariant checker, which requires it to
+        hold exactly the subnet's routers whose state is SLEEP.
+        """
+        return self._asleep[subnet_idx]
 
     # ------------------------------------------------------------------
     # Finalization and summaries

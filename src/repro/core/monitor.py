@@ -56,6 +56,14 @@ class CongestionMonitor:
             mesh, self.num_subnets, cc.rcs_update_period, cc.rcs_divisions
         )
         self.use_regional = cc.use_regional
+        # Where a node reads its gating status in a status row: its
+        # region's bit in the RCS rows, its own bit in the LCS rows of
+        # the BFM-local variant.
+        self._status_index = (
+            self.regional._region_of
+            if self.use_regional
+            else list(range(self.num_nodes))
+        )
         self.needs_blocking_counters = (
             self._metrics[0][0].needs_blocking_counters
             if self.num_nodes
@@ -167,16 +175,24 @@ class CongestionMonitor:
             return self.regional.rcs(subnet, node)
         return False
 
-    def gating_status(self, node: int, subnet: int) -> bool:
-        """Power-gating view of the given subnet's congestion at ``node``.
+    def gating_view(self) -> tuple[list[list[bool]], list[int]]:
+        """``(rows, index)``: the gating status of ``subnet`` at ``node``
+        is ``rows[subnet][index[node]]``.
 
         Catnap gates a router in subnet *h* against the congestion of
         subnet *h−1*; with the OR network this is the regional bit, in
-        the BFM-local ablation it is the node's own LCS.
+        the BFM-local ablation it is the node's own LCS.  The rows are
+        live (read them in the cycle that uses them); the regional
+        network replaces its rows on every latch.
         """
-        if self.use_regional:
-            return self.regional.rcs(subnet, node)
-        return self.lcs[subnet][node]
+        rows = self.regional._rcs if self.use_regional else self.lcs
+        return rows, self._status_index
+
+    def gating_status(self, node: int, subnet: int) -> bool:
+        """Power-gating view of the given subnet's congestion at ``node``
+        (one entry of :meth:`gating_view`)."""
+        rows, index = self.gating_view()
+        return rows[subnet][index[node]]
 
     def lcs_count(self, subnet: int) -> int:
         """Number of nodes whose latched LCS is set for ``subnet``.

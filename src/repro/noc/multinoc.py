@@ -222,26 +222,40 @@ class MultiNocFabric:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Advance the whole fabric by one router clock cycle."""
+    def step(self) -> bool:
+        """Advance the whole fabric by one router clock cycle.
+
+        This is the one per-cycle body: the dense kernel runs it every
+        cycle and the skip kernel on every cycle it visits.  NIs with
+        nothing queued, streaming or decaying and subnets without flits
+        are skipped (their steps are no-ops).  Returns True when any NI
+        or subnet did work — the skip kernel's cue to probe for
+        quiescence.
+        """
         cycle = self.cycle
         subnets = self.subnets
         for network in subnets:
             network.deliver_arrivals(cycle)
         self.monitor.update(cycle, subnets, self.nis)
+        busy = False
         for ni in self.nis:
-            ni.step(cycle)
+            if ni.queue or ni._active_slots or ni._ir_rate > 1e-9:
+                ni.step(cycle)
+                busy = True
         for network in subnets:
-            network.step_routers(cycle)
+            if network.flits_in_network:
+                network.step_routers(cycle)
+                busy = True
         self.gating.step(cycle)
         self.cycle = cycle + 1
+        return busy
 
     def run(self, cycles: int) -> None:
         """Advance the fabric by ``cycles`` clock cycles.
 
         Delegates to the configured :class:`~repro.noc.backend.
-        FabricBackend`; :meth:`step` remains the single-cycle reference
-        the dense backend (and every shadow observer) is built on.
+        FabricBackend`; :meth:`step` is the cycle body every backend
+        (and every shadow observer) is built on.
         """
         self.backend.run(cycles)
 

@@ -25,7 +25,7 @@ from repro.noc.backend import (
     backend_names,
     make_backend,
 )
-from repro.noc.config import NocConfig
+from repro.noc.config import NocConfig, PowerGatingConfig
 from repro.noc.flit import Packet
 from repro.noc.multinoc import MultiNocFabric
 from repro.noc.network import SubnetNetwork
@@ -316,34 +316,82 @@ class TestGatingPhase:
         gating = states["skip"][0]["gating"]
         assert sum(g["wake_requests"] for g in gating) > 0
         assert sum(g["sleep_periods"] for g in gating) > 3
-        assert fabric.backend._gating_fast
         assert fabric.backend.cycles_jumped > 0
 
     def test_power_state_written_between_spans(self):
-        """_sync must re-split the routers from ground truth."""
+        """Transitions run between spans (outside the controller's
+        step) keep the awake/asleep split exact, including the
+        un-gated subnet 0's one-add shortcut."""
 
         def run(backend):
             fabric, source = _bursty_fabric(backend)
             fabric.backend.run(250, source)  # higher subnets asleep
+            gating = fabric.gating
             sub0, sub1 = fabric.subnets[0], fabric.subnets[1]
-            sub0.routers[5].power_state = PowerState.SLEEP
-            sub1.routers[2].power_state = PowerState.ACTIVE
-            sub1.routers[7].power_state = PowerState.WAKEUP
+            assert sub1.routers[2].power_state == PowerState.SLEEP
+            assert sub1.routers[7].power_state == PowerState.SLEEP
+            cycle = fabric.cycle
+            gating._sleep(sub0.routers[5], cycle)
+            gating._wake_complete(sub1.routers[2], cycle)
+            gating._begin_wakeup(sub1.routers[7], cycle, gating.stats[1])
             fabric.backend.run(150, source)
             return _fabric_state(fabric, source)
 
         assert run("dense") == run("skip")
 
     def test_shadowed_transition_uses_controller_step(self):
-        fabric, source = _bursty_fabric("skip")
-        seen = []
-        sleep = type(fabric.gating)._sleep
-        fabric.gating._sleep = lambda router, cycle: (
-            seen.append(cycle), sleep(fabric.gating, router, cycle)
-        )
-        fabric.backend.run(100, source)
-        assert not fabric.backend._gating_fast
-        assert seen
+        """A shadow on ``gating._sleep`` is called by the controller's
+        step on both kernels, at the same cycles for the same routers."""
+        states = {}
+        for backend in ("dense", "skip"):
+            fabric, source = _bursty_fabric(backend)
+            gating = fabric.gating
+            seen = []
+
+            def tap(router, cycle):
+                seen.append((cycle, router.subnet, router.node))
+                type(gating)._sleep(gating, router, cycle)
+
+            gating._sleep = tap
+            fabric.backend.run(100, source)
+            assert seen
+            states[backend] = (seen, _fabric_state(fabric, source))
+        assert states["dense"] == states["skip"]
+
+
+    def test_jump_makes_transitions_in_step_order(self):
+        """Routers that fall asleep inside a quiescence jump sleep in
+        the per-cycle step's order: by cycle, then (subnet, node)."""
+        logs = {}
+        for backend in ("dense", "skip"):
+            fabric = MultiNocFabric(
+                gated_config(
+                    num_subnets=4,
+                    gating=PowerGatingConfig(idle_detect_cycles=40),
+                ),
+                seed=8,
+                backend=backend,
+            )
+            source = BurstyTrafficSource(
+                fabric,
+                make_pattern("uniform", fabric.mesh),
+                [(0, 0.3), (60, 0.0)],
+                seed=8,
+            )
+            gating = fabric.gating
+            log = []
+
+            def tap(router, cycle):
+                log.append((cycle, router.subnet, router.node))
+                type(gating)._sleep(gating, router, cycle)
+
+            gating._sleep = tap
+            fabric.backend.run(400, source)
+            logs[backend] = log
+        assert fabric.backend.cycles_jumped > 0
+        assert logs["dense"] == logs["skip"]
+        # Meaningful only if the sleeps cross router order.
+        assert logs["skip"] != sorted(logs["skip"], key=lambda e: e[1:])
 
 
 class TestKernelCounters:

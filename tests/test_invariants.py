@@ -308,6 +308,25 @@ class TestMutations:
         assert "occupancy mask" in err.value.details
         assert "node 5" in err.value.details
 
+    def test_stale_sleep_split_is_caught(self, backend):
+        fabric = MultiNocFabric(gated_config(), seed=9, backend=backend)
+        InvariantChecker(fabric).attach()
+        gating = fabric.gating
+        routers = fabric.subnets[1].routers
+        for _ in range(200):
+            if len(gating.asleep(1)) == len(routers):
+                break
+            fabric.run(1)
+        asleep = gating.asleep(1)
+        assert len(asleep) == len(routers), "subnet 1 never fell asleep"
+        # The split stops crediting one sleeper; nothing else changes.
+        del asleep[3]
+        with pytest.raises(InvariantViolation) as err:
+            fabric.run(1)
+        assert err.value.invariant == "gating-state"
+        assert "stale awake/asleep split" in err.value.details
+        assert "subnet 1" in err.value.details
+
 
 # ----------------------------------------------------------------------
 # Deadlock watchdog and dependency witness
