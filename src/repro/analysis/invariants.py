@@ -17,8 +17,8 @@ conservation laws the simulator's distributed state must obey:
     capacity.  Covers router-to-router links and the NI-to-router
     injection link.
 ``router-accounting``
-    Router-internal counters (``buffered_flits``,
-    ``expected_arrivals``, credit bounds) and the occupancy mask the
+    Router-internal counters (``held``: buffered flits plus flits on a
+    link toward the router; credit bounds) and the occupancy mask the
     router step scans match first-principles recounts.
 ``gating-state``
     Sleep/wakeup bookkeeping in the gating controller is consistent
@@ -267,12 +267,13 @@ class InvariantChecker:
             if router.power_state == PowerState.ACTIVE:
                 continue
             state = PowerState.NAMES[router.power_state]
-            if router.buffered_flits:
+            buffered = router.buffered_flits
+            if buffered:
                 raise InvariantViolation(
                     "gated-arrival",
                     cycle,
                     f"subnet {network.subnet} node {router.node}: "
-                    f"{router.buffered_flits} flit(s) buffered at a "
+                    f"{buffered} flit(s) buffered at a "
                     f"router in state '{state}' (a gated router must "
                     "be drained; an upstream hop or the gating "
                     "controller skipped a wakeup)",
@@ -313,7 +314,9 @@ class InvariantChecker:
             )
         if dropped:
             self.expected["flit-conservation"] += 1
-        buffered = sum(r.buffered_flits for r in network.routers)
+        buffered = sum(
+            port.occupancy for r in network.routers for port in r.ports
+        )
         present = buffered + census.total
         if present != network.flits_in_network:
             raise InvariantViolation(
@@ -407,13 +410,14 @@ class InvariantChecker:
         capacity = network.config.flits_per_vc
         for router in network.routers:
             recount = sum(port.occupancy for port in router.ports)
-            if recount != router.buffered_flits:
+            inbound = census.per_router.get(id(router), 0)
+            if router.held != recount + inbound:
                 raise InvariantViolation(
                     "router-accounting",
                     cycle,
                     f"subnet {network.subnet} node {router.node}: "
-                    f"buffered_flits = {router.buffered_flits} but "
-                    f"ports hold {recount} flit(s)",
+                    f"held = {router.held} but ports hold {recount} "
+                    f"flit(s) and {inbound} are in flight toward it",
                 )
             mask = 0
             for index, channel in enumerate(router.channels):
@@ -427,15 +431,6 @@ class InvariantChecker:
                     f"occupancy mask {router.mask:#x} but the non-empty "
                     f"input VCs give {mask:#x} (the router step would "
                     "skip a VC or read an empty one)",
-                )
-            inbound = census.per_router.get(id(router), 0)
-            if inbound != router.expected_arrivals:
-                raise InvariantViolation(
-                    "router-accounting",
-                    cycle,
-                    f"subnet {network.subnet} node {router.node}: "
-                    f"expected_arrivals = {router.expected_arrivals} "
-                    f"but {inbound} flit(s) are in flight toward it",
                 )
             for out_port in range(Port.COUNT):
                 for vc, credits in enumerate(router.credits[out_port]):

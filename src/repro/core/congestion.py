@@ -71,8 +71,9 @@ class BufferMaxMetric(LocalCongestionMetric):
         self, cycle: int, router: "Router", ni: "NetworkInterface"
     ) -> bool:
         # The max over ports can't reach the threshold unless the whole
-        # router holds at least that many flits (cheap early-out).
-        if router.buffered_flits < self.threshold_flits:
+        # router holds at least that many flits (cheap early-out; held
+        # also counts flits still on a link toward the router).
+        if router.held < self.threshold_flits:
             return False
         return router.max_port_occupancy() >= self.threshold_flits
 
@@ -91,7 +92,7 @@ class BufferAverageMetric(LocalCongestionMetric):
         self, cycle: int, router: "Router", ni: "NetworkInterface"
     ) -> bool:
         # mean >= threshold requires total >= threshold * num_ports.
-        if router.buffered_flits < self.threshold_flits * 5:
+        if router.held < self.threshold_flits * 5:
             return False
         return router.mean_port_occupancy() >= self.threshold_flits
 

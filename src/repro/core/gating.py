@@ -32,6 +32,7 @@ use it to see what this controller costs per simulated cycle.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -166,12 +167,20 @@ class PowerGatingController:
         self.forced_wakes = 0
         # _awake[subnet] / _asleep[subnet]: that subnet's routers split
         # by "power_state is SLEEP", each in node order; _plain0: subnet
-        # 0 is un-gated and all its routers are ACTIVE.  Kept by _split.
-        self._awake: list[list[Router]] = [[] for _ in subnets]
-        self._asleep: list[list[Router]] = [[] for _ in subnets]
+        # 0 is un-gated and all its routers are ACTIVE.  Kept by the
+        # transition methods.
+        sleep = PowerState.SLEEP
+        self._awake: list[list[Router]] = [
+            [r for r in network.routers if r.power_state != sleep]
+            for network in subnets
+        ]
+        self._asleep: list[list[Router]] = [
+            [r for r in network.routers if r.power_state == sleep]
+            for network in subnets
+        ]
         self._plain0 = False
-        for subnet_idx in range(len(subnets)):
-            self._split(subnet_idx)
+        if subnets:
+            self._check_plain0()
 
     # ------------------------------------------------------------------
     # Wakeup requests (look-ahead from routers, injection from NIs)
@@ -243,7 +252,7 @@ class PowerGatingController:
             for router in network.routers:
                 if (
                     router.power_state != PowerState.ACTIVE
-                    or not router.buffered_flits
+                    or not router.held
                 ):
                     continue
                 for port in router.ports:
@@ -320,7 +329,9 @@ class PowerGatingController:
                 continue
             asleep = self._asleep[subnet_idx]
             row = rows[subnet_idx - 1] if rcs_policy else None
-            visit = awake
+            # A copy: the transitions below move routers between the
+            # two lists in place.
+            visit = awake[:]
             if asleep:
                 stats.sleep_cycles += len(asleep)
                 wake = [
@@ -345,7 +356,7 @@ class PowerGatingController:
                     active += 1
                     if not gate:
                         continue
-                    if router.buffered_flits or router.expected_arrivals:
+                    if router.held:
                         router.idle_cycles = 0
                         continue
                     idle = router.idle_cycles + 1
@@ -434,48 +445,69 @@ class PowerGatingController:
             router.idle_cycles = idle
 
     # The three transition methods below are the only writers of
-    # ``power_state``, and each re-derives its router's subnet split
-    # afterwards, so the split is exact even when a caller outside
-    # step runs them or a shadow declines one.  They are also the
-    # probe points of repro.telemetry and repro.faults, which shadow
-    # them with instance attributes to observe (or veto) every power
-    # transition with its exact cycle; the unhooked controller keeps
-    # the unconditional fast path (no listener branches).
+    # ``power_state``, and each moves its router across its subnet's
+    # awake/asleep split as the state crosses SLEEP, so the split is
+    # exact even when a caller outside step runs them or a shadow
+    # declines one.  They are also the probe points of repro.telemetry
+    # and repro.faults, which shadow them with instance attributes to
+    # observe (or veto) every power transition with its exact cycle;
+    # the unhooked controller keeps the unconditional fast path (no
+    # listener branches).
     def _sleep(self, router: Router, cycle: int) -> None:
+        was = router.power_state
         router.power_state = PowerState.SLEEP
         state = self._state[id(router)]
         state.sleep_start = cycle
         self.stats[router.subnet].sleep_periods += 1
-        self._split(router.subnet)
+        self._update_split(router, was)
 
     def _wake_complete(self, router: Router, cycle: int) -> None:
+        was = router.power_state
         router.power_state = PowerState.ACTIVE
         router.idle_cycles = 0
-        self._split(router.subnet)
+        self._update_split(router, was)
 
     def _begin_wakeup(
         self, router: Router, cycle: int, stats: GatingStats
     ) -> None:
+        was = router.power_state
         router.power_state = PowerState.WAKEUP
         state = self._state[id(router)]
         state.wake_ready = cycle + self.wakeup_cycles
         self._close_period(router, state, cycle, stats)
-        self._split(router.subnet)
+        self._update_split(router, was)
 
-    def _split(self, subnet_idx: int) -> None:
-        """Re-derive one subnet's awake/asleep split from power_state."""
-        routers = self.subnets[subnet_idx].routers
+    def _update_split(self, router: Router, was: int) -> None:
+        """Keep the split after ``router`` left state ``was``: a router
+        whose state crossed SLEEP moves to the other list at its node
+        position (O(log n) search plus one list shift)."""
         sleep = PowerState.SLEEP
-        self._awake[subnet_idx] = [
-            r for r in routers if r.power_state != sleep
-        ]
-        self._asleep[subnet_idx] = [
-            r for r in routers if r.power_state == sleep
-        ]
+        subnet_idx = router.subnet
+        if (was == sleep) != (router.power_state == sleep):
+            if was == sleep:
+                source = self._asleep[subnet_idx]
+                target = self._awake[subnet_idx]
+            else:
+                source = self._awake[subnet_idx]
+                target = self._asleep[subnet_idx]
+            index = bisect_left(source, router.node, key=_node_of)
+            if index == len(source) or source[index] is not router:
+                raise RuntimeError(
+                    f"subnet {subnet_idx} node {router.node} is missing "
+                    "from the gating split (power_state written outside "
+                    "the transition methods)"
+                )
+            del source[index]
+            insort(target, router, key=_node_of)
         if subnet_idx == 0:
-            self._plain0 = self.keep_subnet0 and all(
-                r.power_state == PowerState.ACTIVE for r in routers
-            )
+            self._check_plain0()
+
+    def _check_plain0(self) -> None:
+        """Re-derive whether subnet 0 is un-gated and all ACTIVE."""
+        self._plain0 = self.keep_subnet0 and all(
+            r.power_state == PowerState.ACTIVE
+            for r in self.subnets[0].routers
+        )
 
     def _close_period(
         self,

@@ -115,17 +115,17 @@ class CongestionMonitor:
                 # inlined (identical logic, no per-node calls).
                 for node, router in enumerate(routers):
                     latch = latches[node]
-                    congested = router.buffered_flits >= bfm
-                    if congested:
-                        # Router.max_port_occupancy, inlined: polled
-                        # for every busy (node, subnet) pair every
-                        # cycle, where the call frame dominates.
-                        best = 0
+                    congested = False
+                    if router.held >= bfm:
+                        # Router.max_port_occupancy() >= bfm, inlined:
+                        # polled for every busy (node, subnet) pair
+                        # every cycle, where the call frame dominates.
+                        # held (buffered + inbound) bounds the max from
+                        # above, so it only filters.
                         for port in router.ports:
-                            occupancy = port.occupancy
-                            if occupancy > best:
-                                best = occupancy
-                        congested = best >= bfm
+                            if port.occupancy >= bfm:
+                                congested = True
+                                break
                     if congested:
                         latch.state = state = True
                         latch._held_until = cycle + latch.hold_cycles

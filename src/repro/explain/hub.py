@@ -349,10 +349,10 @@ class ExplainHub:
             orig(cycle)
             if not ni._active_slots:
                 return
-            active = ni._subnet_active
+            live = ni._live
             node = ni.node
-            for subnet in range(len(active)):
-                if not active[subnet]:
+            for subnet in range(len(subnets)):
+                if not live >> subnet & 1:
                     continue
                 gated = (
                     subnets[subnet].routers[node].power_state

@@ -546,7 +546,7 @@ class FaultEngine:
             router = channel.router
             in_port, vc = channel.position
             network.flits_in_network -= 1
-            router.expected_arrivals -= 1
+            router.held -= 1
             key = (subnet, router.node, in_port, vc)
             self.lost_credits[key] = self.lost_credits.get(key, 0) + 1
             self.dropped_flits[subnet] += 1

@@ -223,7 +223,12 @@ class SkipBackend(FabricBackend):
             cycle = fabric.cycle
             if checker is not None:
                 checker.note_steps(1, cycle - 1)
-            if not busy and quiet_source(cycle) and self._quiescent():
+            if (
+                cycle < end
+                and not busy
+                and quiet_source(cycle)
+                and self._quiescent()
+            ):
                 self.cycles_mirrored += cycle - start
                 return False
         self.cycles_mirrored += cycle - start

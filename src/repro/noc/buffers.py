@@ -65,13 +65,26 @@ class VirtualChannel:
     head to tail flit.  ``router``, ``port`` and ``bit`` locate the VC
     (its router, its :class:`InputPort` and its bit in the router's
     occupancy mask), so a link delivers a flit straight into it.
+
+    ``home[vc]`` is this VC's credit counter at its upstream sender:
+    ``home`` is that sender's credit list for the link (an upstream
+    router's ``credits[out_port]`` or the NI's per-subnet credits) and
+    ``vc`` this VC's index, so a departing flit returns its slot as
+    ``home[vc] += 1``.  Until a sender is wired in, ``home`` is a
+    placeholder list no sender reads (mesh-edge ports never receive).
     """
 
     __slots__ = ("fifo", "out_port", "out_vc", "depth", "router", "port",
-                 "bit")
+                 "bit", "home", "vc")
 
     def __init__(
-        self, depth: int, router: "Router", port: "InputPort", bit: int
+        self,
+        depth: int,
+        router: "Router",
+        port: "InputPort",
+        bit: int,
+        home: list[int],
+        vc: int,
     ) -> None:
         self.fifo: deque[Flit] = deque()
         self.depth = depth
@@ -80,6 +93,8 @@ class VirtualChannel:
         self.router = router
         self.port = port
         self.bit = bit
+        self.home = home
+        self.vc = vc
 
     @property
     def occupancy(self) -> int:
@@ -108,7 +123,8 @@ class InputPort:
     ``occupancy`` (total flits across VCs) is maintained incrementally
     because the BFM congestion metric reads it every cycle.  Flits
     arrive only through :meth:`repro.noc.network.SubnetNetwork.
-    deliver_arrivals`; ``index`` is the port's number at ``router``.
+    deliver_arrivals`; ``index`` is the port's number at ``router``
+    and ``home`` the initial credit home of its VCs.
     """
 
     __slots__ = ("vcs", "occupancy")
@@ -119,10 +135,13 @@ class InputPort:
         flits_per_vc: int,
         router: "Router",
         index: int,
+        home: list[int],
     ) -> None:
         base = index * vcs_per_port
         self.vcs = [
-            VirtualChannel(flits_per_vc, router, self, 1 << (base + vc))
+            VirtualChannel(
+                flits_per_vc, router, self, 1 << (base + vc), home, vc
+            )
             for vc in range(vcs_per_port)
         ]
         self.occupancy = 0

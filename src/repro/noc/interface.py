@@ -39,10 +39,15 @@ if TYPE_CHECKING:
 
 __all__ = ["NetworkInterface"]
 
-#: _rr_orders(v)[start] == ((start) % v, (start+1) % v, ...): the VC
-#: visit order of the streaming round-robin, precomputed because the
-#: modulo arithmetic shows up in the per-cycle injection path.
+#: _rr_orders(v)[start] == ((start) % v, (start+1) % v, ...) for
+#: ``0 <= start <= v``: the VC visit order of the streaming round-robin,
+#: precomputed because the modulo arithmetic shows up in the per-cycle
+#: injection path (``start == v`` wraps to the order of 0).
 _RR_ORDERS: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+#: _LIVE_SUBNETS[mask]: the subnets whose bits are set in ``mask``, in
+#: ascending order (filled on first use by :func:`_live_subnets`).
+_LIVE_SUBNETS: dict[int, tuple[int, ...]] = {}
 
 
 def _rr_orders(vcs: int) -> tuple[tuple[int, ...], ...]:
@@ -50,10 +55,19 @@ def _rr_orders(vcs: int) -> tuple[tuple[int, ...], ...]:
     if orders is None:
         orders = tuple(
             tuple((start + k) % vcs for k in range(vcs))
-            for start in range(vcs)
+            for start in range(vcs + 1)
         )
         _RR_ORDERS[vcs] = orders
     return orders
+
+
+def _live_subnets(mask: int) -> tuple[int, ...]:
+    subnets = _LIVE_SUBNETS.get(mask)
+    if subnets is None:
+        subnets = _LIVE_SUBNETS[mask] = tuple(
+            subnet for subnet in range(mask.bit_length()) if mask >> subnet & 1
+        )
+    return subnets
 
 
 class _StreamSlot:
@@ -89,18 +103,31 @@ class NetworkInterface:
             [None] * vcs for _ in range(config.num_subnets)
         ]
         self._active_slots = 0
-        # _subnet_active[subnet]: active slots on that subnet, so the
-        # per-cycle streaming loop touches only subnets with traffic.
-        self._subnet_active = [0] * config.num_subnets
+        # _live: bit ``subnet`` is set while that subnet has an active
+        # slot, so the per-cycle streaming loop touches only those.
+        self._live = 0
         self._credits = [
             [config.flits_per_vc] * vcs for _ in range(config.num_subnets)
         ]
         self._stream_rr = [0] * config.num_subnets
         self._stream_orders = _rr_orders(vcs)
+        # _lanes[subnet]: what streaming into that subnet touches — the
+        # slots, the network, the local router, the injection credits
+        # (the credit home of the router's LOCAL input VCs) and those
+        # VCs.
+        self._lanes = []
         for subnet, network in enumerate(subnets):
-            network.routers[node].upstream_credits[Port.LOCAL] = (
-                self._credits[subnet]
-            )
+            router = network.routers[node]
+            router.feed(Port.LOCAL, self._credits[subnet])
+            self._lanes.append((
+                self._slots[subnet],
+                network,
+                router,
+                self._credits[subnet],
+                router.ports[Port.LOCAL].vcs,
+            ))
+        # The output port every packet takes at its local router.
+        self._routes = routing.rows[node]
         self.policy: "SubnetSelectionPolicy | None" = None
         self.gating: "PowerGatingController | None" = None
         #: callable(packet, cycle) invoked when a packet fully arrives.
@@ -173,12 +200,12 @@ class NetworkInterface:
                     rates[subnet] -= alpha * rates[subnet]
             return
         sent = 0
-        if self._active_slots:
-            active = self._subnet_active
-            for subnet in range(len(active)):
-                # A subnet with no active slot is a no-op in
-                # _stream_subnet; skipping the call is identical.
-                if active[subnet] and self._stream_subnet(subnet, cycle):
+        live = self._live
+        if live:
+            # A subnet with no active slot is a no-op in _stream_subnet;
+            # skipping the call is identical.
+            for subnet in _LIVE_SUBNETS.get(live) or _live_subnets(live):
+                if self._stream_subnet(subnet, cycle):
                     sent |= 1 << subnet
         # Assign after streaming so a VC whose tail left this cycle can
         # take the next packet back-to-back — but never two flits into
@@ -216,54 +243,63 @@ class NetworkInterface:
         self.queue.popleft()
         packet.subnet = subnet
         last = packet.num_flits - 1
+        route = self._routes[packet.dst]
         flits = [
-            Flit(packet, i == 0, i == last, i)
+            Flit(packet, i == 0, i == last, i, route)
             for i in range(packet.num_flits)
         ]
         slots[vc] = _StreamSlot(packet, flits, vc)
         self._active_slots += 1
-        self._subnet_active[subnet] += 1
+        self._live |= 1 << subnet
         self.injected_per_subnet[subnet] += 1
         return subnet
 
     def _stream_subnet(self, subnet: int, cycle: int) -> bool:
         """Send at most one flit into ``subnet``; True when one left.
 
-        Active VC slots share the NI-to-router link round-robin.
+        Active VC slots share the NI-to-router link round-robin.  A
+        sleeping or waking local router gets one wakeup request and no
+        flit.  The flits carry their route from assignment; the body of
+        ``network.inject`` is inlined unless an instance shadow
+        replaces it (explain's probe), as ``step_routers`` does for
+        ``send``.
         """
-        slots = self._slots[subnet]
-        vcs = len(slots)
-        network = self.subnets[subnet]
-        router = network.routers[self.node]
-        router_asleep = router.power_state != PowerState.ACTIVE
-        woke = False
-        credits = self._credits[subnet]
+        slots, network, router, credits, local_vcs = self._lanes[subnet]
         for vc in self._stream_orders[self._stream_rr[subnet]]:
             slot = slots[vc]
             if slot is None:
                 continue
-            if router_asleep:
-                if not woke and self.gating is not None:
+            if router.power_state != PowerState.ACTIVE:
+                if self.gating is not None:
                     self.gating.request_wakeup(router)
-                    woke = True
-                continue
+                return False
             if credits[vc] <= 0:
                 continue
             flit = slot.flits[slot.index]
             credits[vc] -= 1
-            flit.route = self.routing.output_port(
-                self.node, flit.packet.dst
-            )
-            if flit.is_head:
-                slot.packet.injected_cycle = cycle
-            network.inject(flit, self.node, vc, cycle)
+            if "inject" in network.__dict__:
+                if flit.is_head:
+                    slot.packet.injected_cycle = cycle
+                network.inject(flit, self.node, vc, cycle)
+            else:
+                router.held += 1
+                network._ring[
+                    (cycle + network._inject_cycles) % network._ring_len
+                ].append((local_vcs[vc], flit))
+                network.flits_in_network += 1
+                counters = network.counters
+                counters.flits_injected += 1
+                if flit.is_head:
+                    slot.packet.injected_cycle = cycle
+                    counters.packets_injected += 1
             self._queue_flits -= 1
             slot.index += 1
             if flit.is_tail:
                 slots[vc] = None
                 self._active_slots -= 1
-                self._subnet_active[subnet] -= 1
-            self._stream_rr[subnet] = (vc + 1) % vcs
+                if not any(slots):
+                    self._live ^= 1 << subnet
+            self._stream_rr[subnet] = vc + 1
             return True
         return False
 

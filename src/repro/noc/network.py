@@ -32,7 +32,7 @@ _OPPOSITE = tuple(
 _ALLOC_ORDERS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 #: _SCAN_TABLES[V]: constant allocator tables for V VCs per port —
-#: (in_ports, in_vcs, port_masks); see :func:`_scan_tables`.
+#: (position, port_masks, advance); see :func:`_scan_tables`.
 _SCAN_TABLES: dict[int, tuple] = {}
 
 
@@ -53,32 +53,32 @@ def _alloc_orders(
 
 
 def _scan_tables(vcs: int) -> tuple:
-    """Allocator tables over scan index ``i = p * V + v``, built once
-    per VC count: ``in_ports[i]`` and ``in_vcs[i]`` decompose ``i``, and
-    ``port_masks[offset][p]`` is every bit but port ``p``'s channels in
-    a scan mask rotated by ``offset`` — clearing them the moment ``p``
-    wins the crossbar enforces one flit per input port per cycle."""
+    """Allocator tables over a router's occupancy mask rotated by its
+    round-robin offset (``n = P * V`` input VCs, bit ``j`` of the
+    rotated mask is VC ``j + offset`` of the doubled ``scan`` tuple),
+    built once per VC count: ``position[1 << j]`` is ``j``;
+    ``port_masks[offset][j]`` is every bit but those of that VC's input
+    port, so clearing them the moment that port wins the crossbar
+    enforces one flit per input port per cycle; ``advance[offset]`` is
+    the next cycle's offset."""
     tables = _SCAN_TABLES.get(vcs)
     if tables is None:
         total = Port.COUNT * vcs
         full = (1 << total) - 1
         ones = (1 << vcs) - 1
-        port_masks = tuple(
-            tuple(
-                full
-                & ~(
-                    (((ones << (p * vcs)) >> off)
-                     | ((ones << (p * vcs)) << (total - off)))
-                    & full
-                )
-                for p in range(Port.COUNT)
-            )
-            for off in range(total)
-        )
+
+        def port_mask(offset: int, j: int) -> int:
+            bits = ones << ((j + offset) % total // vcs * vcs)
+            rotated = (bits >> offset) | (bits << (total - offset))
+            return full & ~rotated
+
         tables = _SCAN_TABLES[vcs] = (
-            tuple(i // vcs for i in range(total)),
-            tuple(i % vcs for i in range(total)),
-            port_masks,
+            {1 << j: j for j in range(total)},
+            tuple(
+                tuple(port_mask(offset, j) for j in range(total))
+                for offset in range(total)
+            ),
+            tuple((offset + 1) % total for offset in range(total)),
         )
     return tables
 
@@ -147,12 +147,15 @@ class SubnetNetwork:
             Router(node, subnet, config.vcs_per_port, config.flits_per_vc)
             for node in range(mesh.num_nodes)
         ]
+        rows = routing.rows
         for node in range(mesh.num_nodes):
             for port, neighbor in mesh.neighbors(node).items():
                 self.routers[node].connect(
-                    port, self.routers[neighbor], neighbor
+                    port, self.routers[neighbor], neighbor, rows[neighbor]
                 )
         self._hop_cycles = config.timing.hop_cycles
+        #: Cycles from NI injection to landing in the local router.
+        self._inject_cycles = config.timing.pipeline_cycles
         ring_len = self._hop_cycles + 1
         # _ring[cycle % ring_len]: (channel, flit) for every flit that
         # lands in input VC ``channel`` at that cycle.
@@ -160,8 +163,6 @@ class SubnetNetwork:
             [] for _ in range(ring_len)
         ]
         self._ring_len = ring_len
-        self._route_table = routing.table
-        self._route_stride = routing.num_nodes
         self._scan = _scan_tables(config.vcs_per_port)
         #: callable(flit, subnet, node, cycle) installed by the fabric;
         #: receives the tail flit of every ejected packet.
@@ -186,6 +187,7 @@ class SubnetNetwork:
         """
         slot = (cycle + self._hop_cycles) % self._ring_len
         self._ring[slot].append((downstream.ports[in_port].vcs[vc], flit))
+        downstream.held += 1
         if flit.is_head:
             # Head-flit link traversals count the packet's hops (its
             # X-Y routing distance; validated against the topology).
@@ -201,11 +203,12 @@ class SubnetNetwork:
         """Inject ``flit`` from the NI into the local router at ``node``.
 
         Injection uses the same pipeline latency as a hop minus the
-        inter-router link (the NI sits next to its router).
+        inter-router link (the NI sits next to its router).  The NI
+        inlines this body unless an instance shadow replaces it.
         """
         router = self.routers[node]
-        router.expected_arrivals += 1
-        slot = (cycle + self.config.timing.pipeline_cycles) % self._ring_len
+        router.held += 1
+        slot = (cycle + self._inject_cycles) % self._ring_len
         self._ring[slot].append((router.ports[Port.LOCAL].vcs[vc], flit))
         self.flits_in_network += 1
         counters = self.counters
@@ -242,9 +245,11 @@ class SubnetNetwork:
         """Land all flits whose link traversal completes this cycle.
 
         The one flit-arrival path: each flit is appended to its input
-        VC, and the port occupancy, the router's occupancy-mask bit,
-        ``buffered_flits``, ``expected_arrivals`` and ``idle_cycles``
-        follow.  A flit reaching a full VC is a credit bug.
+        VC, and the port occupancy and the router's occupancy-mask bit
+        follow.  The router's ``held`` count already includes the flit
+        (it grew when the flit was sent), and so its gating idle
+        counter has been held at zero since.  A flit reaching a full VC
+        is a credit bug.
         """
         slot = self._ring[cycle % self._ring_len]
         if not slot:
@@ -255,11 +260,7 @@ class SubnetNetwork:
                 raise OverflowError("flit arrived at a full VC (credit bug)")
             fifo.append(flit)
             channel.port.occupancy += 1
-            router = channel.router
-            router.mask |= channel.bit
-            router.buffered_flits += 1
-            router.expected_arrivals -= 1
-            router.idle_cycles = 0
+            channel.router.mask |= channel.bit
         self.counters.buffer_writes += len(slot)
         slot.clear()
 
@@ -276,21 +277,21 @@ class SubnetNetwork:
         output VC, the downstream VC has a credit, and the next hop is
         awake; a sleeping or waking next hop gets a look-ahead wakeup
         request instead.  Winners leave for the downstream router's
-        input ``hop_cycles`` later with their look-ahead route computed,
-        or eject to the NI, and return a credit upstream.
+        input ``hop_cycles`` later with their look-ahead route
+        computed, or eject to the NI, and return a credit to their VC's
+        credit home.
 
         Counters and ``flits_in_network`` are charged once per call,
-        each router's ``buffered_flits`` once per router.  Instance
-        shadows of :meth:`send` or :meth:`eject` (explain's latency
-        probes) are honoured: when either is shadowed, every departure
-        goes through the two methods.
+        each router's ``held`` once per router.  Instance shadows of
+        :meth:`send` or :meth:`eject` (explain's latency probes) are
+        honoured: when either is shadowed, every departure goes through
+        the two methods.
         """
         if not self.flits_in_network:
             return
-        in_ports, in_vcs, port_masks = self._scan
-        total = len(in_ports)
+        position, port_masks, advance = self._scan
+        total = len(advance)
         full = (1 << total) - 1
-        vcs = self.config.vcs_per_port
         shadows = self.__dict__
         probed = "send" in shadows or "eject" in shadows
         send = self.send
@@ -300,47 +301,35 @@ class SubnetNetwork:
         ].append
         eject_sink = self.eject_sink
         subnet = self.subnet
-        route_table = self._route_table
-        stride = self._route_stride
+        vcs = self.config.vcs_per_port
         request_wakeup = self.request_wakeup
         orders_get = _ALLOC_ORDERS.get
         opposite = _OPPOSITE
         local = Port.LOCAL
-        forwarded = 0
+        moved_flits = 0
         ejected = 0
         packets_ejected = 0
         for router in self.routers:
             mask = router.mask
             if not mask:
                 continue
-            node = router.node
             offset = router._rr
-            nrr = offset + 1
-            router._rr = nrr if nrr < total else 0
-            if offset:
-                rot = ((mask >> offset) | (mask << (total - offset))) & full
-            else:
-                rot = mask
+            router._rr = advance[offset]
+            rot = ((mask >> offset) | (mask << (total - offset))) & full
             # Every head flit present at the start of the cycle is a
             # candidate (a pop only empties the VC being visited).
             track = router.track_blocking
             heads = mask.bit_count() if track else 0
-            channels = router.channels
-            ports = router.ports
-            credits = router.credits
-            neighbor = router.neighbor_router
-            down_channels = router.down_channels
-            upstream = router.upstream_credits
+            scan = router.scan
             pmasks = port_masks[offset]
+            links = router.links
             used_out = 0
             moved = 0
             while rot:
                 low = rot & -rot
                 rot ^= low
-                index = low.bit_length() - 1 + offset
-                if index >= total:
-                    index -= total
-                channel = channels[index]
+                j = position[low]
+                channel = scan[j + offset]
                 fifo = channel.fifo
                 flit = fifo[0]
                 out_port = flit.route
@@ -350,17 +339,14 @@ class SubnetNetwork:
                 if out_port == local:
                     # Ejection: no VC allocation, one flit per cycle
                     # through the local output.
-                    in_port = in_ports[index]
                     fifo.popleft()
-                    ports[in_port].occupancy -= 1
-                    returns = upstream[in_port]
-                    if returns is not None:
-                        returns[in_vcs[index]] += 1
+                    channel.port.occupancy -= 1
+                    channel.home[channel.vc] += 1
                     if flit.is_tail and channel.out_port >= 0:
                         channel.out_port = -1
                         channel.out_vc = -1
                     if probed:
-                        eject(flit, node, cycle)
+                        eject(flit, router.node, cycle)
                     else:
                         ejected += 1
                         if flit.is_tail:
@@ -369,19 +355,20 @@ class SubnetNetwork:
                                 raise RuntimeError(
                                     "no ejection sink installed"
                                 )
-                            eject_sink(flit, subnet, node, cycle)
+                            eject_sink(flit, subnet, router.node, cycle)
                 else:
-                    downstream = neighbor[out_port]
-                    if channel.out_port < 0:
+                    downstream, row, down_vcs, next_row = links[out_port]
+                    out_vc = channel.out_vc
+                    if out_vc < 0:
                         # VC allocation: round-robin over the VCs the
                         # packet's message class may use.
                         if downstream is None:
                             raise RuntimeError(
                                 f"route to missing neighbour at node "
-                                f"{node} port {Port.NAMES[out_port]}"
+                                f"{router.node} port {Port.NAMES[out_port]}"
                             )
                         if downstream.power_state:
-                            request_wakeup(downstream, node)
+                            request_wakeup(downstream, router.node)
                             continue
                         mc = flit.packet.message_class
                         orders = orders_get((mc, vcs))
@@ -399,61 +386,54 @@ class SubnetNetwork:
                                 break
                         else:
                             continue
-                        if credits[out_port][out_vc] <= 0:
+                        credit = row[out_vc]
+                        if credit <= 0:
                             continue
                     else:
-                        out_vc = channel.out_vc
-                        if credits[out_port][out_vc] <= 0:
+                        credit = row[out_vc]
+                        if credit <= 0:
                             continue
-                        if downstream is None or downstream.power_state:
-                            if downstream is not None:
-                                request_wakeup(downstream, node)
+                        if downstream.power_state:
+                            request_wakeup(downstream, router.node)
                             continue
-                    # Look-ahead route compute for the next hop, then
-                    # switch traversal onto the link.
-                    next_route = route_table[
-                        router.neighbor_node[out_port] * stride
-                        + flit.packet.dst
-                    ]
-                    in_port = in_ports[index]
+                    # Switch traversal onto the link, with the
+                    # look-ahead route for the next hop.
                     fifo.popleft()
-                    ports[in_port].occupancy -= 1
-                    credits[out_port][out_vc] -= 1
-                    returns = upstream[in_port]
-                    if returns is not None:
-                        returns[in_vcs[index]] += 1
+                    channel.port.occupancy -= 1
+                    row[out_vc] = credit - 1
+                    channel.home[channel.vc] += 1
                     if flit.is_tail:
                         router.out_owner[out_port][out_vc] = False
                         channel.out_port = -1
                         channel.out_vc = -1
-                    flit.route = next_route
-                    downstream.expected_arrivals += 1
+                    flit.route = next_row[flit.packet.dst]
                     if probed:
                         send(flit, downstream, opposite[out_port], out_vc,
                              cycle)
                     else:
-                        send_append((down_channels[out_port][out_vc], flit))
+                        send_append((down_vcs[out_vc], flit))
+                        downstream.held += 1
                         if flit.is_head:
                             flit.packet.hops += 1
-                        forwarded += 1
                 if not fifo:
-                    mask &= ~(1 << index)
-                rot &= pmasks[in_port]
+                    mask ^= channel.bit
+                rot &= pmasks[j]
                 used_out |= out_bit
                 moved += 1
             router.mask = mask
-            router.buffered_flits -= moved
+            router.held -= moved
+            moved_flits += moved
             if track:
                 # Blocking proxy for the Delay metric: every head flit
                 # that stayed put this cycle accrued one blocked cycle.
                 router.blocked_accum += heads - moved
                 router.moved_accum += moved
         counters = self.counters
-        if forwarded or ejected:
-            moved_flits = forwarded + ejected
+        if moved_flits and not probed:
+            # (Probed departures were charged by send and eject.)
             counters.buffer_reads += moved_flits
             counters.crossbar_traversals += moved_flits
-            counters.link_traversals += forwarded
+            counters.link_traversals += moved_flits - ejected
             counters.flits_ejected += ejected
             counters.packets_ejected += packets_ejected
             self.flits_in_network -= ejected

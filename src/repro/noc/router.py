@@ -19,12 +19,16 @@ requests when a head flit targets a sleeping next hop.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
-from repro.noc.buffers import InputPort, VirtualChannel
+from repro.noc.buffers import InputPort
 from repro.noc.topology import Port
 
 __all__ = ["PowerState", "Router"]
+
+#: ``links`` entry of an output port without a downstream router.
+_NO_LINK: tuple = (None, None, (), ())
 
 
 class PowerState:
@@ -50,17 +54,16 @@ class Router:
         "subnet",
         "ports",
         "channels",
+        "scan",
         "mask",
         "credits",
         "out_owner",
         "neighbor_router",
         "neighbor_node",
-        "down_channels",
-        "upstream_credits",
+        "links",
         "vcs_per_port",
         "flits_per_vc",
-        "buffered_flits",
-        "expected_arrivals",
+        "held",
         "power_state",
         "idle_cycles",
         "track_blocking",
@@ -81,13 +84,21 @@ class Router:
         self.subnet = subnet
         self.vcs_per_port = vcs_per_port
         self.flits_per_vc = flits_per_vc
+        # Until a sender is wired in, every input VC's credit home is
+        # one placeholder list that no sender reads.
+        placeholder = [flits_per_vc] * vcs_per_port
         self.ports = [
-            InputPort(vcs_per_port, flits_per_vc, self, port)
+            InputPort(vcs_per_port, flits_per_vc, self, port, placeholder)
             for port in range(Port.COUNT)
         ]
         # channels[p * V + v]: input VC (p, v) in the allocator's scan
         # order; mask bit p * V + v is set iff that VC holds a flit.
-        self.channels = tuple(ch for port in self.ports for ch in port.vcs)
+        self.channels = tuple(
+            chain.from_iterable([port.vcs for port in self.ports])
+        )
+        # scan[i] == channels[i % (P * V)]: the allocator indexes VCs
+        # from its round-robin offset without wrapping.
+        self.scan = self.channels * 2
         self.mask = 0
         # credits[out_port][vc]: free downstream buffer slots.
         self.credits = [
@@ -101,19 +112,15 @@ class Router:
         # and for LOCAL, which ejects to the NI).
         self.neighbor_router: list[Router | None] = [None] * Port.COUNT
         self.neighbor_node: list[int] = [-1] * Port.COUNT
-        # down_channels[out_port][vc]: the downstream input VC a flit
-        # leaving on (out_port, vc) lands in (empty where no neighbour).
-        self.down_channels: list[Sequence[VirtualChannel]] = (
-            [()] * Port.COUNT
-        )
-        # upstream_credits[in_port]: the credits list of the sender that
-        # feeds this input port (an upstream router's credits[out_port]
-        # or the local NI's per-subnet credits); a departing flit from
-        # VC ``vc`` returns its slot as ``upstream_credits[in_port][vc]
-        # += 1``.
-        self.upstream_credits: list[list[int] | None] = [None] * Port.COUNT
-        self.buffered_flits = 0
-        self.expected_arrivals = 0
+        # links[out_port]: (downstream router, credits[out_port], the
+        # downstream input VCs a flit leaving on (out_port, vc) lands
+        # in, the downstream node's route row for look-ahead routing);
+        # _NO_LINK where there is no neighbour.
+        self.links: list[tuple] = [_NO_LINK] * Port.COUNT
+        # Flits buffered here plus flits on a link toward here: grows
+        # when a flit is sent or injected toward this router, shrinks
+        # when one leaves it (landing moves a flit between the two).
+        self.held = 0
         self.power_state = PowerState.ACTIVE
         self.idle_cycles = 0
         # Blocking-delay counters for the Delay congestion metric; only
@@ -130,14 +137,32 @@ class Router:
     # Wiring
     # ------------------------------------------------------------------
     def connect(
-        self, out_port: int, downstream: "Router", downstream_node: int
+        self,
+        out_port: int,
+        downstream: "Router",
+        downstream_node: int,
+        route_row: Sequence[int],
     ) -> None:
-        """Attach ``downstream`` behind output ``out_port``."""
+        """Attach ``downstream`` behind output ``out_port``.
+
+        ``route_row[dst]`` is the output port ``downstream`` takes
+        toward ``dst`` (the look-ahead route a flit carries there).
+        """
         self.neighbor_router[out_port] = downstream
         self.neighbor_node[out_port] = downstream_node
         in_port = Port.OPPOSITE[out_port]
-        self.down_channels[out_port] = downstream.ports[in_port].vcs
-        downstream.upstream_credits[in_port] = self.credits[out_port]
+        credits = self.credits[out_port]
+        self.links[out_port] = (
+            downstream, credits, downstream.ports[in_port].vcs, route_row
+        )
+        downstream.feed(in_port, credits)
+
+    def feed(self, in_port: int, credits: list[int]) -> None:
+        """Make ``credits`` the credit home of input port ``in_port``:
+        the sender's per-VC credit list that departures from its VCs
+        replenish."""
+        for channel in self.ports[in_port].vcs:
+            channel.home = credits
 
     # ------------------------------------------------------------------
     # Congestion-metric views
@@ -169,6 +194,11 @@ class Router:
         return tuple(p.occupancy for p in self.ports)
 
     @property
+    def buffered_flits(self) -> int:
+        """Flits in this router's input buffers (a recount)."""
+        return sum(port.occupancy for port in self.ports)
+
+    @property
     def is_drained(self) -> bool:
         """No buffered flits and none in flight toward this router."""
-        return self.buffered_flits == 0 and self.expected_arrivals == 0
+        return self.held == 0

@@ -13,6 +13,8 @@ router.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.noc.topology import ConcentratedMesh, Port
 
 __all__ = ["XYRouting"]
@@ -29,24 +31,30 @@ class XYRouting:
     def __init__(self, mesh: ConcentratedMesh) -> None:
         self._mesh = mesh
         n = mesh.num_nodes
-        # _table[current * n + dst] -> output port at `current`.
-        self._table = [Port.LOCAL] * (n * n)
-        coords = [mesh.coordinates(node) for node in range(n)]
+        cols = mesh.cols
+        # Node ids run row by row (node == y * cols + x), so the row of
+        # ``current`` is, for each destination row dy: WEST for every
+        # dx left of current, the vertical move (or LOCAL) at its own
+        # column, EAST for every dx to its right.
+        rows = []
         for current in range(n):
-            cx, cy = coords[current]
-            for dst in range(n):
-                dx, dy = coords[dst]
-                if dx > cx:
-                    port = Port.EAST
-                elif dx < cx:
-                    port = Port.WEST
-                elif dy < cy:
-                    port = Port.NORTH
+            cx, cy = mesh.coordinates(current)
+            west = [Port.WEST] * cx
+            east = [Port.EAST] * (cols - cx - 1)
+            row: list[int] = []
+            for dy in range(mesh.rows):
+                row += west
+                if dy < cy:
+                    row.append(Port.NORTH)
                 elif dy > cy:
-                    port = Port.SOUTH
+                    row.append(Port.SOUTH)
                 else:
-                    port = Port.LOCAL
-                self._table[current * n + dst] = port
+                    row.append(Port.LOCAL)
+                row += east
+            rows.append(tuple(row))
+        self._rows = tuple(rows)
+        # _table[current * n + dst] -> output port at `current`.
+        self._table = list(chain.from_iterable(rows))
         self._n = n
 
     @property
@@ -56,12 +64,19 @@ class XYRouting:
 
     @property
     def table(self) -> list[int]:
-        """Flat route table: ``table[current * num_nodes + dst]``.
-
-        Exposed so routers can perform look-ahead lookups without a
-        method call in the simulation hot loop.
-        """
+        """Flat route table: ``table[current * num_nodes + dst]`` (the
+        :attr:`rows` concatenated)."""
         return self._table
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Route table by node: ``rows[current][dst]`` is
+        ``output_port(current, dst)``.
+
+        A router holds its neighbours' rows for look-ahead routing and
+        an NI its own node's row for the injection route.
+        """
+        return self._rows
 
     @property
     def num_nodes(self) -> int:

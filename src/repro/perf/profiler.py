@@ -165,13 +165,14 @@ class PhaseProfiler:
     # ------------------------------------------------------------------
     # Shadowed methods
     # ------------------------------------------------------------------
-    def _profiled_step(self) -> None:
+    def _profiled_step(self) -> bool:
         """Phase-bracketed mirror of :meth:`MultiNocFabric.step`.
 
-        Identical call order and state mutation as the plain step (the
-        equivalence test in ``tests/test_perf_profiler.py`` holds this
-        to byte-identical fabric reports); the only additions are clock
-        reads at the phase boundaries.
+        Identical call order, guards (idle NIs and empty subnets are
+        skipped), state mutation and return value as the plain step
+        (the equivalence test in ``tests/test_perf_profiler.py`` holds
+        this to byte-identical fabric reports); the only additions are
+        clock reads at the phase boundaries.
         """
         fabric = self.fabric
         prof = self._cprofile
@@ -185,11 +186,16 @@ class PhaseProfiler:
         t1 = perf_counter_ns()
         fabric.monitor.update(cycle, subnets, fabric.nis)
         t2 = perf_counter_ns()
+        busy = False
         for ni in fabric.nis:
-            ni.step(cycle)
+            if ni.queue or ni._active_slots or ni._ir_rate > 1e-9:
+                ni.step(cycle)
+                busy = True
         t3 = perf_counter_ns()
         for network in subnets:
-            network.step_routers(cycle)
+            if network.flits_in_network:
+                network.step_routers(cycle)
+                busy = True
         t4 = perf_counter_ns()
         fabric.gating.step(cycle)
         t5 = perf_counter_ns()
@@ -210,6 +216,7 @@ class PhaseProfiler:
         hists["router_pipeline"].record(t4 - t3)
         hists["gating"].record(t5 - t4)
         hists["step"].record(t5 - t_begin)
+        return busy
 
     def _profiled_report(self) -> "FabricReport":
         report = self._orig_report()

@@ -77,7 +77,7 @@ def land_flit(network, router, in_port: int, vc: int, flit, cycle=0):
     the real link-delivery path: one ring entry for ``cycle``, then
     ``network.deliver_arrivals(cycle)`` (which also lands anything else
     already due at ``cycle``)."""
-    router.expected_arrivals += 1
+    router.held += 1
     channel = router.ports[in_port].vcs[vc]
     network._ring[cycle % network._ring_len].append((channel, flit))
     network.deliver_arrivals(cycle)

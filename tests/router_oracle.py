@@ -64,16 +64,14 @@ def oracle_router_step(network, router, cycle: int) -> None:
 
     def pop(in_port: int, in_vc: int):
         # Dequeue, keep the occupancy mask the real step scans in
-        # sync, and return the credit upstream.
+        # sync, and return the credit to the VC's credit home.
         port = router.ports[in_port]
         channel = port.vcs[in_vc]
         port.pop(in_vc)
         if not channel.fifo:
             router.mask &= ~(1 << (in_port * router.vcs_per_port + in_vc))
-        router.buffered_flits -= 1
-        returns = router.upstream_credits[in_port]
-        if returns is not None:
-            returns[in_vc] += 1
+        router.held -= 1
+        channel.home[in_vc] += 1
         return channel
 
     def forward(in_port, in_vc, flit, out_port, out_vc, downstream,
@@ -85,7 +83,6 @@ def oracle_router_step(network, router, cycle: int) -> None:
             router.out_owner[out_port][out_vc] = False
             channel.release_allocation()
         flit.route = next_route
-        downstream.expected_arrivals += 1
         network.send(flit, downstream, Port.OPPOSITE[out_port], out_vc, cycle)
 
     def eject(in_port, in_vc, flit) -> None:
@@ -94,7 +91,7 @@ def oracle_router_step(network, router, cycle: int) -> None:
             channel.release_allocation()
         network.eject(flit, router.node, cycle)
 
-    if router.buffered_flits == 0:
+    if not router.mask:
         return
     scan = [
         (p, 1 << p, v, router.ports[p].vcs[v])
@@ -159,7 +156,7 @@ def oracle_router_step(network, router, cycle: int) -> None:
 def oracle_step_routers(network, cycle: int) -> None:
     """``SubnetNetwork.step_routers`` built on :func:`oracle_router_step`."""
     for router in network.routers:
-        if router.buffered_flits:
+        if router.mask:
             oracle_router_step(network, router, cycle)
     network.counters.flit_cycles += network.flits_in_network
 

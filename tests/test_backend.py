@@ -172,6 +172,16 @@ class TestSkipKernel:
         assert backend.cycles_mirrored - mirrored <= 5
         assert backend.cycles_jumped - jumped >= 1995
 
+    def test_span_ending_at_quiescence_stops_at_its_end(self):
+        """A span whose last visited cycle leaves the fabric quiescent
+        ends there: the kernel must not jump (or step) past its end."""
+        fabric = MultiNocFabric(small_config(), seed=5, backend="skip")
+        fabric.offer(Packet(src=0, dst=15, size_bits=512))
+        for expected in range(1, 80):
+            fabric.run(1)
+            assert fabric.cycle == expected
+        assert fabric.in_flight_flits == 0
+
     def test_shadowed_step_defers_to_dense_path(self):
         """An instance shadow on ``fabric.step`` (how perf/faults/
         telemetry attach) must be honoured cycle by cycle."""

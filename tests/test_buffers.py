@@ -61,6 +61,39 @@ class TestVirtualChannel:
                 assert router.channels[in_port * vcs + vc] is channel
 
 
+class TestCreditHomes:
+    def test_every_vc_returns_credits_to_its_sender(self):
+        """An input VC's credit home is its sender's credit list for
+        the link: the upstream router's ``credits[out_port]`` behind a
+        mesh link, the NI's per-subnet credits behind LOCAL."""
+        fabric = MultiNocFabric(
+            NocConfig(mesh_cols=3, mesh_rows=2, num_subnets=2,
+                      link_width_bits=128),
+            seed=1,
+        )
+        wired = 0
+        for network in fabric.subnets:
+            for router in network.routers:
+                for out_port in range(1, Port.COUNT):
+                    downstream = router.neighbor_router[out_port]
+                    if downstream is None:
+                        continue
+                    in_port = Port.OPPOSITE[out_port]
+                    for vc, channel in enumerate(
+                        downstream.ports[in_port].vcs
+                    ):
+                        assert channel.home is router.credits[out_port]
+                        assert channel.vc == vc
+                        wired += 1
+            for ni in fabric.nis:
+                local = network.routers[ni.node].ports[Port.LOCAL]
+                for vc, channel in enumerate(local.vcs):
+                    assert channel.home is ni._credits[network.subnet]
+                    assert channel.vc == vc
+        # 7 mesh links, both directions, 4 VCs, 2 subnets.
+        assert wired == 7 * 2 * 4 * 2
+
+
 class TestInputPort:
     def test_push_pop_fifo_order(self):
         port, land = east_port(2, 4)

@@ -26,7 +26,7 @@ class FakeRouter:
     def __init__(self, occupancies, subnet=0):
         self._occ = occupancies
         self.subnet = subnet
-        self.buffered_flits = sum(occupancies)
+        self.held = sum(occupancies)
         self.blocked_accum = 0
         self.moved_accum = 0
 

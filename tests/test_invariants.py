@@ -219,6 +219,35 @@ class TestMutations:
         assert "lost or duplicated" in err.value.details
         assert "subnet 0" in err.value.details
 
+    def test_dropped_held_on_send_is_caught(self, backend):
+        fabric, _checker = checked_fabric(backend=backend)
+        fabric.offer(Packet(src=0, dst=3, size_bits=512))
+        network = fabric.subnets[0]
+        channel = None
+        for _ in range(50):
+            channel = next(
+                (
+                    ch
+                    for slot in network._ring
+                    for ch, _flit in slot
+                    if ch.port is not ch.router.ports[Port.LOCAL]
+                ),
+                None,
+            )
+            if channel is not None:
+                break
+            fabric.run(1)
+        assert channel is not None, "no flit ever crossed a link"
+        # A send that put the flit on the link without counting it
+        # toward its next hop.
+        router = channel.router
+        router.held -= 1
+        with pytest.raises(InvariantViolation) as err:
+            fabric.run(1)
+        assert err.value.invariant == "router-accounting"
+        assert "held = " in err.value.details
+        assert f"node {router.node}" in err.value.details
+
     def test_wake_skipped_router_with_buffered_flits_is_caught(
         self, backend
     ):

@@ -103,7 +103,7 @@ class TestIdleFastPath:
             for vc in port.vcs:
                 vc.fifo.clear()
             port.occupancy = 0
-        router.buffered_flits = 0
+        router.held = 0
         for cycle in range(1, 30):
             monitor.update(cycle, fabric.subnets, fabric.nis)
         assert not monitor.lcs[0][3]
@@ -123,7 +123,7 @@ def drain_router(network, node):
         for vc_idx in range(len(port.vcs)):
             while port.vcs[vc_idx].fifo:
                 port.pop(vc_idx)
-                router.buffered_flits -= 1
+                router.held -= 1
                 network.flits_in_network -= 1
 
 

@@ -99,6 +99,46 @@ class TestBehavioralEquivalence:
         )
         assert profiler.steps == CYCLES
 
+    def test_profiled_step_has_the_plain_guards_and_flag(self, monkeypatch):
+        """The phased step skips what the plain step skips (idle NIs,
+        empty subnets) and returns the same busy flag every cycle,
+        through a burst and the idle tail after it."""
+        monkeypatch.delenv("REPRO_PERF", raising=False)
+        fabrics = [MultiNocFabric(_config(), seed=7) for _ in range(2)]
+        PhaseProfiler(fabrics[1], out_dir=None).attach()
+        calls = []
+        for fabric in fabrics:
+            seen = []
+            calls.append(seen)
+            for ni in fabric.nis:
+                ni.step = lambda cycle, ni=ni, seen=seen: (
+                    seen.append(("ni", cycle, ni.node)),
+                    type(ni).step(ni, cycle),
+                )
+            for network in fabric.subnets:
+                network.step_routers = (
+                    lambda cycle, network=network, seen=seen: (
+                        seen.append(("subnet", cycle, network.subnet)),
+                        type(network).step_routers(network, cycle),
+                    )
+                )
+        sources = [
+            SyntheticTrafficSource(
+                fabric, make_pattern("uniform", fabric.mesh), LOAD, 128,
+                seed=7,
+            )
+            for fabric in fabrics
+        ]
+        flags = [[], []]
+        for cycle in range(300):
+            for side, (fabric, source) in enumerate(zip(fabrics, sources)):
+                if cycle < 100:
+                    source.step(fabric.cycle)
+                flags[side].append(fabric.step())
+        assert flags[0] == flags[1]
+        assert True in flags[0] and False in flags[0]
+        assert calls[0] == calls[1]
+
 
 class TestPhaseAccounting:
     def test_phases_partition_step_time(self, monkeypatch):
