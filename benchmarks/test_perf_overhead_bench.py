@@ -12,8 +12,8 @@ the same two facts:
 
 The attached-profiler run is also timed so the cost of profiling-on
 mode stays visible in the benchmark output (it does strictly more
-work — two clock reads per phase and per bracketed router stage — but
-should stay within a small factor).
+work — one extra call and two clock reads per timed phase-method call,
+and per step — but should stay within a small factor).
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ def test_perf_on_cost_is_bounded(monkeypatch):
         return fabric
 
     profiled = min(_timed(profiled_fabric()) for _ in range(2))
-    # Profiling-on pays for its clock reads; keep the cost visible and
-    # bounded (phase brackets + stage brackets should stay under 4x).
+    # Profiling-on pays for its phase timers; keep the cost visible and
+    # bounded (under 4x).
     assert profiled < plain * 4.0, (
         f"profiled fabric {profiled:.3f}s vs plain {plain:.3f}s"
     )

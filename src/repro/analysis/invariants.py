@@ -217,26 +217,27 @@ class InvariantChecker:
         """Remove all hooks, restoring the unchecked fast path."""
         self._saved.restore()
 
-    def _checked_step(self) -> None:
-        self._orig_step()
+    def _checked_step(self) -> bool:
+        busy: bool = self._orig_step()
         self._since_check += 1
         if self._since_check >= self.interval:
             self._since_check = 0
             # fabric.cycle was already advanced past the evaluated one.
             self.check_now(self.fabric.cycle - 1)
+        return busy
 
     def note_steps(self, count: int, cycle: int) -> None:
         """Register ``count`` cycles executed outside the shadowed step.
 
-        The skip backend (:mod:`repro.noc.backend`) advances the fabric
-        without calling ``fabric.step``, so it reports progress here to
-        keep the checking cadence: the counter advances by ``count``
+        The skip backend (:mod:`repro.noc.backend`) jumps quiescent
+        spans without calling ``fabric.step``, so it reports them here
+        to keep the checking cadence: the counter advances by ``count``
         and, whenever it crosses the interval, :meth:`check_now` runs
         against the state at ``cycle`` (the last cycle of the batch).
-        For single-cycle batches this is exactly ``_checked_step``'s
-        behaviour; for quiescence jumps it checks once at the landing
-        cycle — sound because the laws hold at every cycle boundary and
-        nothing but gating bookkeeping changes during a jump.
+        A single-cycle batch is exactly ``_checked_step``'s behaviour;
+        a jump checks once at the landing cycle — sound because the
+        laws hold at every cycle boundary and nothing but gating
+        bookkeeping changes during a jump.
         """
         total = self._since_check + count
         if total >= self.interval:

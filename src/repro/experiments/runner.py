@@ -398,6 +398,9 @@ def _run_bursty(spec: PointSpec) -> list[dict]:
         last_received = received
         last_per_subnet = per_subnet
     meters.note_fabric(fabric)
+    # The rows come from the windows above; the report is taken so that
+    # attached layers (perf, telemetry, explain) flush their artifacts.
+    fabric.report()
     return rows
 
 

@@ -28,14 +28,14 @@ Equivalence is a hard contract, not an aspiration: for any workload,
 figure-table tests and ``tests/test_backend.py`` enforce this.
 
 Backends also respect the per-instance shadowing contract (see
-``docs/architecture.md``): when a ``per_cycle`` layer of the
-:mod:`repro.noc.layers` registry (perf, faults, telemetry, explain) or
-any unregistered wrapper has shadowed ``fabric.step``, the skip backend
-defers to that shadowed per-cycle step, because it observes every
-cycle.  The invariant checker is the one layer that is not
-``per_cycle`` — its laws hold at every cycle boundary, so the kernel
-drives :meth:`~repro.analysis.invariants.InvariantChecker.note_steps`
-at the checker's own cadence instead of stepping densely.
+``docs/architecture.md``).  One rule composes the skip kernel with the
+layers of the :mod:`repro.noc.layers` registry: when every shadow on
+``fabric.step`` belongs to a layer that is not ``per_cycle`` (perf,
+checker), the kernel runs the shadowed step on the cycles it visits
+and reports each jump to every such layer's ``note_steps``.  When a
+``per_cycle`` layer (faults, telemetry, explain) or any unregistered
+wrapper is in the chain, the kernel defers to dense stepping through
+the shadowed step, because that observer needs every cycle.
 
 Backend selection: ``MultiNocFabric(config, backend="skip")`` or the
 ``REPRO_BACKEND`` environment variable (the experiments CLI's
@@ -149,32 +149,29 @@ class SkipBackend(FabricBackend):
     # ------------------------------------------------------------------
     # Shadowing-contract composition
     # ------------------------------------------------------------------
-    def _shadow_mode(self) -> tuple[bool, object]:
-        """``(defer, observer)`` for how ``fabric.step`` is shadowed.
+    def _shadow_mode(self) -> tuple[bool, tuple[object, ...]]:
+        """``(defer, observers)`` for how ``fabric.step`` is shadowed.
 
-        The kernel runs when ``step`` is plain class bytecode
-        (``observer`` None) or wrapped by exactly one layer whose
-        registry record is not ``per_cycle`` — the kernel then drives
-        that layer's ``note_steps`` itself.  Any other shadow on
-        ``step``, registered or not, observes every cycle: ``defer``
-        is True and the kernel steps through the shadow chain.
+        The kernel runs when every binding in the ``step`` shadow chain
+        belongs to a registered layer that is not ``per_cycle``;
+        ``observers`` are those layers, top first, whose ``note_steps``
+        the kernel calls for each jump.  An unregistered binding or a
+        ``per_cycle`` layer observes every cycle: ``defer`` is True and
+        the kernel steps densely through the shadow chain.
         """
         chain = shadow_chain(self.fabric, "step")
-        if not chain:
-            return False, None
-        layer, binding = chain[0]
-        if len(chain) > 1 or layer is None or layer.per_cycle:
-            return True, None
-        return False, binding.__self__
+        if any(layer is None or layer.per_cycle for layer, _ in chain):
+            return True, ()
+        return False, tuple(binding.__self__ for _, binding in chain)
 
     # ------------------------------------------------------------------
-    # Entry points
+    # Entry point
     # ------------------------------------------------------------------
     def run(self, cycles: int, source=None) -> None:
         if cycles <= 0:
             return
         fabric = self.fabric
-        defer, checker = self._shadow_mode()
+        defer, observers = self._shadow_mode()
         if defer:
             # Per-cycle observers are attached; dense semantics through
             # the shadow chain is the only faithful execution.
@@ -183,46 +180,31 @@ class SkipBackend(FabricBackend):
             return
         end = fabric.cycle + cycles
         while fabric.cycle < end:
-            if not self._kernel_span(end, source, checker):
-                self._jump(end, source, checker)
-
-    def drain(self, max_cycles: int) -> bool:
-        fabric = self.fabric
-        defer, checker = self._shadow_mode()
-        if defer:
-            # Each cycle goes through run(1), which re-reads the shadow
-            # and steps densely (counted as deferred) while it stays.
-            return super().drain(max_cycles)
-        for _ in range(max_cycles):
-            if self._drained():
-                return True
-            self._kernel_span(fabric.cycle + 1, None, checker)
-        return False
+            if not self._kernel_span(end, source):
+                self._jump(end, source, observers)
 
     # ------------------------------------------------------------------
     # Busy cycles
     # ------------------------------------------------------------------
-    def _kernel_span(self, end: int, source, checker) -> bool:
+    def _kernel_span(self, end: int, source) -> bool:
         """Run visited cycles until ``end`` or quiescence.
 
-        Each visited cycle is the fabric's own cycle body, called on the
-        class so that a checker shadow on ``fabric.step`` is bypassed
-        and driven through ``note_steps`` instead.  Returns True when
-        the span reached ``end``; False when the fabric went fully
-        quiescent first (the caller may then jump).
+        Each visited cycle is ``fabric.step``, looked up once per span:
+        the fabric's own cycle body under whatever non-``per_cycle``
+        shadows are attached.  Returns True when the span reached
+        ``end``; False when the fabric went fully quiescent first (the
+        caller may then jump).
         """
         fabric = self.fabric
-        body = type(fabric).step
+        step = fabric.step
         source_step = source.step if source is not None else None
         quiet_source = self._source_quiet_probe(source)
         start = cycle = fabric.cycle
         while cycle < end:
             if source_step is not None:
                 source_step(cycle)
-            busy = body(fabric)
+            busy = step()
             cycle = fabric.cycle
-            if checker is not None:
-                checker.note_steps(1, cycle - 1)
             if (
                 cycle < end
                 and not busy
@@ -276,7 +258,7 @@ class SkipBackend(FabricBackend):
             return False
         return True
 
-    def _jump(self, end: int, source, checker) -> None:
+    def _jump(self, end: int, source, observers) -> None:
         """Advance the clock over a quiescent span in one step.
 
         Only power-gating bookkeeping evolves during quiescence, and
@@ -292,14 +274,14 @@ class SkipBackend(FabricBackend):
         if horizon <= start:
             # The source reactivates immediately; nothing to skip —
             # run one kernel cycle and let the caller re-evaluate.
-            self._kernel_span(start + 1, source, checker)
+            self._kernel_span(start + 1, source)
             return
         span = horizon - start
         fabric.gating.advance(start, horizon)
         fabric.cycle = horizon
         self.cycles_jumped += span
-        if checker is not None:
-            checker.note_steps(span, horizon - 1)
+        for observer in observers:
+            observer.note_steps(span, horizon - 1)
 
 
 #: Registry of selectable backends, keyed by CLI/env name.

@@ -44,9 +44,11 @@ def _resolve(path: str) -> Any:
 class Layer:
     """One instrumentation layer, as everything else needs to know it.
 
-    ``per_cycle`` is False only for layers whose wrapped ``step`` may be
-    batched: the skip kernel then runs and reports skipped cycles to
-    the layer's ``note_steps`` instead of stepping densely.
+    ``per_cycle`` is False for layers that need no call for a cycle in
+    which nothing happens: the skip kernel runs their shadowed ``step``
+    on the cycles it visits and reports each quiescence jump to their
+    ``note_steps(count, cycle)``.  A ``per_cycle`` layer observes every
+    cycle, so the kernel steps densely while one shadows ``step``.
     """
 
     name: str
@@ -92,12 +94,14 @@ class Layer:
 
 
 #: Every layer, in attach order: each wraps whatever the previous ones
-#: installed, so faults see the phased step, the checker reconciles
-#: post-fault truth, and telemetry and explain observe all of it.
+#: installed, so perf's phase timers sit closest to the class methods,
+#: the checker reconciles post-fault truth, and telemetry and explain
+#: observe all of it.
 LAYERS: tuple[Layer, ...] = (
     Layer(
         "perf", "perf", "REPRO_PERF",
         "repro.perf.profiler:PhaseProfiler.from_env", "--perf",
+        per_cycle=False,
         dir_env="REPRO_PERF_DIR",
         default_dir=os.path.join("results", "perf"),
         out_flag="--perf-out",

@@ -8,9 +8,11 @@ scale-mismatched pairs are reported but never fail the comparison —
 CI's soft gate relies on that contract.
 
 ``show PATH ...`` pretty-prints ``*.perf.json`` phase-profile
-artifacts written by the profiler (``REPRO_PERF=1`` / ``--perf``);
-keys it does not know, such as the ``router_stages`` table of older
-artifacts, are ignored.
+artifacts written by the profiler (``REPRO_PERF=1`` / ``--perf``):
+the run's throughput, the kernel that ran it (backend, profiled steps,
+jumped and deferred cycles) and the phase table.  Keys it does not
+know, such as the ``router_stages`` table of older artifacts, are
+ignored; so is a missing kernel line.
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ def _show_profile(path: str) -> int:
         f"({throughput.get('cycles_per_sec', 0.0):,.0f} cycles/s, "
         f"{throughput.get('flits_per_sec', 0.0):,.0f} flits/s)"
     )
+    if "backend" in doc:
+        print(
+            f"kernel: backend={doc['backend']} "
+            f"steps={doc.get('steps_profiled')} "
+            f"jumped={doc.get('cycles_jumped')} "
+            f"deferred={doc.get('cycles_deferred')} "
+            f"cycles={doc.get('cycles')}"
+        )
     rows = [
         {
             "phase": name,

@@ -1,28 +1,16 @@
 """The phase profiler: where does the simulator's wall-clock go?
 
 ``PhaseProfiler`` observes one :class:`~repro.noc.multinoc.MultiNocFabric`
-by *shadowing* instance methods, the exact contract of
-:class:`repro.telemetry.hub.TelemetryHub` and
-:class:`repro.analysis.invariants.InvariantChecker`:
-
-* ``fabric.step`` — replaced by a phase-bracketed mirror of the step
-  loop that times link delivery, the congestion monitor, NI
-  packetization, the router pipeline (each subnet's
-  ``step_routers``), and the gating controller with
-  ``time.perf_counter_ns``;
-* ``fabric.report`` — autoflushes a ``*.perf.json`` profile artifact
-  next to the report when the profiler was attached via the
-  environment;
-* ``monitor.regional.update`` — timed separately so the RCS OR-network
-  cost is split out of the monitor phase.
-
-Because shadowing only touches *instances*, a fabric without a
-profiler executes the original unhooked class methods: profiling-off
-runs take the identical code path as a build without this package.
-Profiling *on* has a deliberate observer cost (two clock reads per
-phase) — it buys a per-phase breakdown;
-use the throughput meters (:mod:`repro.perf.meters`) when only
-aggregate rates are needed.
+by *shadowing* instance methods, the contract of every layer in
+:mod:`repro.noc.layers`: a generic timing shadow on each phase method
+``MultiNocFabric.step`` calls, a thin wrapper on ``fabric.step`` that
+times whole steps, and ``fabric.report``, which autoflushes a
+``*.perf.json`` artifact when the profiler was attached via the
+environment.  It so profiles the fabric's own cycle body on every
+kernel.  The layer is not ``per_cycle``: the skip kernel runs the
+shadowed step on visited cycles and reports jumps to
+:meth:`PhaseProfiler.note_steps`.  A fabric without a profiler runs the
+plain class methods.
 
 Enable with ``REPRO_PERF=1`` (see :mod:`repro.noc.layers`); artifacts go
 to ``REPRO_PERF_DIR`` (default ``results/perf``).  Setting
@@ -64,7 +52,7 @@ PROFILE_SCHEMA = "repro.perf.profile/1"
 DEFAULT_DIR = BY_NAME["perf"].default_dir
 
 #: Slices of one ``MultiNocFabric.step`` call, in execution order;
-#: ``step_other`` is the residual (cycle bookkeeping, timer overhead).
+#: ``step_other`` is the residual (loop glue, timers, outer probes).
 STEP_PHASES = (
     "link_delivery",
     "monitor_lcs",
@@ -102,15 +90,16 @@ class PhaseProfiler:
         self.fabric = fabric
         self.out_dir = out_dir
         self.attached = False
+        #: Profiled ``fabric.step`` calls, and cycles the skip kernel
+        #: jumped without one (reported through :meth:`note_steps`).
         self.steps = 0
-        # Nanosecond accumulators for the top-level step slices.
-        self._ns_link = 0
-        self._ns_monitor = 0
-        self._ns_regional = 0
-        self._ns_ni = 0
-        self._ns_router = 0
-        self._ns_gating = 0
-        self._ns_step = 0
+        self.cycles_jumped = 0
+        # Nanoseconds per timed phase ("monitor" includes the regional
+        # update) and for whole steps; ``_seen`` holds the totals at the
+        # end of the last step, so each step's histogram sample is a
+        # difference.
+        self._ns = dict.fromkeys((*_HISTOGRAM_PHASES, "regional_update"), 0)
+        self._seen = dict(self._ns)
         self.step_histograms = {
             name: BoundedHistogram() for name in _HISTOGRAM_PHASES
         }
@@ -140,17 +129,25 @@ class PhaseProfiler:
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
     def attach(self) -> "PhaseProfiler":
-        """Install the step/report/regional probes; returns ``self``."""
+        """Install the phase timers and step/report probes; returns self."""
         if self.attached:
             return self
         fabric = self.fabric
+        timer = self._install_timer
+        for network in fabric.subnets:
+            timer(network, "deliver_arrivals", "link_delivery")
+            timer(network, "step_routers", "router_pipeline")
+        timer(fabric.monitor, "update", "monitor")
+        timer(fabric.monitor.regional, "update", "regional_update")
+        for ni in fabric.nis:
+            timer(ni, "step", "ni_packetization")
+        timer(fabric.gating, "step", "gating")
         install = self._saved.install
-        install(fabric, "step", self._profiled_step)
+        self._orig_step: Callable[[], bool] = install(
+            fabric, "step", self._timed_step
+        )
         self._orig_report: Callable[[], "FabricReport"] = install(
             fabric, "report", self._profiled_report
-        )
-        self._orig_regional_update = install(
-            fabric.monitor.regional, "update", self._timed_regional_update
         )
         self.attached = True
         return self
@@ -165,71 +162,51 @@ class PhaseProfiler:
     # ------------------------------------------------------------------
     # Shadowed methods
     # ------------------------------------------------------------------
-    def _profiled_step(self) -> bool:
-        """Phase-bracketed mirror of :meth:`MultiNocFabric.step`.
+    def _install_timer(self, obj: Any, name: str, phase: str) -> None:
+        """Shadow ``obj.name`` with a wrapper adding its wall-clock to
+        ``phase``; the phase counts only what it displaced, so layers
+        wrapping it later are timed in ``step_other``."""
+        method: Callable[..., Any] = getattr(obj, name)
+        ns = self._ns
 
-        Identical call order, guards (idle NIs and empty subnets are
-        skipped), state mutation and return value as the plain step
-        (the equivalence test in ``tests/test_perf_profiler.py`` holds
-        this to byte-identical fabric reports); the only additions are
-        clock reads at the phase boundaries.
-        """
-        fabric = self.fabric
+        def timed(*args: Any) -> Any:
+            t0 = perf_counter_ns()
+            result = method(*args)
+            ns[phase] += perf_counter_ns() - t0
+            return result
+
+        self._saved.install(obj, name, timed)
+
+    def _timed_step(self) -> bool:
+        """The displaced step, timed whole; returns its busy flag."""
         prof = self._cprofile
         if prof is not None:
             prof.enable()
-        t_begin = perf_counter_ns()
-        cycle = fabric.cycle
-        subnets = fabric.subnets
-        for network in subnets:
-            network.deliver_arrivals(cycle)
-        t1 = perf_counter_ns()
-        fabric.monitor.update(cycle, subnets, fabric.nis)
-        t2 = perf_counter_ns()
-        busy = False
-        for ni in fabric.nis:
-            if ni.queue or ni._active_slots or ni._ir_rate > 1e-9:
-                ni.step(cycle)
-                busy = True
-        t3 = perf_counter_ns()
-        for network in subnets:
-            if network.flits_in_network:
-                network.step_routers(cycle)
-                busy = True
-        t4 = perf_counter_ns()
-        fabric.gating.step(cycle)
-        t5 = perf_counter_ns()
-        fabric.cycle = cycle + 1
+        t0 = perf_counter_ns()
+        busy = self._orig_step()
+        elapsed = perf_counter_ns() - t0
         if prof is not None:
             prof.disable()
-        self._ns_link += t1 - t_begin
-        self._ns_monitor += t2 - t1
-        self._ns_ni += t3 - t2
-        self._ns_router += t4 - t3
-        self._ns_gating += t5 - t4
-        self._ns_step += t5 - t_begin
+        ns = self._ns
+        ns["step"] += elapsed
         self.steps += 1
-        hists = self.step_histograms
-        hists["link_delivery"].record(t1 - t_begin)
-        hists["monitor"].record(t2 - t1)
-        hists["ni_packetization"].record(t3 - t2)
-        hists["router_pipeline"].record(t4 - t3)
-        hists["gating"].record(t5 - t4)
-        hists["step"].record(t5 - t_begin)
+        seen = self._seen
+        for name, hist in self.step_histograms.items():
+            total = ns[name]
+            hist.record(total - seen[name])
+            seen[name] = total
         return busy
+
+    def note_steps(self, count: int, cycle: int) -> None:
+        """Count ``count`` cycles the skip kernel jumped, ending at
+        ``cycle``, without calling ``fabric.step``."""
+        self.cycles_jumped += count
 
     def _profiled_report(self) -> "FabricReport":
         report = self._orig_report()
         if self.out_dir is not None:
             self.flush()
         return report
-
-    def _timed_regional_update(
-        self, cycle: int, lcs: list[list[bool]]
-    ) -> None:
-        t0 = perf_counter_ns()
-        self._orig_regional_update(cycle, lcs)
-        self._ns_regional += perf_counter_ns() - t0
 
     # ------------------------------------------------------------------
     # Derived breakdowns
@@ -245,33 +222,29 @@ class PhaseProfiler:
 
         The phases partition the measured step time: ``monitor_lcs``
         excludes the separately timed regional update, ``step_other``
-        is the unbracketed residual (loop glue, clock overhead), and
-        every value is clamped non-negative, so the sum never exceeds
-        the whole-step measurement.
+        is the untimed residual (loop glue, timer overhead, outer
+        layers' probes), and every value is clamped non-negative, so
+        the sum never exceeds the whole-step measurement.
         """
-        link = self._ns_link
-        regional = min(self._ns_regional, self._ns_monitor)
-        monitor_lcs = self._ns_monitor - regional
-        ni = self._ns_ni
-        router = self._ns_router
-        gating = self._ns_gating
-        bracketed = link + self._ns_monitor + ni + router + gating
-        other = max(0, self._ns_step - bracketed)
+        ns = self._ns
+        monitor = ns["monitor"]
+        regional = min(ns["regional_update"], monitor)
         values = {
-            "link_delivery": link,
-            "monitor_lcs": monitor_lcs,
+            "link_delivery": ns["link_delivery"],
+            "monitor_lcs": monitor - regional,
             "regional_update": regional,
-            "ni_packetization": ni,
-            "router_pipeline": router,
-            "gating": gating,
-            "step_other": other,
+            "ni_packetization": ns["ni_packetization"],
+            "router_pipeline": ns["router_pipeline"],
+            "gating": ns["gating"],
         }
+        timed = sum(values.values())
+        values["step_other"] = max(0, ns["step"] - timed)
         return {name: values[name] / 1e9 for name in STEP_PHASES}
 
     @property
     def step_seconds(self) -> float:
         """Wall-clock spent inside profiled fabric steps."""
-        return self._ns_step / 1e9
+        return self._ns["step"] / 1e9
 
     def throughput(self) -> dict[str, float]:
         """Simulated cycles/sec and flits-routed/sec while profiled."""
@@ -296,7 +269,10 @@ class PhaseProfiler:
             "config": fabric.config.name,
             "seed": fabric.seed,
             "cycles": fabric.cycle,
+            "backend": fabric.backend.name,
             "steps_profiled": self.steps,
+            "cycles_jumped": self.cycles_jumped,
+            "cycles_deferred": getattr(fabric.backend, "cycles_deferred", 0),
             "step_seconds": step_seconds,
             "phases": {
                 name: {

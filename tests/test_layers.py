@@ -81,7 +81,7 @@ def test_registry_order_is_the_attach_order():
         "perf", "faults", "checker", "telemetry", "explain",
     ]
     assert [layer.name for layer in LAYERS if not layer.per_cycle] == [
-        "checker"
+        "perf", "checker"
     ]
 
 
@@ -289,11 +289,26 @@ def test_skip_kernel_runs_under_the_checker_alone(monkeypatch):
     monkeypatch.setenv("REPRO_CHECK", "1")
     fabric = MultiNocFabric(gated_config(), seed=3, backend="skip")
     assert fabric.backend._shadow_mode() == (
-        False, fabric.invariant_checker
+        False, (fabric.invariant_checker,)
     )
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
     fabric = MultiNocFabric(gated_config(), seed=3, backend="skip")
-    assert fabric.backend._shadow_mode() == (True, None)
+    assert fabric.backend._shadow_mode() == (True, ())
+
+
+def test_skip_kernel_runs_under_perf_and_the_checker(monkeypatch):
+    """Every non-per_cycle layer composes by the same rule: the kernel
+    runs and reports jumps to each observer in the chain, top first."""
+    _clear_layer_env(monkeypatch)
+    monkeypatch.setenv("REPRO_PERF", "1")
+    monkeypatch.setenv("REPRO_PERF_DIR", "unused")
+    fabric = MultiNocFabric(gated_config(), seed=3, backend="skip")
+    assert fabric.backend._shadow_mode() == (False, (fabric.perf,))
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    fabric = MultiNocFabric(gated_config(), seed=3, backend="skip")
+    assert fabric.backend._shadow_mode() == (
+        False, (fabric.invariant_checker, fabric.perf)
+    )
 
 
 def test_skip_kernel_defers_to_an_unregistered_shadow(monkeypatch):
@@ -302,7 +317,7 @@ def test_skip_kernel_defers_to_an_unregistered_shadow(monkeypatch):
     fabric = MultiNocFabric(gated_config(), seed=3, backend="skip")
     checked = fabric.step
     fabric.step = lambda: checked()
-    assert fabric.backend._shadow_mode() == (True, None)
+    assert fabric.backend._shadow_mode() == (True, ())
 
 
 def test_cli_says_when_skip_steps_densely(monkeypatch, capsys):
@@ -311,7 +326,9 @@ def test_cli_says_when_skip_steps_densely(monkeypatch, capsys):
         monkeypatch.delenv(name)
     assert experiments_main(["table02"]) == 0
     plain = capsys.readouterr().out
-    assert experiments_main(["table02", "--backend", "skip", "--check"]) == 0
+    assert experiments_main(
+        ["table02", "--backend", "skip", "--check", "--perf"]
+    ) == 0
     out, err = capsys.readouterr()
     assert "note:" not in err
     assert experiments_main(

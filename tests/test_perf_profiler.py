@@ -16,6 +16,8 @@ import os
 
 import pytest
 
+from repro.analysis.invariants import InvariantChecker
+from repro.experiments.runner import PointSpec, execute_point
 from repro.noc.config import NocConfig, PowerGatingConfig
 from repro.noc.layers import BY_NAME
 from repro.noc.multinoc import MultiNocFabric
@@ -24,7 +26,10 @@ from repro.perf.profiler import (
     STEP_PHASES,
     PhaseProfiler,
 )
-from repro.traffic.generators import SyntheticTrafficSource
+from repro.traffic.generators import (
+    BurstyTrafficSource,
+    SyntheticTrafficSource,
+)
 from repro.traffic.patterns import make_pattern
 
 CYCLES = 600
@@ -51,6 +56,30 @@ def _run(fabric: MultiNocFabric, cycles: int = CYCLES) -> None:
     fabric.backend.run(cycles, source)
 
 
+def _run_with_idle_tail(fabric: MultiNocFabric) -> None:
+    """A burst, then silence: the skip kernel jumps the drained tail."""
+    source = BurstyTrafficSource(
+        fabric,
+        make_pattern("uniform", fabric.mesh),
+        [(0, LOAD), (CYCLES // 3, 0.0)],
+        seed=7,
+    )
+    fabric.backend.run(CYCLES, source)
+
+
+def _phase_shadowed(fabric: MultiNocFabric) -> list[bool]:
+    """Per phase-method owner: does it carry its own ``name`` binding?"""
+    owners = [
+        *((network, "deliver_arrivals") for network in fabric.subnets),
+        *((network, "step_routers") for network in fabric.subnets),
+        (fabric.monitor, "update"),
+        (fabric.monitor.regional, "update"),
+        *((ni, "step") for ni in fabric.nis),
+        (fabric.gating, "step"),
+    ]
+    return [name in vars(owner) for owner, name in owners]
+
+
 class TestZeroOverheadWhenDetached:
     def test_perf_off_is_the_class_fast_path(self, monkeypatch):
         monkeypatch.delenv("REPRO_PERF", raising=False)
@@ -61,46 +90,73 @@ class TestZeroOverheadWhenDetached:
         assert "report" not in fabric.__dict__
         assert fabric.step.__func__ is MultiNocFabric.step
         assert fabric.report.__func__ is MultiNocFabric.report
-        assert "update" not in fabric.monitor.regional.__dict__
+        assert not any(_phase_shadowed(fabric))
 
     def test_detach_restores_everything(self, monkeypatch):
         monkeypatch.delenv("REPRO_PERF", raising=False)
         fabric = MultiNocFabric(_config(), seed=7)
         profiler = PhaseProfiler(fabric, out_dir=None).attach()
         assert "step" in fabric.__dict__
-        assert "update" in fabric.monitor.regional.__dict__
+        assert all(_phase_shadowed(fabric))
         profiler.detach()
         assert "step" not in fabric.__dict__
         assert "report" not in fabric.__dict__
-        assert "update" not in fabric.monitor.regional.__dict__
+        assert not any(_phase_shadowed(fabric))
         assert fabric.step.__func__ is MultiNocFabric.step
 
 
 class TestBehavioralEquivalence:
     @pytest.mark.parametrize("backend", ["dense", "skip"])
     def test_profiled_run_matches_plain_run(self, monkeypatch, backend):
-        """The phased step must not drift from the plain code path:
-        same seed, same traffic — identical fabric report, field for
-        field.  On the skip kernel the attached profiler forces the
-        defer path (it observes every cycle), which must match the
-        plain skip-kernel run."""
+        """Profiling must not change the simulation: same seed, same
+        traffic — identical fabric report, field for field.  On the
+        skip kernel the profiler does not force dense stepping: it
+        times the cycles the kernel visits and counts the ones it
+        jumps."""
         monkeypatch.delenv("REPRO_PERF", raising=False)
         plain = MultiNocFabric(_config(), seed=7, backend=backend)
-        _run(plain)
+        _run_with_idle_tail(plain)
         plain_report = plain.report()
 
         profiled = MultiNocFabric(_config(), seed=7, backend=backend)
         profiler = PhaseProfiler(profiled, out_dir=None).attach()
-        _run(profiled)
+        _run_with_idle_tail(profiled)
         profiled_report = profiled.report()
 
         assert dataclasses.asdict(plain_report) == dataclasses.asdict(
             profiled_report
         )
-        assert profiler.steps == CYCLES
+        doc = profiler.profile()
+        assert doc["backend"] == backend
+        assert doc["steps_profiled"] + doc["cycles_jumped"] == CYCLES
+        assert doc["cycles_deferred"] == 0
+        if backend == "skip":
+            assert doc["cycles_jumped"] > 0
+            assert profiled.backend.cycles_jumped == doc["cycles_jumped"]
+        else:
+            assert doc["cycles_jumped"] == 0
+
+    def test_perf_composes_with_the_checker_on_skip(self, monkeypatch):
+        """Perf and the checker stack on the skip kernel by one rule:
+        the same report and the same checks as the checker alone."""
+        monkeypatch.delenv("REPRO_PERF", raising=False)
+        runs = []
+        for with_perf in (False, True):
+            fabric = MultiNocFabric(_config(), seed=7, backend="skip")
+            if with_perf:
+                PhaseProfiler(fabric, out_dir=None).attach()
+            checker = InvariantChecker(fabric, interval=7).attach()
+            _run_with_idle_tail(fabric)
+            assert fabric.backend.cycles_deferred == 0
+            assert fabric.backend.cycles_jumped > 0
+            runs.append(
+                (dataclasses.asdict(fabric.report()), dict(checker.counts))
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][1]["flit-conservation"] > 0
 
     def test_profiled_step_has_the_plain_guards_and_flag(self, monkeypatch):
-        """The phased step skips what the plain step skips (idle NIs,
+        """The profiled step skips what the plain step skips (idle NIs,
         empty subnets) and returns the same busy flag every cycle,
         through a burst and the idle tail after it."""
         monkeypatch.delenv("REPRO_PERF", raising=False)
@@ -209,6 +265,27 @@ class TestArtifacts:
         ]
         assert len(artifacts) == 1
 
+    def test_bursty_point_flushes_its_profile(self, tmp_path, monkeypatch):
+        """The bursty executor (fig12) takes the fabric report, so an
+        attached profiler writes its artifact like every other kind."""
+        monkeypatch.setenv("REPRO_PERF", "1")
+        monkeypatch.setenv("REPRO_PERF_DIR", str(tmp_path))
+        spec = PointSpec.bursty(
+            _config(),
+            "uniform",
+            ((0, LOAD), (100, 0.0)),
+            sample_period=50,
+            total_cycles=200,
+            seed=3,
+        )
+        assert len(execute_point(spec)) == 4
+        artifacts = [
+            name
+            for name in os.listdir(tmp_path)
+            if name.endswith(".perf.json")
+        ]
+        assert len(artifacts) == 1
+
     def test_cprofile_capture_emits_folded_stacks(
         self, tmp_path, monkeypatch
     ):
@@ -243,6 +320,10 @@ class TestShowCli:
         assert main(["show", paths["profile"]]) == 0
         out = capsys.readouterr().out
         assert "router_pipeline" in out
+        assert (
+            "kernel: backend=dense steps=50 jumped=0 deferred=0 cycles=50"
+            in out.splitlines()
+        )
 
     def test_show_loads_older_artifact_with_router_stages(
         self, tmp_path, capsys
