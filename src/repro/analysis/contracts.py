@@ -10,8 +10,8 @@ that no single-file pass can see —
     only code that installs or restores instance attributes on other
     objects: ``setattr``/``delattr`` on anything but ``self`` outside
     ``ShadowSet``, and any attribute assignment or ``del`` on a
-    non-``self`` object inside an ``attach``/``detach`` method, are
-    violations.  Attach order needs no check: it is the order of the
+    non-``self`` object inside ``attach``, ``detach`` or a layer's
+    ``_install_probes`` hook, are violations.  Attach order needs no check: it is the order of the
     :data:`~repro.noc.layers.LAYERS` registry by construction.
 ``SIM102``
     Backend conformance.  Every :class:`~repro.noc.backend.
@@ -125,6 +125,9 @@ LINT_RULES.update(CONTRACT_RULES)
 
 #: The one class allowed to install and restore instance attributes.
 SHADOW_SET = "ShadowSet"
+#: Methods that install or restore a layer's shadows
+#: (:class:`repro.noc.layers.FabricLayer` and its install hook).
+SHADOW_METHODS = ("attach", "detach", "_install_probes")
 
 #: Markers bounding the machine-read seam list in docs/architecture.md.
 SEAM_BEGIN = "<!-- backend-seams:begin -->"
@@ -283,7 +286,7 @@ def _shadow_write(node: ast.AST, scope: str, method: str) -> str | None:
             f"{scope} calls {node.func.id}() on another object; "
             f"install and restore shadows through {SHADOW_SET}"
         )
-    if method not in ("attach", "detach"):
+    if method not in SHADOW_METHODS:
         return None
     targets: list[ast.expr] = []
     if isinstance(node, (ast.Assign, ast.Delete)):

@@ -60,7 +60,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.noc.buffers import vc_candidates
-from repro.noc.layers import ShadowSet
+from repro.noc.layers import FabricLayer
 from repro.noc.router import PowerState, Router
 from repro.noc.topology import Port
 from repro.util import env
@@ -140,8 +140,10 @@ class _CheckedPolicy:
         return getattr(self._inner, name)
 
 
-class InvariantChecker:
+class InvariantChecker(FabricLayer):
     """Re-derives fabric conservation laws every checked cycle."""
+
+    name = "checker"
 
     def __init__(
         self,
@@ -149,7 +151,7 @@ class InvariantChecker:
         interval: int | None = None,
         stall_cycles: int | None = None,
     ) -> None:
-        self.fabric = fabric
+        super().__init__(fabric)
         if interval is None:
             interval = env.integer("REPRO_CHECK_INTERVAL", 1)
         if stall_cycles is None:
@@ -181,7 +183,6 @@ class InvariantChecker:
             "credit-conservation": 0,
             "deadlock": 0,
         }
-        self._saved = ShadowSet("checker")
         self._since_check = 0
         self._last_progress = -1
         self._stalled_for = 0
@@ -198,26 +199,16 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
-    def attach(self) -> "InvariantChecker":
-        """Hook the fabric's step loop and its selection policies."""
-        fabric = self.fabric
-        if self._saved:
-            raise RuntimeError("invariant checker is already attached")
-        install = self._saved.install
-        self._orig_step = install(fabric, "step", self._checked_step)
-        for ni in fabric.nis:
+    def _install_probes(self, install: Any) -> None:
+        """Hook the fabric's strict-priority selection policies."""
+        for ni in self.fabric.nis:
             policy = ni.policy
             if policy is not None and getattr(
                 policy, "strict_priority", False
             ):
                 install(ni, "policy", _CheckedPolicy(policy, self))
-        return self
 
-    def detach(self) -> None:
-        """Remove all hooks, restoring the unchecked fast path."""
-        self._saved.restore()
-
-    def _checked_step(self) -> bool:
+    def _step(self) -> bool:
         busy: bool = self._orig_step()
         self._since_check += 1
         if self._since_check >= self.interval:
@@ -234,7 +225,7 @@ class InvariantChecker:
         to keep the checking cadence: the counter advances by ``count``
         and, whenever it crosses the interval, :meth:`check_now` runs
         against the state at ``cycle`` (the last cycle of the batch).
-        A single-cycle batch is exactly ``_checked_step``'s behaviour;
+        A single-cycle batch is exactly ``_step``'s behaviour;
         a jump checks once at the landing cycle — sound because the
         laws hold at every cycle boundary and nothing but gating
         bookkeeping changes during a jump.

@@ -444,6 +444,11 @@ class PowerGatingController:
         for router, idle in idle_after:
             router.idle_cycles = idle
 
+    def quiescent(self) -> bool:
+        """True when no wakeup is pending and the wake watchdog is
+        disarmed, so :meth:`advance` may stand in for :meth:`step`."""
+        return not self._pending_wakes and self._wake_timeout is None
+
     # The three transition methods below are the only writers of
     # ``power_state``, and each moves its router across its subnet's
     # awake/asleep split as the state crosses SLEEP, so the split is

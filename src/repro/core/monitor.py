@@ -167,6 +167,16 @@ class CongestionMonitor:
         return True
 
     # ------------------------------------------------------------------
+    def quiescent(self) -> bool:
+        """True when an update over empty subnets changes nothing: the
+        metric skips idle subnets, no LCS bit is latched and no RCS
+        bit is set."""
+        return (
+            self._idle_skippable
+            and not any(self._latched_count)
+            and self.regional.quiescent()
+        )
+
     def is_congested(self, node: int, subnet: int) -> bool:
         """Subnet-selection view: LCS(node) OR RCS(region of node)."""
         if self.lcs[subnet][node]:

@@ -131,6 +131,10 @@ class RegionalCongestionNetwork:
         return True
 
     # ------------------------------------------------------------------
+    def quiescent(self) -> bool:
+        """True when no region's bit is latched in any subnet."""
+        return not any(any(row) for row in self._rcs)
+
     def rcs(self, subnet: int, node: int) -> bool:
         """Latched regional congestion bit visible at ``node``."""
         return self._rcs[subnet][self._region_of[node]]

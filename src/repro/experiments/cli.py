@@ -50,7 +50,6 @@ from repro.experiments.fig12_bursty import run_fig12
 from repro.experiments.fig13_ir_thresholds import run_fig13
 from repro.experiments.fig14_64core import run_fig14
 from repro.experiments.table02_voltage import run_table02
-from repro.noc.backend import backend_from_env
 from repro.noc.layers import LAYERS
 
 __all__ = [
@@ -482,18 +481,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[layer.env] = value
         os.environ["REPRO_NO_CACHE"] = "1"
         layers.append(layer)
-    dense = [
-        layer.name for layer in LAYERS if layer.per_cycle and layer.enabled()
-    ]
-    if dense and backend_from_env() == "skip":
-        # The skip kernel defers to the shadowed per-cycle step under
-        # these layers (repro.noc.backend); say so rather than run
-        # densely in silence.
-        print(
-            "note: --backend skip steps densely because these layers "
-            f"observe every cycle: {', '.join(dense)}",
-            file=sys.stderr,
-        )
     if args.experiment == "all":
         names = list(PAPER_EXPERIMENTS)
     elif args.experiment == "ablations":

@@ -53,11 +53,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.regional import OR_NETWORK_SWITCH_ENERGY_J
-from repro.noc.layers import BY_NAME, ShadowSet
+from repro.noc.layers import BY_NAME, NEVER, FabricLayer
 from repro.noc.network import ActivityCounters
 from repro.noc.router import PowerState, Router
 from repro.power.router_power import RouterPowerModel
@@ -76,7 +75,6 @@ __all__ = [
 ]
 
 #: Defaults for the environment knobs.
-DEFAULT_DIR = BY_NAME["explain"].default_dir
 DEFAULT_MAX_PACKETS = 20_000
 #: Energy sampling window (cycles); a constructor knob, not an env var.
 DEFAULT_WINDOW = 1024
@@ -157,8 +155,10 @@ class _PacketTrace:
         self.head_eject = -1
 
 
-class ExplainHub:
+class ExplainHub(FabricLayer):
     """Latency and energy attribution for one fabric instance."""
+
+    name = "explain"
 
     def __init__(
         self,
@@ -171,15 +171,12 @@ class ExplainHub:
     ) -> None:
         if window_cycles < 1:
             raise ValueError("window_cycles must be >= 1")
-        self.fabric = fabric
-        self.out_dir = out_dir
+        super().__init__(fabric, out_dir)
         self.max_packets = max_packets
         self.window_cycles = window_cycles
         self.latency = latency
         self.energy = energy
-        self.attached = False
         num_subnets = fabric.config.num_subnets
-        self._saved = ShadowSet("explain")
         # --- latency ----------------------------------------------------
         self._packets: dict[int, _PacketTrace] = {}
         # Global packet ids depend on how many packets the process has
@@ -224,20 +221,17 @@ class ExplainHub:
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
-    def attach(self) -> "ExplainHub":
-        """Install every probe on the fabric; returns ``self``.
+    def _install_probes(self, install: Any) -> None:
+        """Install the latency probes and the trace merge, and open the
+        first energy window.
 
-        ``fabric.step`` is always shadowed (even latency-only): the
-        skip kernel defers to dense per-cycle semantics whenever a
-        ``per_cycle`` layer shadows ``step``, which is exactly what makes
+        Every probe but the step shadow sits on a method that runs only
+        while packets move, and the skip kernel jumps only over
+        quiescent spans, never past the step that closes an energy
+        window (:meth:`next_observe_cycle`); that is what makes
         attribution byte-identical across backends.
         """
-        if self.attached:
-            return self
         fabric = self.fabric
-        install = self._saved.install
-        self._orig_step = install(fabric, "step", self._explain_step)
-        self._orig_report = install(fabric, "report", self._explain_report)
         if self.latency:
             for ni in fabric.nis:
                 install(
@@ -272,33 +266,25 @@ class ExplainHub:
         self._baseline = self._counters_now()
         self._last_counters = self._baseline
         self._window_start = fabric.cycle
-        self.attached = True
-        return self
-
-    def detach(self) -> None:
-        """Remove every probe, restoring the pre-attach attributes."""
-        if not self.attached:
-            return
-        self._saved.restore()
-        self.attached = False
 
     # ------------------------------------------------------------------
     # Shadowed fabric methods
     # ------------------------------------------------------------------
-    def _explain_step(self) -> None:
-        self._orig_step()
+    def _step(self) -> bool:
+        busy: bool = self._orig_step()
         if (
             self.energy
             and self.fabric.cycle - self._window_start
             >= self.window_cycles
         ):
             self._close_window(self.fabric.cycle)
+        return busy
 
-    def _explain_report(self) -> "FabricReport":
-        report = self._orig_report()
-        if self.out_dir is not None:
-            self.flush()
-        return report
+    def next_observe_cycle(self, cycle: int) -> int:
+        """The cycle whose step closes the current energy window."""
+        if not self.energy:
+            return NEVER
+        return self._window_start + self.window_cycles - 1
 
     # ------------------------------------------------------------------
     # Latency probes
@@ -837,21 +823,9 @@ class ExplainHub:
     def flush(self) -> dict[str, str]:
         """Write the attribution artifact; return its path.
 
-        Names follow the telemetry convention
-        (``{config}-s{seed}-p{pid}-r{n}`` with the process-wide flush
-        ref from :func:`repro.obs.artifacts.next_flush_ref`) so
-        parallel sweep workers and repeated flushes never collide.
+        Files are named by :meth:`FabricLayer._artifact_stem`.
         """
-        from repro.obs.artifacts import next_flush_ref
-
-        out_dir = (
-            self.out_dir if self.out_dir is not None else DEFAULT_DIR
-        )
-        os.makedirs(out_dir, exist_ok=True)
-        fabric = self.fabric
-        prefix = f"{fabric.config.name}-s{fabric.seed}-p{os.getpid()}"
-        stem = f"{prefix}-r{next_flush_ref(prefix)}"
-        path = os.path.join(out_dir, f"{stem}.explain.json")
+        path = f"{self._artifact_stem()}.explain.json"
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.document(), handle, separators=(",", ":"))
         return {"explain": path}

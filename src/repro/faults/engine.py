@@ -52,7 +52,7 @@ from repro.faults.spec import (
     compile_schedule,
     parse_fault_spec,
 )
-from repro.noc.layers import ShadowSet
+from repro.noc.layers import NEVER, FabricLayer
 from repro.noc.topology import Port
 from repro.util import env
 
@@ -70,8 +70,10 @@ __all__ = ["FaultEngine"]
 MAX_LOG_ENTRIES = 100_000
 
 
-class FaultEngine:
+class FaultEngine(FabricLayer):
     """Injects one compiled fault schedule into one fabric instance."""
+
+    name = "faults"
 
     def __init__(
         self,
@@ -80,7 +82,7 @@ class FaultEngine:
         schedule: list[FaultEvent] | None = None,
         recovery: RecoveryConfig | None = None,
     ) -> None:
-        self.fabric = fabric
+        super().__init__(fabric)
         self.spec = spec if spec is not None else FaultSpec()
         self.recovery = (
             recovery
@@ -92,7 +94,6 @@ class FaultEngine:
                 self.spec, fabric.config, fabric.mesh
             )
         self.schedule = sorted(schedule, key=lambda e: (e.cycle, e.seq))
-        self.attached = False
         num_subnets = fabric.config.num_subnets
         # --- live state -------------------------------------------------
         self._next_index = 0
@@ -125,7 +126,6 @@ class FaultEngine:
         #: (cycle, subnet, name) instants for the telemetry trace.
         self.fault_instants: list[tuple[int, int, str]] = []
         self.recovery_instants: list[tuple[int, int, str]] = []
-        self._saved = ShadowSet("faults")
 
     # ------------------------------------------------------------------
     # Construction from the environment
@@ -139,15 +139,11 @@ class FaultEngine:
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
-    def attach(self) -> "FaultEngine":
-        """Install every hook on the fabric; returns ``self``."""
-        if self.attached:
-            return self
+    def _install_probes(self, install: Any) -> None:
+        """Install the fault taps and arm the wake watchdog."""
         fabric = self.fabric
         gating = fabric.gating
         monitor = fabric.monitor
-        install = self._saved.install
-        self._orig_step = install(fabric, "step", self._fault_step)
         self._orig_request_wakeup = install(
             gating, "request_wakeup", self._tap_request_wakeup
         )
@@ -175,16 +171,11 @@ class FaultEngine:
                 self.recovery.wakeup_backoff,
                 self.recovery.wakeup_timeout_max,
             )
-        self.attached = True
-        return self
 
     def detach(self) -> None:
-        """Remove every hook, restoring the pre-attach attributes."""
-        if not self.attached:
-            return
-        self._saved.restore()
+        """Remove every hook and disarm the wake watchdog."""
+        super().detach()
         self.fabric.gating.disarm_wake_timeout()
-        self.attached = False
 
     # ------------------------------------------------------------------
     # Event log
@@ -210,12 +201,24 @@ class FaultEngine:
     # ------------------------------------------------------------------
     # The shadowed step
     # ------------------------------------------------------------------
-    def _fault_step(self) -> None:
-        fabric = self.fabric
-        cycle = fabric.cycle
+    def _step(self) -> bool:
+        cycle = self.fabric.cycle
         self._begin_cycle(cycle)
-        self._orig_step()
+        busy: bool = self._orig_step()
         self._end_cycle(cycle)
+        return busy
+
+    def next_observe_cycle(self, cycle: int) -> int:
+        """The next scheduled arm; ``cycle`` (no jump) while an armed
+        fault is active or a recovery mechanism runs, since either may
+        act on any cycle."""
+        if self.recovery.enabled or any(
+            getattr(self, name) for name in self._ACTIVE_LISTS
+        ):
+            return cycle
+        if self._next_index < len(self.schedule):
+            return self.schedule[self._next_index].cycle
+        return NEVER
 
     _ACTIVE_LIST = {
         "drop-wakeup": "_drop_wakeup",
@@ -228,6 +231,8 @@ class FaultEngine:
         "drop-flit": "_drop_flit",
         "corrupt-flit": "_corrupt_flit",
     }
+    #: The lists of armed faults still in their window, in expiry order.
+    _ACTIVE_LISTS = tuple(dict.fromkeys(_ACTIVE_LIST.values()))
 
     def _begin_cycle(self, cycle: int) -> None:
         schedule = self.schedule
@@ -280,15 +285,7 @@ class FaultEngine:
         )
 
     def _end_cycle(self, cycle: int) -> None:
-        for name in (
-            "_drop_wakeup",
-            "_stuck_asleep",
-            "_stuck_awake",
-            "_stuck_lcs",
-            "_stuck_rcs",
-            "_drop_flit",
-            "_corrupt_flit",
-        ):
+        for name in self._ACTIVE_LISTS:
             active: list[FaultEvent] = getattr(self, name)
             if not active:
                 continue

@@ -17,10 +17,10 @@ ship:
     own cycle body, :meth:`MultiNocFabric.step` (which skips idle NIs
     and empty subnets and charges sleeping routers O(1)), and fully
     quiescent spans are skipped in one jump to the next event horizon
-    — the earliest pending injection, in-flight arrival, wakeup
-    completion, or requested span end — with the power-gating state
-    machine advanced in closed form by the controller.  The kernel has
-    no copy of any phase: it owns only the time loop.
+    — the earliest pending injection, observer deadline or requested
+    span end — with the power-gating state machine advanced in closed
+    form by the controller.  The kernel has no copy of any phase: it
+    owns only the time loop.
 
 Equivalence is a hard contract, not an aspiration: for any workload,
 ``skip`` must leave the fabric in a byte-identical state to ``dense``
@@ -29,13 +29,14 @@ figure-table tests and ``tests/test_backend.py`` enforce this.
 
 Backends also respect the per-instance shadowing contract (see
 ``docs/architecture.md``).  One rule composes the skip kernel with the
-layers of the :mod:`repro.noc.layers` registry: when every shadow on
-``fabric.step`` belongs to a layer that is not ``per_cycle`` (perf,
-checker), the kernel runs the shadowed step on the cycles it visits
-and reports each jump to every such layer's ``note_steps``.  When a
-``per_cycle`` layer (faults, telemetry, explain) or any unregistered
-wrapper is in the chain, the kernel defers to dense stepping through
-the shadowed step, because that observer needs every cycle.
+layers of the :mod:`repro.noc.layers` registry: the kernel runs the
+shadowed ``fabric.step`` on the cycles it visits, jumps no further
+than the earliest ``next_observe_cycle`` of the layers in the chain
+(a telemetry sample, an energy-window close, a fault arm), and reports
+each jump to every layer's ``note_steps``.  Only a wrapper that no
+registered layer installed makes the kernel defer to dense stepping
+through the shadowed step, because nothing tells it what that wrapper
+observes.
 
 Backend selection: ``MultiNocFabric(config, backend="skip")`` or the
 ``REPRO_BACKEND`` environment variable (the experiments CLI's
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.noc.layers import shadow_chain
+from repro.noc.layers import NEVER, shadow_chain
 from repro.util import env
 
 if TYPE_CHECKING:
@@ -67,16 +68,13 @@ __all__ = [
 #: Name used when neither the constructor nor the environment chooses.
 DEFAULT_BACKEND = "dense"
 
-#: Sentinel horizon for "the source never becomes active again".
-NEVER = 1 << 62
-
 
 class FabricBackend:
     """Time-loop strategy for one fabric instance.
 
     Subclasses must satisfy the invariants documented in
     ``docs/architecture.md``: byte-identical fabric state at every span
-    boundary, per-cycle deference to shadowed ``step`` observers, and
+    boundary, dense deference to unregistered ``step`` shadows, and
     ``source.step(cycle)`` called for every cycle at which the source
     may act.
     """
@@ -140,9 +138,9 @@ class SkipBackend(FabricBackend):
     def __init__(self, fabric: "MultiNocFabric") -> None:
         super().__init__(fabric)
         #: Cycles visited (one ``fabric.step`` each), cycles covered by
-        #: quiescence jumps, and cycles stepped densely through a
-        #: per-cycle shadow.  Each grows once per span.
-        self.cycles_mirrored = 0
+        #: quiescence jumps, and cycles stepped densely through an
+        #: unregistered shadow.  Each grows once per span.
+        self.cycles_visited = 0
         self.cycles_jumped = 0
         self.cycles_deferred = 0
 
@@ -153,14 +151,13 @@ class SkipBackend(FabricBackend):
         """``(defer, observers)`` for how ``fabric.step`` is shadowed.
 
         The kernel runs when every binding in the ``step`` shadow chain
-        belongs to a registered layer that is not ``per_cycle``;
-        ``observers`` are those layers, top first, whose ``note_steps``
-        the kernel calls for each jump.  An unregistered binding or a
-        ``per_cycle`` layer observes every cycle: ``defer`` is True and
-        the kernel steps densely through the shadow chain.
+        belongs to a registered layer; ``observers`` are those layers,
+        top first, which bound each jump and hear of it.  An
+        unregistered binding may observe every cycle: ``defer`` is True
+        and the kernel steps densely through the shadow chain.
         """
         chain = shadow_chain(self.fabric, "step")
-        if any(layer is None or layer.per_cycle for layer, _ in chain):
+        if any(layer is None for layer, _ in chain):
             return True, ()
         return False, tuple(binding.__self__ for _, binding in chain)
 
@@ -173,8 +170,8 @@ class SkipBackend(FabricBackend):
         fabric = self.fabric
         defer, observers = self._shadow_mode()
         if defer:
-            # Per-cycle observers are attached; dense semantics through
-            # the shadow chain is the only faithful execution.
+            # An unregistered wrapper is attached; dense semantics
+            # through the shadow chain is the only faithful execution.
             DenseBackend.run(self, cycles, source)
             self.cycles_deferred += cycles
             return
@@ -190,13 +187,13 @@ class SkipBackend(FabricBackend):
         """Run visited cycles until ``end`` or quiescence.
 
         Each visited cycle is ``fabric.step``, looked up once per span:
-        the fabric's own cycle body under whatever non-``per_cycle``
-        shadows are attached.  Returns True when the span reached
-        ``end``; False when the fabric went fully quiescent first (the
-        caller may then jump).
+        the fabric's own cycle body under whatever layers are attached.
+        Returns True when the span reached ``end``; False when the
+        fabric went fully quiescent first (the caller may then jump).
         """
         fabric = self.fabric
         step = fabric.step
+        quiescent = fabric.quiescent
         source_step = source.step if source is not None else None
         quiet_source = self._source_quiet_probe(source)
         start = cycle = fabric.cycle
@@ -209,11 +206,11 @@ class SkipBackend(FabricBackend):
                 cycle < end
                 and not busy
                 and quiet_source(cycle)
-                and self._quiescent()
+                and quiescent()
             ):
-                self.cycles_mirrored += cycle - start
+                self.cycles_visited += cycle - start
                 return False
-        self.cycles_mirrored += cycle - start
+        self.cycles_visited += cycle - start
         return True
 
     # ------------------------------------------------------------------
@@ -229,50 +226,25 @@ class SkipBackend(FabricBackend):
             return lambda cycle: False
         return lambda cycle: next_offer(cycle) > cycle
 
-    def _quiescent(self) -> bool:
-        """True when a clock jump is provably invisible.
-
-        Requires: no flit anywhere (buffered or in flight), every NI
-        empty, the congestion monitor structurally clear (idle-skippable
-        metric, zero latched LCS bits, all regional bits low), no
-        pending or watchdog-armed wakeups, and no fault engine attached.
-        NIs track decaying injection-rate averages only under the IR
-        metric, which is never idle-skippable, so an empty NI is frozen.
-        """
-        fabric = self.fabric
-        for network in fabric.subnets:
-            if network.flits_in_network:
-                return False
-        for ni in fabric.nis:
-            if ni.queue or ni._active_slots:
-                return False
-        monitor = fabric.monitor
-        if not monitor._idle_skippable:
-            return False
-        if any(monitor._latched_count):
-            return False
-        if any(any(row) for row in monitor.regional._rcs):
-            return False
-        gating = fabric.gating
-        if gating._pending_wakes or gating._wake_timeout is not None:
-            return False
-        return True
-
     def _jump(self, end: int, source, observers) -> None:
         """Advance the clock over a quiescent span in one step.
 
         Only power-gating bookkeeping evolves during quiescence, and
         the controller advances it in closed form
         (:meth:`~repro.core.gating.PowerGatingController.advance`);
-        every other per-cycle phase is a proven no-op.
+        every other per-cycle phase is a proven no-op.  The jump stops
+        at the first cycle the source may act in or an observer must
+        see stepped.
         """
         fabric = self.fabric
         start = fabric.cycle
         horizon = end
         if source is not None:
             horizon = min(horizon, source.next_offer_cycle(start))
+        for observer in observers:
+            horizon = min(horizon, observer.next_observe_cycle(start))
         if horizon <= start:
-            # The source reactivates immediately; nothing to skip —
+            # The source or an observer acts now; nothing to skip —
             # run one kernel cycle and let the caller re-evaluate.
             self._kernel_span(start + 1, source)
             return

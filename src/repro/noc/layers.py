@@ -3,8 +3,8 @@
 Five optional layers observe a :class:`~repro.noc.multinoc.
 MultiNocFabric`.  Each is one :class:`Layer` record in :data:`LAYERS`,
 in attach order; the fabric constructor, the experiments CLI, the sweep
-artifact observer, the run ledger and the skip kernel's defer decision
-all loop over it.  Adding a layer means adding one record.
+artifact observer and the run ledger all loop over it.  Adding a layer
+means adding one record and one :class:`FabricLayer` subclass.
 
 Layers observe by *shadowing*: per-instance attributes over class
 methods (``fabric.step``, ``gating._sleep``, NI sinks, ...), so an
@@ -14,6 +14,9 @@ each layer keeps one as ``self._saved``.  A restore under another
 layer's shadow raises instead of dropping or resurrecting anyone's
 binding — detach in reverse attach order, or use
 :meth:`~repro.noc.multinoc.MultiNocFabric.swap_layer`.
+
+:class:`FabricLayer`, the base of all five, owns their attach and
+detach bookkeeping and their answers to the skip kernel.
 
 Factories and spec parsers are dotted paths imported on first use, so
 a plain fabric never loads a layer package.
@@ -28,7 +31,14 @@ from typing import Any
 
 from repro.util import env
 
-__all__ = ["Layer", "LAYERS", "BY_NAME", "ShadowSet", "shadow_chain"]
+__all__ = [
+    "Layer", "LAYERS", "BY_NAME", "NEVER", "FabricLayer", "ShadowSet",
+    "shadow_chain",
+]
+
+#: Sentinel horizon for "never becomes active again" (sources and
+#: layers alike).
+NEVER = 1 << 62
 
 
 def _resolve(path: str) -> Any:
@@ -42,14 +52,7 @@ def _resolve(path: str) -> Any:
 
 @dataclass(frozen=True)
 class Layer:
-    """One instrumentation layer, as everything else needs to know it.
-
-    ``per_cycle`` is False for layers that need no call for a cycle in
-    which nothing happens: the skip kernel runs their shadowed ``step``
-    on the cycles it visits and reports each quiescence jump to their
-    ``note_steps(count, cycle)``.  A ``per_cycle`` layer observes every
-    cycle, so the kernel steps densely while one shadows ``step``.
-    """
+    """One instrumentation layer, as everything else needs to know it."""
 
     name: str
     #: Fabric attribute holding the attached instance (or None).
@@ -60,7 +63,6 @@ class Layer:
     factory: str
     #: Experiments-CLI flag that sets :attr:`env`.
     flag: str
-    per_cycle: bool = True
     #: ``module:callable`` validating the spec text (raises ValueError).
     spec_parser: str | None = None
     #: Artifact directory variable, its default, and the CLI flag
@@ -101,7 +103,6 @@ LAYERS: tuple[Layer, ...] = (
     Layer(
         "perf", "perf", "REPRO_PERF",
         "repro.perf.profiler:PhaseProfiler.from_env", "--perf",
-        per_cycle=False,
         dir_env="REPRO_PERF_DIR",
         default_dir=os.path.join("results", "perf"),
         out_flag="--perf-out",
@@ -119,7 +120,6 @@ LAYERS: tuple[Layer, ...] = (
     Layer(
         "checker", "invariant_checker", "REPRO_CHECK",
         "repro.analysis.invariants:InvariantChecker", "--check",
-        per_cycle=False,
     ),
     Layer(
         "telemetry", "telemetry", "REPRO_TELEMETRY",
@@ -226,3 +226,83 @@ def shadow_chain(obj: Any, name: str) -> list[tuple[Layer | None, Any]]:
             break
         value = previous
     return chain
+
+
+class FabricLayer:
+    """The base of every layer: attach, detach and the kernel protocol.
+
+    :meth:`attach` shadows ``fabric.step`` with the subclass's
+    ``_step`` (which calls ``self._orig_step()``, the displaced
+    binding), shadows ``fabric.report`` with :meth:`_report` when
+    ``out_dir`` is set, and then calls :meth:`_install_probes` for the
+    layer's other shadows.  A second attach raises; :meth:`detach`
+    restores every shadow and is a no-op when nothing is attached.
+
+    The skip kernel runs the shadowed step on every cycle it visits.
+    Before a quiescence jump it asks every layer in the ``step`` chain
+    for :meth:`next_observe_cycle` and never jumps past the earliest
+    answer; after the jump it reports the span to :meth:`note_steps`.
+    """
+
+    #: The layer's name in :data:`LAYERS`; subclasses set it.
+    name = ""
+
+    def __init__(self, fabric: Any, out_dir: str | None = None) -> None:
+        self.fabric = fabric
+        self.out_dir = out_dir
+        self._saved = ShadowSet(self.name)
+
+    @property
+    def attached(self) -> bool:
+        return bool(self._saved)
+
+    def attach(self) -> Any:
+        """Install every shadow on the fabric; returns ``self``."""
+        if self._saved:
+            raise RuntimeError(f"{self.name} layer is already attached")
+        install = self._saved.install
+        fabric = self.fabric
+        self._orig_step = install(fabric, "step", self._step)
+        if self.out_dir is not None:
+            self._orig_report = install(fabric, "report", self._report)
+        self._install_probes(install)
+        return self
+
+    def detach(self) -> None:
+        """Remove every shadow, restoring the pre-attach attributes."""
+        self._saved.restore()
+
+    def _install_probes(self, install: Any) -> None:
+        """Install the layer's shadows beyond ``step`` and ``report``
+        through ``install`` (its :meth:`ShadowSet.install`)."""
+
+    def _report(self) -> Any:
+        report = self._orig_report()
+        self.flush()
+        return report
+
+    def _artifact_stem(self) -> str:
+        """``{out_dir}/{config}-s{seed}-p{pid}-r{n}``, the path prefix
+        of the next flush's artifacts.  The ``r`` counter is process-wide
+        (:func:`repro.obs.artifacts.next_flush_ref`) and shared by the
+        layers, so parallel sweep workers, repeated flushes and two
+        same-config fabrics in one process never overwrite each other.
+        """
+        from repro.obs.artifacts import next_flush_ref
+
+        out_dir = self.out_dir
+        if out_dir is None:
+            out_dir = BY_NAME[self.name].default_dir
+        os.makedirs(out_dir, exist_ok=True)
+        fabric = self.fabric
+        prefix = f"{fabric.config.name}-s{fabric.seed}-p{os.getpid()}"
+        return os.path.join(out_dir, f"{prefix}-r{next_flush_ref(prefix)}")
+
+    def next_observe_cycle(self, cycle: int) -> int:
+        """The first cycle at or after ``cycle`` whose step the layer
+        must see run; the skip kernel jumps no further."""
+        return NEVER
+
+    def note_steps(self, count: int, cycle: int) -> None:
+        """Account ``count`` cycles, ending at ``cycle``, that the skip
+        kernel jumped without calling ``fabric.step``."""

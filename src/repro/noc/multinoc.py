@@ -250,6 +250,20 @@ class MultiNocFabric:
         self.cycle = cycle + 1
         return busy
 
+    def quiescent(self) -> bool:
+        """True when skipping cycles is provably invisible: no flit
+        anywhere, every NI empty (the guard :meth:`step` uses; NIs keep
+        decaying rate averages only under the IR metric, which is never
+        quiescent) and the monitor and gating controller at rest.  The
+        skip kernel then advances gating in closed form instead."""
+        for network in self.subnets:
+            if network.flits_in_network:
+                return False
+        for ni in self.nis:
+            if ni.queue or ni._active_slots:
+                return False
+        return self.monitor.quiescent() and self.gating.quiescent()
+
     def run(self, cycles: int) -> None:
         """Advance the fabric by ``cycles`` clock cycles.
 

@@ -39,7 +39,7 @@ def _show_profile(path: str) -> int:
         f"{path}: {doc.get('config')} seed={doc.get('seed')} "
         f"steps={doc.get('steps_profiled')} "
         f"step_wall={doc.get('step_seconds', 0.0):.3f}s "
-        f"({throughput.get('cycles_per_sec', 0.0):,.0f} cycles/s, "
+        f"({throughput.get('steps_per_sec', 0.0):,.0f} steps/s, "
         f"{throughput.get('flits_per_sec', 0.0):,.0f} flits/s)"
     )
     if "backend" in doc:

@@ -7,10 +7,11 @@ by *shadowing* instance methods, the contract of every layer in
 times whole steps, and ``fabric.report``, which autoflushes a
 ``*.perf.json`` artifact when the profiler was attached via the
 environment.  It so profiles the fabric's own cycle body on every
-kernel.  The layer is not ``per_cycle``: the skip kernel runs the
-shadowed step on visited cycles and reports jumps to
-:meth:`PhaseProfiler.note_steps`.  A fabric without a profiler runs the
-plain class methods.
+kernel: the skip kernel runs the shadowed step on visited cycles and
+reports jumps to :meth:`PhaseProfiler.note_steps`, so
+:meth:`~PhaseProfiler.throughput` is a rate of profiled *steps*, not of
+simulated cycles.  A fabric without a profiler runs the plain class
+methods.
 
 Enable with ``REPRO_PERF=1`` (see :mod:`repro.noc.layers`); artifacts go
 to ``REPRO_PERF_DIR`` (default ``results/perf``).  Setting
@@ -27,7 +28,7 @@ import os
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.noc.layers import BY_NAME, ShadowSet
+from repro.noc.layers import BY_NAME, FabricLayer
 from repro.util import env
 from repro.util.ascii_plot import bar_chart
 from repro.util.histogram import BoundedHistogram
@@ -35,11 +36,10 @@ from repro.util.histogram import BoundedHistogram
 if TYPE_CHECKING:
     import cProfile
 
-    from repro.noc.multinoc import FabricReport, MultiNocFabric
+    from repro.noc.multinoc import MultiNocFabric
 
 __all__ = [
     "PROFILE_SCHEMA",
-    "DEFAULT_DIR",
     "STEP_PHASES",
     "PhaseProfiler",
     "cprofile_enabled",
@@ -47,9 +47,6 @@ __all__ = [
 
 #: Schema tag stamped into every ``*.perf.json`` artifact.
 PROFILE_SCHEMA = "repro.perf.profile/1"
-
-#: Default artifact directory (override with ``REPRO_PERF_DIR``).
-DEFAULT_DIR = BY_NAME["perf"].default_dir
 
 #: Slices of one ``MultiNocFabric.step`` call, in execution order;
 #: ``step_other`` is the residual (loop glue, timers, outer probes).
@@ -78,8 +75,10 @@ def cprofile_enabled() -> bool:
     """True when ``REPRO_PERF_CPROFILE`` asks for a cProfile capture."""
     return env.flag("REPRO_PERF_CPROFILE")
 
-class PhaseProfiler:
+class PhaseProfiler(FabricLayer):
     """Per-phase wall-clock accounting for one fabric instance."""
+
+    name = "perf"
 
     def __init__(
         self,
@@ -87,9 +86,7 @@ class PhaseProfiler:
         out_dir: str | None = None,
         capture_cprofile: bool = False,
     ) -> None:
-        self.fabric = fabric
-        self.out_dir = out_dir
-        self.attached = False
+        super().__init__(fabric, out_dir)
         #: Profiled ``fabric.step`` calls, and cycles the skip kernel
         #: jumped without one (reported through :meth:`note_steps`).
         self.steps = 0
@@ -104,8 +101,6 @@ class PhaseProfiler:
             name: BoundedHistogram() for name in _HISTOGRAM_PHASES
         }
         self._flits_at_attach = self._flits_routed_now()
-        self._flush_count = 0
-        self._saved = ShadowSet("perf")
         self._cprofile: "cProfile.Profile | None" = None
         if capture_cprofile:
             import cProfile as _cprofile
@@ -126,12 +121,10 @@ class PhaseProfiler:
         )
 
     # ------------------------------------------------------------------
-    # Attach / detach (per-instance shadowing)
+    # Shadowed methods
     # ------------------------------------------------------------------
-    def attach(self) -> "PhaseProfiler":
-        """Install the phase timers and step/report probes; returns self."""
-        if self.attached:
-            return self
+    def _install_probes(self, install: Any) -> None:
+        """Install the phase timers."""
         fabric = self.fabric
         timer = self._install_timer
         for network in fabric.subnets:
@@ -142,26 +135,7 @@ class PhaseProfiler:
         for ni in fabric.nis:
             timer(ni, "step", "ni_packetization")
         timer(fabric.gating, "step", "gating")
-        install = self._saved.install
-        self._orig_step: Callable[[], bool] = install(
-            fabric, "step", self._timed_step
-        )
-        self._orig_report: Callable[[], "FabricReport"] = install(
-            fabric, "report", self._profiled_report
-        )
-        self.attached = True
-        return self
 
-    def detach(self) -> None:
-        """Remove every probe, restoring the pre-attach attributes."""
-        if not self.attached:
-            return
-        self._saved.restore()
-        self.attached = False
-
-    # ------------------------------------------------------------------
-    # Shadowed methods
-    # ------------------------------------------------------------------
     def _install_timer(self, obj: Any, name: str, phase: str) -> None:
         """Shadow ``obj.name`` with a wrapper adding its wall-clock to
         ``phase``; the phase counts only what it displaced, so layers
@@ -177,7 +151,7 @@ class PhaseProfiler:
 
         self._saved.install(obj, name, timed)
 
-    def _timed_step(self) -> bool:
+    def _step(self) -> bool:
         """The displaced step, timed whole; returns its busy flag."""
         prof = self._cprofile
         if prof is not None:
@@ -198,15 +172,7 @@ class PhaseProfiler:
         return busy
 
     def note_steps(self, count: int, cycle: int) -> None:
-        """Count ``count`` cycles the skip kernel jumped, ending at
-        ``cycle``, without calling ``fabric.step``."""
         self.cycles_jumped += count
-
-    def _profiled_report(self) -> "FabricReport":
-        report = self._orig_report()
-        if self.out_dir is not None:
-            self.flush()
-        return report
 
     # ------------------------------------------------------------------
     # Derived breakdowns
@@ -247,11 +213,16 @@ class PhaseProfiler:
         return self._ns["step"] / 1e9
 
     def throughput(self) -> dict[str, float]:
-        """Simulated cycles/sec and flits-routed/sec while profiled."""
+        """Profiled steps/sec and flits-routed/sec of step time.
+
+        Under the skip kernel jumped cycles are neither stepped nor
+        timed, so ``steps_per_sec`` is a rate of visited steps, not of
+        simulated cycles.
+        """
         seconds = self.step_seconds
         flits = self._flits_routed_now() - self._flits_at_attach
         return {
-            "cycles_per_sec": self.steps / seconds if seconds else 0.0,
+            "steps_per_sec": self.steps / seconds if seconds else 0.0,
             "flits_per_sec": flits / seconds if seconds else 0.0,
             "flits_routed": float(flits),
         }
@@ -296,7 +267,7 @@ class PhaseProfiler:
         lines = [
             f"perf: {fabric.config.name} seed={fabric.seed} "
             f"steps={self.steps} step_wall={step_seconds:.3f}s "
-            f"({throughput['cycles_per_sec']:,.0f} cycles/s, "
+            f"({throughput['steps_per_sec']:,.0f} steps/s, "
             f"{throughput['flits_per_sec']:,.0f} flits/s)",
         ]
         phases = self.phase_seconds()
@@ -347,32 +318,16 @@ class PhaseProfiler:
     def flush(self) -> dict[str, str]:
         """Write the profile artifacts; return their paths.
 
-        Files are named ``{config}-s{seed}-p{pid}-r{n}`` so parallel
-        sweep workers and repeated flushes never collide (the same
-        convention — and the same process-wide
-        :func:`repro.obs.artifacts.next_flush_ref` counter — as
-        telemetry artifacts; per-instance counters would overwrite
-        when one process profiles two same-config fabrics).
+        Files are named by :meth:`FabricLayer._artifact_stem`.
         """
-        from repro.obs.artifacts import next_flush_ref
-
-        out_dir = self.out_dir if self.out_dir is not None else DEFAULT_DIR
-        os.makedirs(out_dir, exist_ok=True)
-        fabric = self.fabric
-        prefix = (
-            f"{fabric.config.name}-s{fabric.seed}-p{os.getpid()}"
-        )
-        stem = f"{prefix}-r{next_flush_ref(prefix)}"
-        self._flush_count += 1
-        paths = {"profile": os.path.join(out_dir, f"{stem}.perf.json")}
+        stem = self._artifact_stem()
+        paths = {"profile": f"{stem}.perf.json"}
         with open(paths["profile"], "w", encoding="utf-8") as handle:
             json.dump(self.profile(), handle, separators=(",", ":"))
         if self._cprofile is not None:
-            paths["pstats"] = os.path.join(out_dir, f"{stem}.pstats")
+            paths["pstats"] = f"{stem}.pstats"
             self._cprofile.dump_stats(paths["pstats"])
-            paths["folded"] = os.path.join(
-                out_dir, f"{stem}.folded.txt"
-            )
+            paths["folded"] = f"{stem}.folded.txt"
             with open(paths["folded"], "w", encoding="utf-8") as handle:
                 handle.write("\n".join(self._folded_stacks()) + "\n")
         return paths

@@ -38,10 +38,9 @@ probes.
 from __future__ import annotations
 
 import json
-import os
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.noc.layers import BY_NAME, ShadowSet
+from repro.noc.layers import BY_NAME, FabricLayer
 from repro.noc.router import PowerState, Router
 from repro.telemetry.samplers import TimeSeriesSampler
 from repro.telemetry.trace import build_chrome_trace
@@ -58,12 +57,13 @@ __all__ = ["TelemetryHub"]
 
 #: Defaults for the environment knobs.
 DEFAULT_PERIOD = 64
-DEFAULT_DIR = BY_NAME["telemetry"].default_dir
 DEFAULT_MAX_PACKETS = 20_000
 
 
-class TelemetryHub:
+class TelemetryHub(FabricLayer):
     """Probes, samplers, and trace export for one fabric instance."""
+
+    name = "telemetry"
 
     def __init__(
         self,
@@ -72,13 +72,10 @@ class TelemetryHub:
         out_dir: str | None = None,
         max_packets: int = DEFAULT_MAX_PACKETS,
     ) -> None:
-        self.fabric = fabric
-        self.out_dir = out_dir
+        super().__init__(fabric, out_dir)
         self.max_packets = max_packets
         self.sampler = TimeSeriesSampler(fabric, period)
-        self.attached = False
         num_subnets = fabric.config.num_subnets
-        self._saved = ShadowSet("telemetry")
         # --- power transitions ------------------------------------------
         # Open intervals keyed by id(router); totals per subnet follow
         # the GatingStats entry-count convention (module docstring).
@@ -115,7 +112,6 @@ class TelemetryHub:
         self.unfinished_packets = 0
         self.ejected_per_subnet = [0] * num_subnets
         self.latency = BoundedHistogram()
-        self._flush_count = 0
 
     # ------------------------------------------------------------------
     # Construction from the environment
@@ -138,17 +134,10 @@ class TelemetryHub:
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
-    def attach(self) -> "TelemetryHub":
-        """Install every probe on the fabric; returns ``self``."""
-        if self.attached:
-            return self
+    def _install_probes(self, install: Any) -> None:
+        """Install the gating, RCS and packet probes."""
         fabric = self.fabric
         gating = fabric.gating
-        install = self._saved.install
-        self._orig_step = install(fabric, "step", self._telemetry_step)
-        self._orig_report = install(
-            fabric, "report", self._telemetry_report
-        )
         self._orig_sleep = install(gating, "_sleep", self._tap_sleep)
         self._orig_begin_wakeup = install(
             gating, "_begin_wakeup", self._tap_begin_wakeup
@@ -164,27 +153,18 @@ class TelemetryHub:
         )
         for ni in fabric.nis:
             install(ni, "packet_sink", self._make_packet_tap(ni.packet_sink))
-        self.attached = True
-        return self
-
-    def detach(self) -> None:
-        """Remove every probe, restoring the pre-attach attributes."""
-        if not self.attached:
-            return
-        self._saved.restore()
-        self.attached = False
 
     # ------------------------------------------------------------------
     # Shadowed fabric methods
     # ------------------------------------------------------------------
-    def _telemetry_step(self) -> None:
+    def _step(self) -> bool:
         fabric = self.fabric
         cycle = fabric.cycle
         if cycle % self.sampler.period == 0:
             # Pre-step sample: a consistent post-gating snapshot of the
             # previous cycle (gating.step runs last inside step()).
             self.sampler.sample(cycle)
-        self._orig_step()
+        busy: bool = self._orig_step()
         # LCS toggle diff: monitor.update ran inside the step, so the
         # latched rows are the post-step truth for this cycle.
         prev = self._prev_lcs
@@ -201,12 +181,12 @@ class TelemetryHub:
             self.lcs_raised[subnet] += raised
             self.lcs_cleared[subnet] += cleared
             prev[subnet] = list(row)
+        return busy
 
-    def _telemetry_report(self):
-        report = self._orig_report()
-        if self.out_dir is not None:
-            self.flush()
-        return report
+    def next_observe_cycle(self, cycle: int) -> int:
+        """The next sample cycle: a quiescent step between samples
+        changes no LCS bit, so only the sample must be seen."""
+        return -(-cycle // self.sampler.period) * self.sampler.period
 
     # ------------------------------------------------------------------
     # Gating transition probes
@@ -308,9 +288,12 @@ class TelemetryHub:
         if len(self.packet_records) >= self.max_packets:
             self.truncated_packets += 1
             return
+        # Hub-relative ids (ejection order): global packet ids depend on
+        # what else the worker process simulated, so the trace would
+        # differ between runs of a parallel sweep.
         self.packet_records.append(
             {
-                "id": packet.packet_id,
+                "id": len(self.packet_records),
                 "src": packet.src,
                 "dst": packet.dst,
                 "subnet": packet.subnet,
@@ -509,31 +492,13 @@ class TelemetryHub:
     def flush(self) -> dict[str, str]:
         """Write the three telemetry artifacts; return their paths.
 
-        Files are named ``{config}-s{seed}-p{pid}-r{n}`` so parallel
-        sweep workers and repeated flushes never collide.  The ``r``
-        counter is process-wide
-        (:func:`repro.obs.artifacts.next_flush_ref`), not per-hub: two
-        fabrics with the same config and seed in one process (e.g. a
-        sweep probing two loads of one configuration) each get their
-        own hub, and per-instance counters would silently overwrite
-        the first fabric's artifacts with the second's.
+        Files are named by :meth:`FabricLayer._artifact_stem`.
         """
-        from repro.obs.artifacts import next_flush_ref
-
-        out_dir = self.out_dir if self.out_dir is not None else DEFAULT_DIR
-        os.makedirs(out_dir, exist_ok=True)
-        fabric = self.fabric
-        prefix = (
-            f"{fabric.config.name}-s{fabric.seed}-p{os.getpid()}"
-        )
-        stem = f"{prefix}-r{next_flush_ref(prefix)}"
-        self._flush_count += 1
+        stem = self._artifact_stem()
         paths = {
-            "timeseries": os.path.join(
-                out_dir, f"{stem}.timeseries.json"
-            ),
-            "trace": os.path.join(out_dir, f"{stem}.trace.json"),
-            "summary": os.path.join(out_dir, f"{stem}.summary.txt"),
+            "timeseries": f"{stem}.timeseries.json",
+            "trace": f"{stem}.trace.json",
+            "summary": f"{stem}.summary.txt",
         }
         with open(paths["timeseries"], "w", encoding="utf-8") as handle:
             json.dump(

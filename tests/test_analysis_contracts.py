@@ -9,6 +9,7 @@ tree and the real repository report nothing.
 from __future__ import annotations
 
 import json
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -364,6 +365,21 @@ def test_sim101_detects_setattr_outside_shadowset(tmp_path):
     assert rules_of(tmp_path, {"repro/noc/hand.py": helper}) == ["SIM101"]
 
 
+def test_sim101_covers_the_install_hook(tmp_path):
+    # A layer's ``_install_probes`` hook runs inside attach, so a direct
+    # write there is the same violation as one in attach itself.
+    hook = src("repro/analysis/invariants.py").replace(
+        "    def _checked_step(self) -> None:",
+        "    def _install_probes(self, install) -> None:\n"
+        "        self.fabric.policy = None\n\n"
+        "    def _checked_step(self) -> None:",
+    )
+    assert "self.fabric.policy = None" in hook
+    assert rules_of(
+        tmp_path, {"repro/analysis/invariants.py": hook}
+    ) == ["SIM101"]
+
+
 def test_sim101_accepts_shadowset_use(tmp_path):
     # The fixture hubs install through ShadowSet, whose own setattr /
     # delattr calls are the sanctioned ones.
@@ -414,6 +430,24 @@ def test_sim102_detects_undocumented_seam_access(tmp_path):
         if v.rule == "SIM102"
     ]
     assert violations and "monitor" in violations[0].message
+
+
+def test_sim102_keeps_backends_off_component_state(tmp_path):
+    # The real seam table lists ``quiescent`` instead of the components
+    # it reads, so a backend reaching for the monitor again fails.
+    root = tmp_path / "repro"
+    shutil.copytree(default_target(), root)
+    backend = root / "noc" / "backend.py"
+    text = backend.read_text()
+    anchor = "        quiescent = fabric.quiescent\n"
+    assert anchor in text
+    backend.write_text(text.replace(
+        anchor, anchor + "        latched = fabric.monitor.lcs\n"
+    ))
+    violations = [
+        v for v in check_tree(root, default_docs_dir()) if v.rule == "SIM102"
+    ]
+    assert len(violations) == 1 and "fabric.monitor" in violations[0].message
 
 
 def test_sim102_detects_documented_seam_that_vanished(tmp_path):

@@ -166,10 +166,10 @@ class TestSkipKernel:
             fabric.offer(Packet(src=src, dst=15 - src, size_bits=512))
         assert fabric.drain(500)
         backend = fabric.backend
-        mirrored = backend.cycles_mirrored
+        visited = backend.cycles_visited
         jumped = backend.cycles_jumped
         fabric.run(2000)
-        assert backend.cycles_mirrored - mirrored <= 5
+        assert backend.cycles_visited - visited <= 5
         assert backend.cycles_jumped - jumped >= 1995
 
     def test_span_ending_at_quiescence_stops_at_its_end(self):
@@ -224,7 +224,7 @@ class TestClosedLoopKernels:
         )
         assert dense == skip
         assert backend.cycles_deferred == 0
-        assert backend.cycles_mirrored + backend.cycles_jumped == 300
+        assert backend.cycles_visited + backend.cycles_jumped == 300
 
     def test_closed_loop_jump_matches_dense(self, monkeypatch):
         # A 2x2 mesh (16 cores) whose NI rate averages decay in one
@@ -243,7 +243,7 @@ class TestClosedLoopKernels:
         )
         assert dense == skip
         assert backend.cycles_jumped > 0
-        assert backend.cycles_mirrored + backend.cycles_jumped == 2000
+        assert backend.cycles_visited + backend.cycles_jumped == 2000
 
     def test_bursty_rows_match_across_kernels(self, monkeypatch):
         spec = PointSpec.bursty(
@@ -409,9 +409,9 @@ class TestKernelCounters:
         fabric, source = _bursty_fabric("skip")
         fabric.backend.run(900, source)
         backend = fabric.backend
-        assert backend.cycles_mirrored > 0 and backend.cycles_jumped > 0
+        assert backend.cycles_visited > 0 and backend.cycles_jumped > 0
         assert backend.cycles_deferred == 0
-        assert backend.cycles_mirrored + backend.cycles_jumped == 900
+        assert backend.cycles_visited + backend.cycles_jumped == 900
         class_step = type(fabric).step
         fabric.step = lambda: class_step(fabric)
         fabric.backend.run(30, source)

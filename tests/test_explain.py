@@ -176,12 +176,13 @@ class TestZeroOverhead:
         run_traffic(fabric, 64)
         assert hub.packets_seen == seen
 
-    def test_attach_is_idempotent(self):
+    def test_second_attach_raises(self):
         fabric = gated_fabric()
         hub = ExplainHub(fabric, out_dir=None)
         assert hub.attach() is hub
         saved = len(hub._saved)
-        hub.attach()
+        with pytest.raises(RuntimeError, match="already attached"):
+            hub.attach()
         assert len(hub._saved) == saved
         hub.detach()
         hub.detach()

@@ -25,8 +25,17 @@ transitions in the same order: shadows on the controller's three
 transition methods record ``(cycle, subnet, node, transition)``, the
 order fault event logs and telemetry traces record.
 
+A second search draws a layer stack — any subset of the five layers,
+a telemetry sample period, an explain energy window and a fault spec
+whose window may open late — over bursty traffic with an idle span,
+and runs it on both kernels.  They must agree on the ``FabricReport``,
+the telemetry time series, the explain attribution digest, the fault
+event digest and the cycles faults armed on, and the skip kernel must
+never step densely.
+
 Tier-1 draws half of the active hypothesis profile's example budget
-(each example simulates three fabrics); CI's ``--hypothesis-profile=ci``
+for the first search (each example simulates three fabrics) and a
+quarter for the second; CI's ``--hypothesis-profile=ci``
 (``tests/conftest.py``) widens the search.
 """
 
@@ -40,15 +49,22 @@ from hypothesis import strategies as st
 from tests.gating_oracle import install_gating_oracle
 from tests.router_oracle import install_oracle
 
+from repro.analysis.invariants import InvariantChecker
+from repro.explain.hub import ExplainHub
+from repro.faults.engine import FaultEngine
+from repro.faults.spec import parse_fault_spec
 from repro.noc.backend import make_backend
+from repro.noc.layers import LAYERS
 from repro.noc.config import CongestionConfig, NocConfig, PowerGatingConfig
 from repro.noc.multinoc import MultiNocFabric
+from repro.perf.profiler import PhaseProfiler
 from repro.system.processor import Processor
 from repro.system.workloads import BENCHMARK_MPKI, WorkloadSpec
 from repro.traffic.generators import (
     BurstyTrafficSource,
     SyntheticTrafficSource,
 )
+from repro.telemetry.hub import TelemetryHub
 from repro.traffic.patterns import make_pattern
 
 EXAMPLES = max(1, settings.default.max_examples // 2)
@@ -196,3 +212,89 @@ def test_step_matches_oracle_and_kernels_match(config, workload, seed,
                                            cycles)
     assert states["dense"] == states["oracle"], "steps vs oracles"
     assert states["skip"] == states["dense"], "skip vs dense"
+
+
+# ----------------------------------------------------------------------
+# Layer stacks: every layer rides the skip kernel
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def layer_stacks(draw):
+    names = draw(st.sets(st.sampled_from([layer.name for layer in LAYERS])))
+    start = draw(st.integers(0, 400))
+    faults = (
+        f"rate={draw(st.sampled_from([0.004, 0.02]))};"
+        f"start={start};end={start + draw(st.integers(1, 200))};"
+        f"window={draw(st.integers(1, 64))};"
+        f"seed={draw(st.integers(1, 50))};"
+        f"recover={draw(st.sampled_from(['none', 'none', 'all']))}"
+    )
+    return {
+        "names": names,
+        "interval": draw(st.integers(1, 8)),
+        "period": draw(st.integers(1, 80)),
+        "window": draw(st.integers(1, 200)),
+        "energy": draw(st.booleans()),
+        "faults": faults,
+    }
+
+
+def _attach_stack(fabric: MultiNocFabric, stack: dict) -> None:
+    """Attach the drawn layers in registry order."""
+    build = {
+        "perf": lambda: PhaseProfiler(fabric),
+        "faults": lambda: FaultEngine(
+            fabric, parse_fault_spec(stack["faults"])
+        ),
+        "checker": lambda: InvariantChecker(
+            fabric, interval=stack["interval"]
+        ),
+        "telemetry": lambda: TelemetryHub(fabric, period=stack["period"]),
+        "explain": lambda: ExplainHub(
+            fabric, window_cycles=stack["window"], energy=stack["energy"]
+        ),
+    }
+    for layer in LAYERS:
+        if layer.name in stack["names"]:
+            fabric.swap_layer(layer.name, build[layer.name]())
+
+
+def _stack_state(config, schedule, stack, backend, seed, cycles):
+    fabric = MultiNocFabric(config, seed=seed, backend=backend)
+    _attach_stack(fabric, stack)
+    pattern = make_pattern("uniform", fabric.mesh)
+    source = BurstyTrafficSource(fabric, pattern, schedule, 512, seed=seed)
+    fabric.backend.run(cycles, source)
+    fabric.drain(2_000)
+    state = [dataclasses.asdict(fabric.report()), fabric.cycle]
+    if fabric.telemetry is not None:
+        state.append(fabric.telemetry.time_series_doc())
+    if fabric.explain is not None:
+        state.append(fabric.explain.attribution_digest())
+    if fabric.faults is not None:
+        state.append(fabric.faults.event_digest())
+        state.append(fabric.faults.fault_instants)
+    return state, fabric.backend
+
+
+@settings(max_examples=max(1, settings.default.max_examples // 4),
+          deadline=None)
+@given(
+    config=configs(),
+    stack=layer_stacks(),
+    load=st.floats(0.02, 0.4),
+    idle=st.tuples(st.integers(20, 150), st.integers(50, 300)),
+    seed=st.integers(1, 1_000),
+    cycles=st.integers(200, 600),
+)
+def test_layer_stacks_match_across_kernels(config, stack, load, idle,
+                                           seed, cycles):
+    # Traffic, then an idle span, then traffic again.
+    begin, length = idle
+    schedule = [(0, load), (begin, 0.0), (begin + length, load)]
+    dense, _ = _stack_state(config, schedule, stack, "dense", seed, cycles)
+    skip, backend = _stack_state(config, schedule, stack, "skip", seed,
+                                 cycles)
+    assert skip == dense
+    assert backend.cycles_deferred == 0

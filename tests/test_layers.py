@@ -1,8 +1,9 @@
 """The instrumentation-layer registry and ShadowSet (repro.noc.layers).
 
-Covers the behaviour every layer shares — env-gated attachment,
-exact restoration, out-of-order detach, the skip kernel's defer
-decision, and the lazy-import guarantee — once, parametrized over
+Covers the behaviour every layer shares — env-gated attachment, the
+one attach guard, exact restoration, out-of-order detach, the skip
+kernel's composition rule and each layer's jump horizon, and the
+lazy-import guarantee — once, parametrized over
 :data:`~repro.noc.layers.LAYERS`.
 """
 
@@ -18,7 +19,14 @@ import pytest
 from tests.conftest import gated_config
 
 from repro.experiments.cli import main as experiments_main
-from repro.noc.layers import LAYERS, ShadowSet, shadow_chain
+from repro.noc.config import PowerGatingConfig
+from repro.noc.layers import (
+    LAYERS,
+    NEVER,
+    FabricLayer,
+    ShadowSet,
+    shadow_chain,
+)
 from repro.noc.multinoc import MultiNocFabric
 from repro.util import env
 
@@ -76,13 +84,16 @@ def _stack(monkeypatch) -> MultiNocFabric:
 # ----------------------------------------------------------------------
 
 
-def test_registry_order_is_the_attach_order():
+def test_registry_order_is_the_attach_order(monkeypatch):
     assert [layer.name for layer in LAYERS] == [
         "perf", "faults", "checker", "telemetry", "explain",
     ]
-    assert [layer.name for layer in LAYERS if not layer.per_cycle] == [
-        "perf", "checker"
-    ]
+    _clear_layer_env(monkeypatch)
+    fabric = _fabric()
+    for layer in LAYERS:
+        hub = layer.build(fabric)
+        assert isinstance(hub, FabricLayer) and hub.name == layer.name
+        assert hub._saved.layer == layer.name and not hub.attached
 
 
 def test_registry_names_are_registered_env_vars_and_cli_flags():
@@ -120,6 +131,22 @@ def test_env_gates_attach(layer, monkeypatch):
     for other in LAYERS:
         if other is not layer:
             assert getattr(fabric, other.attr) is None
+
+
+@pytest.mark.parametrize("layer", LAYERS, ids=lambda layer: layer.name)
+def test_second_attach_raises_and_detach_is_idempotent(layer, monkeypatch):
+    _clear_layer_env(monkeypatch)
+    fabric = _fabric()
+    hub = layer.build(fabric)
+    assert hub.attach() is hub and hub.attached
+    saved = len(hub._saved)
+    top = vars(fabric)["step"]
+    with pytest.raises(RuntimeError, match="already attached"):
+        hub.attach()
+    assert len(hub._saved) == saved and vars(fabric)["step"] is top
+    hub.detach()
+    assert not hub.attached and "step" not in vars(fabric)
+    hub.detach()
 
 
 # ----------------------------------------------------------------------
@@ -280,25 +307,29 @@ def test_fault_point_keeps_the_checker_outside_its_engine(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The skip kernel's defer decision
+# The skip kernel's composition rule
 # ----------------------------------------------------------------------
 
 
 def test_skip_kernel_runs_under_the_checker_alone(monkeypatch):
+    """Every registered layer composes by the same rule, whatever it
+    observes: the kernel runs and reports jumps to each layer in the
+    chain, top first."""
     _clear_layer_env(monkeypatch)
     monkeypatch.setenv("REPRO_CHECK", "1")
     fabric = MultiNocFabric(gated_config(), seed=3, backend="skip")
     assert fabric.backend._shadow_mode() == (
         False, (fabric.invariant_checker,)
     )
-    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    _stack(monkeypatch)
     fabric = MultiNocFabric(gated_config(), seed=3, backend="skip")
-    assert fabric.backend._shadow_mode() == (True, ())
+    assert fabric.backend._shadow_mode() == (
+        False,
+        tuple(getattr(fabric, layer.attr) for layer in reversed(LAYERS)),
+    )
 
 
 def test_skip_kernel_runs_under_perf_and_the_checker(monkeypatch):
-    """Every non-per_cycle layer composes by the same rule: the kernel
-    runs and reports jumps to each observer in the chain, top first."""
     _clear_layer_env(monkeypatch)
     monkeypatch.setenv("REPRO_PERF", "1")
     monkeypatch.setenv("REPRO_PERF_DIR", "unused")
@@ -320,26 +351,93 @@ def test_skip_kernel_defers_to_an_unregistered_shadow(monkeypatch):
     assert fabric.backend._shadow_mode() == (True, ())
 
 
-def test_cli_says_when_skip_steps_densely(monkeypatch, capsys):
+def test_cli_runs_skip_under_every_layer_without_a_note(monkeypatch,
+                                                        capsys):
     for name in env.REGISTRY:
         monkeypatch.setenv(name, "placeholder")
         monkeypatch.delenv(name)
     assert experiments_main(["table02"]) == 0
     plain = capsys.readouterr().out
     assert experiments_main(
-        ["table02", "--backend", "skip", "--check", "--perf"]
+        ["table02", "--backend", "skip", "--check", "--perf",
+         "--telemetry", "--explain", "--faults", "1"]
     ) == 0
     out, err = capsys.readouterr()
     assert "note:" not in err
-    assert experiments_main(
-        ["table02", "--backend", "skip", "--telemetry", "--faults", "1"]
-    ) == 0
-    out, err = capsys.readouterr()
-    notes = [line for line in err.splitlines() if line.startswith("note:")]
-    assert len(notes) == 1
-    assert notes[0].endswith("faults, telemetry")
     # Only the timing line differs from the plain run.
     assert out.split("[table02")[0] == plain.split("[table02")[0]
+
+
+# ----------------------------------------------------------------------
+# Jump horizons: each boundary test fails when the layer's horizon is
+# one cycle late, because the kernel then jumps over the step the
+# layer must see.
+# ----------------------------------------------------------------------
+
+
+def _idle_pair(attach, cycles: int = 50, **config):
+    """Dense and skip fabrics with nothing to carry, one layer each."""
+    hubs = []
+    for backend in ("dense", "skip"):
+        fabric = MultiNocFabric(gated_config(**config), seed=3,
+                                backend=backend)
+        hubs.append(attach(fabric))
+        fabric.run(cycles)
+    assert hubs[1].fabric.backend.cycles_jumped > 0
+    return hubs
+
+
+def test_telemetry_horizon_is_the_sample_cycle(monkeypatch):
+    from repro.telemetry.hub import TelemetryHub
+
+    _clear_layer_env(monkeypatch)
+    dense, skip = _idle_pair(
+        lambda fabric: TelemetryHub(fabric, period=8).attach()
+    )
+    assert skip.next_observe_cycle(16) == 16
+    assert skip.next_observe_cycle(17) == 24
+    assert skip.sampler.ticks == list(range(0, 50, 8))
+    assert skip.time_series_doc() == dense.time_series_doc()
+
+
+def test_explain_horizon_is_the_window_closing_step(monkeypatch):
+    from repro.explain.hub import ExplainHub
+
+    _clear_layer_env(monkeypatch)
+    dense, skip = _idle_pair(
+        lambda fabric: ExplainHub(fabric, window_cycles=16).attach()
+    )
+    assert [w["end"] for w in skip.energy_windows] == [16, 32, 48]
+    assert skip.next_observe_cycle(skip.fabric.cycle) == 63
+    assert skip.attribution_digest() == dense.attribution_digest()
+    latency_only = ExplainHub(_fabric(), energy=False)
+    assert latency_only.next_observe_cycle(0) == NEVER
+
+
+def test_fault_horizon_is_the_arm_cycle(monkeypatch):
+    from repro.faults.engine import FaultEngine
+    from repro.faults.spec import FaultEvent
+
+    _clear_layer_env(monkeypatch)
+
+    def attach(fabric):
+        # Subnet 1's idle routers try to sleep on cycle 20, exactly when
+        # the fault arms: armed a cycle late, it would miss them.
+        event = FaultEvent(
+            seq=0, cycle=20, fault="stuck-awake", subnet=1, duration=8,
+        )
+        return FaultEngine(fabric, schedule=[event]).attach()
+
+    dense, skip = _idle_pair(
+        attach, gating=PowerGatingConfig(enabled=True, idle_detect_cycles=21)
+    )
+    assert skip.fault_instants == dense.fault_instants
+    assert skip.fault_instants[0][0] == 20
+    assert [entry["event"] for entry in skip.event_log] == [
+        "arm", "hit", "effective",
+    ]
+    assert skip.event_digest() == dense.event_digest()
+    assert skip.next_observe_cycle(50) == NEVER
 
 
 # ----------------------------------------------------------------------
