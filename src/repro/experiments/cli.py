@@ -493,8 +493,6 @@ def main(argv: list[str] | None = None) -> int:
     extra: list[runner.SweepObserver] = [
         ArtifactObserver(layer) for layer in layers if layer.artifacts
     ]
-    from repro.util import env
-
     if args.ledger or env.flag("REPRO_OBS"):
         extra.append(LedgerObserver())
     tally = _TallyObserver(progress=args.progress, extra=extra)

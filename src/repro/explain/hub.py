@@ -27,10 +27,15 @@ that sum to it *exactly* (no sampling, no estimation):
 
 The probe placement makes the identity structural: ``_assign_head``
 brackets ``[created, assigned)``, the post-``ni.step`` slot scan
-classifies ``[assigned, injected)``, and the telescoping
-``inject``/``send``/``eject`` arrival tracker covers
-``[injected, head_eject]``; the remainder is serialization.  The hub
-still counts ``phase_mismatches`` so tests can assert it stayed zero.
+classifies ``[assigned, injected)``, and a tap on every NI's
+``packet_sink`` completes the packet from its own timestamps.  The
+router charges a fixed ``pipeline_cycles`` per injection and
+``hop_cycles`` per hop, so ``[injected, head_ejected_cycle]`` splits in
+closed form: ``inject_pipe = pipeline_cycles``, ``link = hop_cycles *
+hops``, and router residency is the rest; serialization runs from head
+to tail ejection.  The phases therefore always sum to the latency;
+``phase_mismatches`` counts packets with a negative derived phase,
+which would mean a timestamp or hop count is wrong.
 
 **Energy attribution.**  Every ``window_cycles`` cycles the hub
 snapshots the per-subnet :class:`~repro.noc.network.ActivityCounters`
@@ -58,13 +63,13 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.core.regional import OR_NETWORK_SWITCH_ENERGY_J
 from repro.noc.layers import BY_NAME, NEVER, FabricLayer
 from repro.noc.network import ActivityCounters
-from repro.noc.router import PowerState, Router
+from repro.noc.router import PowerState
 from repro.power.router_power import RouterPowerModel
 from repro.util import env
 from repro.util.histogram import BoundedHistogram
 
 if TYPE_CHECKING:
-    from repro.noc.flit import Flit, Packet
+    from repro.noc.flit import Packet
     from repro.noc.interface import NetworkInterface
     from repro.noc.multinoc import FabricReport, MultiNocFabric
 
@@ -131,28 +136,14 @@ def parse_explain_spec(spec: str) -> tuple[bool, bool]:
 
 
 class _PacketTrace:
-    """Per-packet phase accumulators while the packet is in flight."""
+    """Per-packet NI stall accumulators while the packet is in flight."""
 
-    __slots__ = (
-        "assigned",
-        "selection_stall",
-        "wakeup_stall",
-        "arrival",
-        "inject_pipe",
-        "residency",
-        "link",
-        "head_eject",
-    )
+    __slots__ = ("assigned", "selection_stall", "wakeup_stall")
 
     def __init__(self) -> None:
         self.assigned = -1
         self.selection_stall = 0
         self.wakeup_stall = 0
-        self.arrival = -1
-        self.inject_pipe = 0
-        self.residency = 0
-        self.link = 0
-        self.head_eject = -1
 
 
 class ExplainHub(FabricLayer):
@@ -176,6 +167,9 @@ class ExplainHub(FabricLayer):
         self.window_cycles = window_cycles
         self.latency = latency
         self.energy = energy
+        timing = fabric.config.timing
+        self._pipeline_cycles = timing.pipeline_cycles
+        self._hop_cycles = timing.hop_cycles
         num_subnets = fabric.config.num_subnets
         # --- latency ----------------------------------------------------
         self._packets: dict[int, _PacketTrace] = {}
@@ -240,19 +234,8 @@ class ExplainHub(FabricLayer):
                     self._make_assign_probe(ni, ni._assign_head),
                 )
                 install(ni, "step", self._make_stall_probe(ni, ni.step))
-            for network in fabric.subnets:
                 install(
-                    network,
-                    "inject",
-                    self._make_inject_probe(network.inject),
-                )
-                install(
-                    network, "send", self._make_send_probe(network.send)
-                )
-                install(
-                    network,
-                    "eject",
-                    self._make_eject_probe(network.eject),
+                    ni, "packet_sink", self._make_sink_tap(ni.packet_sink)
                 )
         telemetry = getattr(fabric, "telemetry", None)
         if telemetry is not None:
@@ -352,64 +335,16 @@ class ExplainHub(FabricLayer):
 
         return step
 
-    def _make_inject_probe(
-        self,
-        orig: Callable[["Flit", int, int, int], None],
-    ) -> Callable[["Flit", int, int, int], None]:
-        pipeline = self.fabric.config.timing.pipeline_cycles
+    def _make_sink_tap(
+        self, orig: "Callable[[Packet, int], None]"
+    ) -> "Callable[[Packet, int], None]":
+        # The NI calls packet_sink after setting received_cycle; the
+        # packet's head timestamps and hops were written on the way.
+        def tap(packet: "Packet", cycle: int) -> None:
+            orig(packet, cycle)
+            self._complete(packet)
 
-        def inject(flit: "Flit", node: int, vc: int, cycle: int) -> None:
-            orig(flit, node, vc, cycle)
-            if flit.is_head:
-                trace = self._packets.get(flit.packet.packet_id)
-                if trace is not None:
-                    trace.inject_pipe = pipeline
-                    trace.arrival = cycle + pipeline
-
-        return inject
-
-    def _make_send_probe(
-        self,
-        orig: Callable[["Flit", Router, int, int, int], None],
-    ) -> Callable[["Flit", Router, int, int, int], None]:
-        hop = self.fabric.config.timing.hop_cycles
-
-        def send(
-            flit: "Flit",
-            downstream: Router,
-            in_port: int,
-            vc: int,
-            cycle: int,
-        ) -> None:
-            orig(flit, downstream, in_port, vc, cycle)
-            if flit.is_head:
-                trace = self._packets.get(flit.packet.packet_id)
-                if trace is not None and trace.arrival >= 0:
-                    trace.residency += cycle - trace.arrival
-                    trace.arrival = cycle + hop
-                    trace.link += hop
-
-        return send
-
-    def _make_eject_probe(
-        self,
-        orig: Callable[["Flit", int, int], None],
-    ) -> Callable[["Flit", int, int], None]:
-        def eject(flit: "Flit", node: int, cycle: int) -> None:
-            # orig completes the ejection chain: on a tail flit the NI
-            # sets received_cycle before control returns here.
-            orig(flit, node, cycle)
-            packet = flit.packet
-            if flit.is_head:
-                trace = self._packets.get(packet.packet_id)
-                if trace is not None and trace.arrival >= 0:
-                    trace.residency += cycle - trace.arrival
-                    trace.head_eject = cycle
-                    trace.arrival = -1
-            if flit.is_tail:
-                self._complete(packet)
-
-        return eject
+        return tap
 
     def _complete(self, packet: "Packet") -> None:
         trace = self._packets.pop(packet.packet_id, None)
@@ -418,27 +353,30 @@ class ExplainHub(FabricLayer):
         relative_id = self._id_map.pop(packet.packet_id, -1)
         created = packet.created_cycle
         received = packet.received_cycle
+        injected = packet.injected_cycle
+        head_ejected = packet.head_ejected_cycle
         if (
             received < 0
-            or packet.injected_cycle < 0
+            or injected < 0
             or trace.assigned < 0
-            or trace.head_eject < 0
+            or head_ejected < 0
         ):
             # Sentinel timestamps: never folded into distributions.
             return
-        injected = packet.injected_cycle
+        inject_pipe = self._pipeline_cycles
+        link = self._hop_cycles * packet.hops
         phases = (
             (trace.assigned - created) - trace.selection_stall,
             trace.selection_stall,
             trace.wakeup_stall,
             (injected - trace.assigned) - trace.wakeup_stall,
-            trace.inject_pipe,
-            trace.residency,
-            trace.link,
-            received - trace.head_eject,
+            inject_pipe,
+            head_ejected - injected - inject_pipe - link,
+            link,
+            received - head_ejected,
         )
         latency = received - created
-        if sum(phases) != latency:
+        if min(phases) < 0:
             self.phase_mismatches += 1
         self.packets_seen += 1
         self.latency_cycles += latency

@@ -89,21 +89,6 @@ class FabricBackend:
         """Advance the fabric by ``cycles``, stepping ``source`` too."""
         raise NotImplementedError
 
-    def drain(self, max_cycles: int) -> bool:
-        """Run until the fabric is empty; True when fully drained."""
-        for _ in range(max_cycles):
-            if self._drained():
-                return True
-            self.run(1)
-        return False
-
-    def _drained(self) -> bool:
-        """No flit in the fabric and no packet waiting at any NI."""
-        fabric = self.fabric
-        return fabric.in_flight_flits == 0 and all(
-            not ni.queue and not ni.active_streams for ni in fabric.nis
-        )
-
 
 class DenseBackend(FabricBackend):
     """The reference per-cycle kernel: ``fabric.step`` every cycle."""

@@ -53,6 +53,12 @@ class Packet:
         Cycle the head flit left the injection queue into a subnet.
     received_cycle:
         Cycle the tail flit was ejected at the destination.
+    head_ejected_cycle:
+        Cycle the head flit was ejected at the destination (-1 until
+        then, and for good when a fault drops the head in flight).  With
+        ``injected_cycle`` and ``hops`` it fixes the head's router
+        residency: every hop costs ``hop_cycles`` and injection
+        ``pipeline_cycles``, so the rest of the span was spent buffered.
     subnet:
         Subnet chosen at injection (-1 before injection).
     hops:
@@ -72,6 +78,7 @@ class Packet:
     created_cycle: int = 0
     injected_cycle: int = -1
     received_cycle: int = -1
+    head_ejected_cycle: int = -1
     subnet: int = -1
     num_flits: int = 0
     hops: int = 0

@@ -259,10 +259,8 @@ class NetworkInterface:
 
         Active VC slots share the NI-to-router link round-robin.  A
         sleeping or waking local router gets one wakeup request and no
-        flit.  The flits carry their route from assignment; the body of
-        ``network.inject`` is inlined unless an instance shadow
-        replaces it (explain's probe), as ``step_routers`` does for
-        ``send``.
+        flit.  The flits carry their route from assignment and land in
+        the local router's input VC ``pipeline_cycles`` later.
         """
         slots, network, router, credits, local_vcs = self._lanes[subnet]
         for vc in self._stream_orders[self._stream_rr[subnet]]:
@@ -277,21 +275,16 @@ class NetworkInterface:
                 continue
             flit = slot.flits[slot.index]
             credits[vc] -= 1
-            if "inject" in network.__dict__:
-                if flit.is_head:
-                    slot.packet.injected_cycle = cycle
-                network.inject(flit, self.node, vc, cycle)
-            else:
-                router.held += 1
-                network._ring[
-                    (cycle + network._inject_cycles) % network._ring_len
-                ].append((local_vcs[vc], flit))
-                network.flits_in_network += 1
-                counters = network.counters
-                counters.flits_injected += 1
-                if flit.is_head:
-                    slot.packet.injected_cycle = cycle
-                    counters.packets_injected += 1
+            router.held += 1
+            network._ring[
+                (cycle + network._inject_cycles) % network._ring_len
+            ].append((local_vcs[vc], flit))
+            network.flits_in_network += 1
+            counters = network.counters
+            counters.flits_injected += 1
+            if flit.is_head:
+                slot.packet.injected_cycle = cycle
+                counters.packets_injected += 1
             self._queue_flits -= 1
             slot.index += 1
             if flit.is_tail:

@@ -284,10 +284,17 @@ class MultiNocFabric:
     def drain(self, max_cycles: int = 100_000) -> bool:
         """Run until every flit has been delivered (or the cap is hit).
 
-        Returns True when the fabric fully drained.  Sources must stop
-        offering packets before draining.
+        Returns True when no flit is in flight and no NI holds a queued
+        or streaming packet.  Sources must stop offering packets before
+        draining.
         """
-        return self.backend.drain(max_cycles)
+        for _ in range(max_cycles):
+            if not self.in_flight_flits and not any(
+                ni.queue or ni._active_slots for ni in self.nis
+            ):
+                return True
+            self.backend.run(1)
+        return False
 
     def subnet_injection_share(self) -> list[float]:
         """Fraction of injected packets carried by each subnet."""

@@ -22,11 +22,6 @@ from repro.noc.topology import ConcentratedMesh, Port
 
 __all__ = ["SubnetNetwork", "ActivityCounters"]
 
-#: ``Port.OPPOSITE`` as a dense tuple (LOCAL has no opposite: -1).
-_OPPOSITE = tuple(
-    Port.OPPOSITE.get(port, -1) for port in range(Port.COUNT)
-)
-
 #: _ALLOC_ORDERS[(mc, V)][start]: the VC allocator's visit order
 #: ``candidates[(j + start) % n]`` for message class ``mc``.
 _ALLOC_ORDERS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
@@ -174,65 +169,8 @@ class SubnetNetwork:
         self.flits_in_network = 0
 
     # ------------------------------------------------------------------
-    # Transfers
+    # Gating hook
     # ------------------------------------------------------------------
-    def send(
-        self, flit: Flit, downstream: Router, in_port: int, vc: int,
-        cycle: int,
-    ) -> None:
-        """Put ``flit`` on the link toward ``downstream``.
-
-        The flit lands in the downstream input buffer ``hop_cycles``
-        cycles later (router pipeline + link traversal).
-        """
-        slot = (cycle + self._hop_cycles) % self._ring_len
-        self._ring[slot].append((downstream.ports[in_port].vcs[vc], flit))
-        downstream.held += 1
-        if flit.is_head:
-            # Head-flit link traversals count the packet's hops (its
-            # X-Y routing distance; validated against the topology).
-            flit.packet.hops += 1
-        counters = self.counters
-        counters.buffer_reads += 1
-        counters.crossbar_traversals += 1
-        counters.link_traversals += 1
-
-    def inject(
-        self, flit: Flit, node: int, vc: int, cycle: int
-    ) -> None:
-        """Inject ``flit`` from the NI into the local router at ``node``.
-
-        Injection uses the same pipeline latency as a hop minus the
-        inter-router link (the NI sits next to its router).  The NI
-        inlines this body unless an instance shadow replaces it.
-        """
-        router = self.routers[node]
-        router.held += 1
-        slot = (cycle + self._inject_cycles) % self._ring_len
-        self._ring[slot].append((router.ports[Port.LOCAL].vcs[vc], flit))
-        self.flits_in_network += 1
-        counters = self.counters
-        counters.flits_injected += 1
-        if flit.is_head:
-            counters.packets_injected += 1
-
-    def eject(self, flit: Flit, node: int, cycle: int) -> None:
-        """Count an ejected flit; hand a tail to the fabric's NI.
-
-        The NI completes a packet on its tail flit and ignores the
-        rest, so only tails reach ``eject_sink``.
-        """
-        counters = self.counters
-        counters.buffer_reads += 1
-        counters.crossbar_traversals += 1
-        counters.flits_ejected += 1
-        self.flits_in_network -= 1
-        if flit.is_tail:
-            counters.packets_ejected += 1
-            if self.eject_sink is None:
-                raise RuntimeError("no ejection sink installed")
-            self.eject_sink(flit, self.subnet, node, cycle)
-
     def request_wakeup(self, router: Router, requester_node: int) -> None:
         """Forward a look-ahead wakeup request to the gating controller."""
         if self.wakeup_sink is not None:
@@ -279,23 +217,17 @@ class SubnetNetwork:
         request instead.  Winners leave for the downstream router's
         input ``hop_cycles`` later with their look-ahead route
         computed, or eject to the NI, and return a credit to their VC's
-        credit home.
+        credit home.  An ejecting head flit stamps its packet's
+        ``head_ejected_cycle``; an ejecting tail goes to ``eject_sink``.
 
         Counters and ``flits_in_network`` are charged once per call,
-        each router's ``held`` once per router.  Instance shadows of
-        :meth:`send` or :meth:`eject` (explain's latency probes) are
-        honoured: when either is shadowed, every departure goes through
-        the two methods.
+        each router's ``held`` once per router.
         """
         if not self.flits_in_network:
             return
         position, port_masks, advance = self._scan
         total = len(advance)
         full = (1 << total) - 1
-        shadows = self.__dict__
-        probed = "send" in shadows or "eject" in shadows
-        send = self.send
-        eject = self.eject
         send_append = self._ring[
             (cycle + self._hop_cycles) % self._ring_len
         ].append
@@ -304,7 +236,6 @@ class SubnetNetwork:
         vcs = self.config.vcs_per_port
         request_wakeup = self.request_wakeup
         orders_get = _ALLOC_ORDERS.get
-        opposite = _OPPOSITE
         local = Port.LOCAL
         moved_flits = 0
         ejected = 0
@@ -345,17 +276,14 @@ class SubnetNetwork:
                     if flit.is_tail and channel.out_port >= 0:
                         channel.out_port = -1
                         channel.out_vc = -1
-                    if probed:
-                        eject(flit, router.node, cycle)
-                    else:
-                        ejected += 1
-                        if flit.is_tail:
-                            packets_ejected += 1
-                            if eject_sink is None:
-                                raise RuntimeError(
-                                    "no ejection sink installed"
-                                )
-                            eject_sink(flit, subnet, router.node, cycle)
+                    ejected += 1
+                    if flit.is_head:
+                        flit.packet.head_ejected_cycle = cycle
+                    if flit.is_tail:
+                        packets_ejected += 1
+                        if eject_sink is None:
+                            raise RuntimeError("no ejection sink installed")
+                        eject_sink(flit, subnet, router.node, cycle)
                 else:
                     downstream, row, down_vcs, next_row = links[out_port]
                     out_vc = channel.out_vc
@@ -407,14 +335,12 @@ class SubnetNetwork:
                         channel.out_port = -1
                         channel.out_vc = -1
                     flit.route = next_row[flit.packet.dst]
-                    if probed:
-                        send(flit, downstream, opposite[out_port], out_vc,
-                             cycle)
-                    else:
-                        send_append((down_vcs[out_vc], flit))
-                        downstream.held += 1
-                        if flit.is_head:
-                            flit.packet.hops += 1
+                    send_append((down_vcs[out_vc], flit))
+                    downstream.held += 1
+                    if flit.is_head:
+                        # Head-flit link traversals count the packet's
+                        # hops (its X-Y routing distance).
+                        flit.packet.hops += 1
                 if not fifo:
                     mask ^= channel.bit
                 rot &= pmasks[j]
@@ -429,8 +355,7 @@ class SubnetNetwork:
                 router.blocked_accum += heads - moved
                 router.moved_accum += moved
         counters = self.counters
-        if moved_flits and not probed:
-            # (Probed departures were charged by send and eject.)
+        if moved_flits:
             counters.buffer_reads += moved_flits
             counters.crossbar_traversals += moved_flits
             counters.link_traversals += moved_flits - ejected

@@ -169,13 +169,17 @@ class RecordingSource:
 
     The wrapped source must expose ``step(cycle)`` and offer packets
     through the fabric passed here; recording hooks the fabric's
-    ``offer`` just for the duration of each step.
+    ``offer`` just for the duration of each step.  Records go to
+    ``sink``, anything with ``append(record)``: a fresh in-memory
+    :class:`TrafficTrace` by default, or a
+    :class:`repro.workloads.stream.StreamingTraceWriter` for recordings
+    of any length under bounded memory.  ``trace`` is the sink.
     """
 
-    def __init__(self, fabric: MultiNocFabric, inner) -> None:
+    def __init__(self, fabric: MultiNocFabric, inner, sink=None) -> None:
         self.fabric = fabric
         self.inner = inner
-        self.trace = TrafficTrace()
+        self.trace = TrafficTrace() if sink is None else sink
 
     def next_offer_cycle(self, cycle: int) -> int:
         """Delegate the skip horizon to the wrapped source."""
@@ -207,18 +211,26 @@ class RecordingSource:
 
 
 class TraceSource:
-    """Replays a :class:`TrafficTrace` into a fabric cycle-accurately."""
+    """Replays trace records into a fabric cycle-accurately.
 
-    def __init__(self, fabric: MultiNocFabric, trace: TrafficTrace) -> None:
+    ``records`` is any cycle-ordered iterable of :class:`TraceRecord`:
+    a :class:`TrafficTrace`, or a
+    :class:`repro.workloads.stream.StreamingTraceReader`.  The source
+    holds exactly one pending record; everything else stays inside the
+    iterator, so a streaming replay's memory is bounded by one
+    decompressed chunk plus whatever is in flight in the fabric.
+    """
+
+    def __init__(self, fabric: MultiNocFabric, records) -> None:
         self.fabric = fabric
-        self.trace = trace
-        self._index = 0
+        self._iter = iter(records)
+        self._pending = next(self._iter, None)
         self.packets_generated = 0
 
     @property
     def exhausted(self) -> bool:
         """True once every record has been replayed."""
-        return self._index >= len(self.trace.records)
+        return self._pending is None
 
     def next_offer_cycle(self, cycle: int) -> int:
         """Earliest cycle >= ``cycle`` with a pending record.
@@ -227,26 +239,23 @@ class TraceSource:
         without side effects, so the skip backend may jump those spans
         byte-identically.
         """
-        records = self.trace.records
-        if self._index >= len(records):
+        if self._pending is None:
             return NEVER
-        return max(cycle, records[self._index].cycle)
+        return max(cycle, self._pending.cycle)
 
     def step(self, cycle: int) -> None:
-        """Offer every packet recorded for ``cycle``."""
-        records = self.trace.records
-        index = self._index
-        while index < len(records) and records[index].cycle <= cycle:
-            record = records[index]
+        """Offer every record due at ``cycle``."""
+        pending = self._pending
+        while pending is not None and pending.cycle <= cycle:
             self.fabric.offer(
                 Packet(
-                    src=record.src,
-                    dst=record.dst,
-                    size_bits=record.size_bits,
-                    message_class=record.message_class,
-                    tenant=record.tenant,
+                    src=pending.src,
+                    dst=pending.dst,
+                    size_bits=pending.size_bits,
+                    message_class=pending.message_class,
+                    tenant=pending.tenant,
                 )
             )
             self.packets_generated += 1
-            index += 1
-        self._index = index
+            pending = next(self._iter, None)
+        self._pending = pending

@@ -29,9 +29,7 @@ from repro.workloads.spec import (
     parse_workload_spec,
 )
 from repro.workloads.stream import (
-    StreamingRecordingSource,
     StreamingTraceReader,
-    StreamingTraceSource,
     StreamingTraceWriter,
     trace_info,
 )
@@ -44,9 +42,7 @@ __all__ = [
     "WorkloadSpec",
     "make_workload_source",
     "parse_workload_spec",
-    "StreamingRecordingSource",
     "StreamingTraceReader",
-    "StreamingTraceSource",
     "StreamingTraceWriter",
     "trace_info",
 ]

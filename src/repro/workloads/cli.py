@@ -27,7 +27,7 @@ from pathlib import Path
 
 from repro.noc.backend import NEVER, backend_names
 from repro.noc.config import NocConfig, PowerGatingConfig
-from repro.traffic.trace import TraceRecord
+from repro.traffic.trace import RecordingSource, TraceRecord
 from repro.util import env
 
 __all__ = ["main", "CONFIG_NAMES"]
@@ -106,10 +106,7 @@ class _CaptureFabric:
 def _cmd_record(args) -> int:
     from repro.noc.multinoc import MultiNocFabric
     from repro.workloads.spec import make_workload_source, parse_workload_spec
-    from repro.workloads.stream import (
-        StreamingRecordingSource,
-        StreamingTraceWriter,
-    )
+    from repro.workloads.stream import StreamingTraceWriter
 
     spec = parse_workload_spec(args.workload)
     out = _resolve_out(args, spec.kind)
@@ -117,7 +114,7 @@ def _cmd_record(args) -> int:
     fabric = MultiNocFabric(config, seed=args.seed)
     inner = make_workload_source(fabric, spec, seed=args.seed)
     with StreamingTraceWriter(out, args.chunk) as writer:
-        source = StreamingRecordingSource(fabric, inner, writer)
+        source = RecordingSource(fabric, inner, writer)
         fabric.backend.run(args.cycles, source)
         recorded = writer.records_written
     print(

@@ -257,12 +257,8 @@ def make_workload_source(
 def open_trace_source(fabric, path: str):
     """Trace replay source for either trace format, sniffed by magic."""
     from repro.traffic.trace import TraceSource, TrafficTrace
-    from repro.workloads.stream import (
-        StreamingTraceReader,
-        StreamingTraceSource,
-        is_stream_trace,
-    )
+    from repro.workloads.stream import StreamingTraceReader, is_stream_trace
 
     if is_stream_trace(path):
-        return StreamingTraceSource(fabric, StreamingTraceReader(path))
+        return TraceSource(fabric, StreamingTraceReader(path))
     return TraceSource(fabric, TrafficTrace.load(path))

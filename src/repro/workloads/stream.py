@@ -7,9 +7,10 @@ zlib-compressed chunks of fixed-size records, so
 
 - :class:`StreamingTraceWriter` emits from any generator without ever
   holding more than one chunk,
-- :class:`StreamingTraceReader` replays millions of packets through
-  the NI injection queues under bounded memory (one decompressed chunk
-  at a time; it never loads the file), and
+- :class:`StreamingTraceReader` yields records one decompressed chunk
+  at a time (it never loads the file), so
+  :class:`repro.traffic.trace.TraceSource` replays millions of packets
+  through the NI injection queues under bounded memory, and
 - a truncated final chunk — a crashed writer, a torn copy — degrades
   to a loud :class:`RuntimeWarning` carrying the salvaged and lost
   record counts instead of an exception or silent data loss.
@@ -30,8 +31,6 @@ import warnings
 import zlib
 from pathlib import Path
 
-from repro.noc.backend import NEVER
-from repro.noc.flit import Packet
 from repro.traffic.trace import TraceRecord
 from repro.util import env
 
@@ -41,8 +40,6 @@ __all__ = [
     "DEFAULT_CHUNK_RECORDS",
     "StreamingTraceWriter",
     "StreamingTraceReader",
-    "StreamingTraceSource",
-    "StreamingRecordingSource",
     "trace_info",
     "is_stream_trace",
 ]
@@ -359,89 +356,3 @@ def trace_info(path: str | Path) -> dict:
         "first_cycle": first_cycle,
         "last_cycle": last_cycle,
     }
-
-
-class StreamingTraceSource:
-    """Replays a streaming trace into a fabric, one record at a time.
-
-    Holds exactly one pending record; everything else stays inside the
-    reader's chunk iterator, so replay memory is bounded by one
-    decompressed chunk plus whatever is in flight in the fabric.
-    """
-
-    def __init__(self, fabric, reader: StreamingTraceReader) -> None:
-        self.fabric = fabric
-        self.reader = reader
-        self._iter = iter(reader)
-        self._pending = next(self._iter, None)
-        self.packets_generated = 0
-
-    @property
-    def exhausted(self) -> bool:
-        """True once every record has been replayed."""
-        return self._pending is None
-
-    def next_offer_cycle(self, cycle: int) -> int:
-        """Earliest cycle >= ``cycle`` with a pending record."""
-        if self._pending is None:
-            return NEVER
-        return max(cycle, self._pending.cycle)
-
-    def step(self, cycle: int) -> None:
-        """Offer every record due at ``cycle``."""
-        pending = self._pending
-        while pending is not None and pending.cycle <= cycle:
-            self.fabric.offer(
-                Packet(
-                    src=pending.src,
-                    dst=pending.dst,
-                    size_bits=pending.size_bits,
-                    message_class=pending.message_class,
-                    tenant=pending.tenant,
-                )
-            )
-            self.packets_generated += 1
-            pending = next(self._iter, None)
-        self._pending = pending
-
-
-class StreamingRecordingSource:
-    """Streams everything an inner source offers straight to a writer.
-
-    The streaming sibling of :class:`repro.traffic.trace.
-    RecordingSource`: identical fabric hook, but records land in a
-    :class:`StreamingTraceWriter` instead of an in-memory trace, so
-    arbitrarily long recordings run under bounded memory.
-    """
-
-    def __init__(self, fabric, inner, writer: StreamingTraceWriter) -> None:
-        self.fabric = fabric
-        self.inner = inner
-        self.writer = writer
-
-    def next_offer_cycle(self, cycle: int) -> int:
-        """Delegate the skip horizon to the wrapped source."""
-        probe = getattr(self.inner, "next_offer_cycle", None)
-        return probe(cycle) if probe is not None else cycle
-
-    def step(self, cycle: int) -> None:
-        original_offer = self.fabric.offer
-
-        def recording_offer(packet: Packet) -> None:
-            self.writer.append(
-                TraceRecord(
-                    cycle=cycle,
-                    src=packet.src,
-                    dst=packet.dst,
-                    size_bits=packet.size_bits,
-                    message_class=packet.message_class,
-                    tenant=packet.tenant,
-                )
-            )
-            original_offer(packet)
-
-        self.fabric.offer = recording_offer  # type: ignore[method-assign]
-        try:
-            self.inner.step(cycle)
-        finally:
-            self.fabric.offer = original_offer  # type: ignore[method-assign]

@@ -1,12 +1,15 @@
 """Reference router pipeline: a per-router, full-scan allocator.
 
 The simulator runs one router step, the occupancy-mask scan of
-:meth:`repro.noc.network.SubnetNetwork.step_routers`.  This module keeps
-the straightforward formulation it replaced as a test oracle: every
-router with buffered flits scans all of its input VCs in round-robin
-rotated order and moves winners one flit at a time through
-``SubnetNetwork.send`` / ``SubnetNetwork.eject``.  The two must leave a
-fabric in the same state, bit for bit.
+:meth:`repro.noc.network.SubnetNetwork.step_routers`, with its flit
+departures inlined and its counters charged once per call.  This module
+keeps the straightforward formulation it replaced as a test oracle:
+every router with buffered flits scans all of its input VCs in
+round-robin rotated order and moves winners one flit at a time through
+its own per-flit :func:`_send` and :func:`_eject`, which charge the
+counters and write the packet's ``hops`` and ``head_ejected_cycle``
+flit by flit.  The two must leave a fabric in the same state, bit for
+bit.
 
 Install it on a fabric with :func:`install_oracle`; the kernels call
 ``network.step_routers`` on the instance, so the shadow replaces the
@@ -19,6 +22,38 @@ from repro.noc.buffers import vc_candidates
 from repro.noc.topology import Port
 
 __all__ = ["oracle_router_step", "oracle_step_routers", "install_oracle"]
+
+
+def _send(network, flit, downstream, in_port: int, vc: int,
+          cycle: int) -> None:
+    """Put ``flit`` on the link toward ``downstream``: it lands in the
+    input VC ``(in_port, vc)`` ``hop_cycles`` later."""
+    network._ring[(cycle + network._hop_cycles) % network._ring_len].append(
+        (downstream.ports[in_port].vcs[vc], flit)
+    )
+    downstream.held += 1
+    if flit.is_head:
+        flit.packet.hops += 1
+    counters = network.counters
+    counters.buffer_reads += 1
+    counters.crossbar_traversals += 1
+    counters.link_traversals += 1
+
+
+def _eject(network, flit, node: int, cycle: int) -> None:
+    """Count an ejected flit; hand a tail to the fabric's NI."""
+    counters = network.counters
+    counters.buffer_reads += 1
+    counters.crossbar_traversals += 1
+    counters.flits_ejected += 1
+    network.flits_in_network -= 1
+    if flit.is_head:
+        flit.packet.head_ejected_cycle = cycle
+    if flit.is_tail:
+        counters.packets_ejected += 1
+        if network.eject_sink is None:
+            raise RuntimeError("no ejection sink installed")
+        network.eject_sink(flit, network.subnet, node, cycle)
 
 
 def oracle_router_step(network, router, cycle: int) -> None:
@@ -83,13 +118,14 @@ def oracle_router_step(network, router, cycle: int) -> None:
             router.out_owner[out_port][out_vc] = False
             channel.release_allocation()
         flit.route = next_route
-        network.send(flit, downstream, Port.OPPOSITE[out_port], out_vc, cycle)
+        _send(network, flit, downstream, Port.OPPOSITE[out_port], out_vc,
+              cycle)
 
     def eject(in_port, in_vc, flit) -> None:
         channel = pop(in_port, in_vc)
         if flit.is_tail and channel.has_allocation:
             channel.release_allocation()
-        network.eject(flit, router.node, cycle)
+        _eject(network, flit, router.node, cycle)
 
     if not router.mask:
         return

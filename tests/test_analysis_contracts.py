@@ -434,20 +434,25 @@ def test_sim102_detects_undocumented_seam_access(tmp_path):
 
 def test_sim102_keeps_backends_off_component_state(tmp_path):
     # The real seam table lists ``quiescent`` instead of the components
-    # it reads, so a backend reaching for the monitor again fails.
-    root = tmp_path / "repro"
-    shutil.copytree(default_target(), root)
-    backend = root / "noc" / "backend.py"
-    text = backend.read_text()
-    anchor = "        quiescent = fabric.quiescent\n"
-    assert anchor in text
-    backend.write_text(text.replace(
-        anchor, anchor + "        latched = fabric.monitor.lcs\n"
-    ))
-    violations = [
-        v for v in check_tree(root, default_docs_dir()) if v.rule == "SIM102"
-    ]
-    assert len(violations) == 1 and "fabric.monitor" in violations[0].message
+    # it reads, and the fabric owns ``drain``, so a backend reaching
+    # for the monitor or the NIs again fails.
+    for index, seam in enumerate(("monitor.lcs", "nis")):
+        root = tmp_path / str(index) / "repro"
+        shutil.copytree(default_target(), root)
+        backend = root / "noc" / "backend.py"
+        text = backend.read_text()
+        anchor = "        quiescent = fabric.quiescent\n"
+        assert anchor in text
+        backend.write_text(text.replace(
+            anchor, anchor + f"        planted = fabric.{seam}\n"
+        ))
+        violations = [
+            v
+            for v in check_tree(root, default_docs_dir())
+            if v.rule == "SIM102"
+        ]
+        name = "fabric." + seam.split(".")[0]
+        assert len(violations) == 1 and name in violations[0].message
 
 
 def test_sim102_detects_documented_seam_that_vanished(tmp_path):

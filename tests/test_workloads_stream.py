@@ -10,12 +10,15 @@ from tests.conftest import small_fabric
 
 from repro.traffic.generators import SyntheticTrafficSource
 from repro.traffic.patterns import make_pattern
-from repro.traffic.trace import TraceRecord, TraceSource, TrafficTrace
+from repro.traffic.trace import (
+    RecordingSource,
+    TraceRecord,
+    TraceSource,
+    TrafficTrace,
+)
 from repro.workloads.stream import (
     STREAM_MAGIC,
-    StreamingRecordingSource,
     StreamingTraceReader,
-    StreamingTraceSource,
     StreamingTraceWriter,
     is_stream_trace,
     trace_info,
@@ -182,7 +185,7 @@ class TestStreamingReplay:
         )
         path = tmp_path / "run.ctr"
         with StreamingTraceWriter(path, 16) as writer:
-            recorder = StreamingRecordingSource(fabric, inner, writer)
+            recorder = RecordingSource(fabric, inner, writer)
             for cycle in range(cycles):
                 recorder.step(cycle)
                 fabric.step()
@@ -193,17 +196,15 @@ class TestStreamingReplay:
         records = list(StreamingTraceReader(path))
         assert len(records) == fabric_a.stats.packets_offered
 
-        # Replay via the streaming source...
+        # Replay from the streaming reader...
         fabric_b = small_fabric(seed=999)
-        replay = StreamingTraceSource(
-            fabric_b, StreamingTraceReader(path)
-        )
+        replay = TraceSource(fabric_b, StreamingTraceReader(path))
         for cycle in range(60):
             replay.step(cycle)
             fabric_b.step()
         assert replay.exhausted
         assert replay.packets_generated == len(records)
-        # ... and via the in-memory text-path source: same traffic.
+        # ... and from an in-memory trace: same traffic.
         fabric_c = small_fabric(seed=999)
         text_replay = TraceSource(fabric_c, TrafficTrace(records))
         for cycle in range(60):
@@ -221,7 +222,7 @@ class TestStreamingReplay:
         fabric = small_fabric()
         path = tmp_path / "t.ctr"
         _write(path, [TraceRecord(10, 0, 1, 72, 0)])
-        source = StreamingTraceSource(fabric, StreamingTraceReader(path))
+        source = TraceSource(fabric, StreamingTraceReader(path))
         assert source.next_offer_cycle(0) == 10
         assert source.next_offer_cycle(11) == 11
         source.step(10)
