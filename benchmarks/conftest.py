@@ -51,9 +51,9 @@ def bench_scale(default: float = 0.35) -> float:
 
 
 def _jobs() -> int:
-    from repro.experiments.runner import env_jobs
+    from repro.noc.layers import RunOptions
 
-    return env_jobs()
+    return RunOptions.from_env().jobs
 
 
 def save_result(result) -> str:

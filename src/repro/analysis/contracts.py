@@ -33,9 +33,11 @@ that no single-file pass can see —
     through :mod:`repro.util.env` (the one module allowed to touch
     ``os.environ`` for these names), every name passed to an ``env``
     helper must be registered there, and the registry must agree with
-    the ``docs/index.md`` table in both directions.  Writes
-    (``os.environ[...] = ...`` exporting policy to forked workers)
-    are exempt by design.
+    the ``docs/index.md`` table in both directions.  Writes are
+    forbidden: any ``os.environ`` store, ``del`` or mutating call
+    (``setdefault``, ``pop``, ``update``, ...) fails, whatever the
+    name — run policy reaches workers as data
+    (:class:`repro.noc.layers.RunOptions`).
 ``SIM105``
     Hot-path attribute discipline.  ``__slots__`` classes in
     ``repro.noc`` / ``repro.core`` may not gain attributes outside
@@ -107,7 +109,8 @@ CONTRACT_RULES: dict[str, Rule] = {
             "error",
             "read the variable through repro.util.env helpers, "
             "register it there with _register(EnvVar(...)), and add it "
-            "to the docs/index.md table (writes stay on os.environ)",
+            "to the docs/index.md table; never write os.environ (pass "
+            "policy as data, e.g. repro.noc.layers.RunOptions)",
         ),
         Rule(
             "SIM105",
@@ -590,10 +593,21 @@ def check_env_registry(
     env_helpers = {"raw", "text", "flag", "integer", "floating"}
     for mod in program.modules.values():
         for node in ast.walk(mod.tree):
-            name, is_read = _environ_access(node)
+            if _environ_write(node):
+                violations.append(
+                    _violation(
+                        "SIM104",
+                        mod,
+                        node,
+                        "os.environ write; pass run policy as data "
+                        "instead of through the process environment",
+                        "<module>",
+                    )
+                )
+                continue
+            name = _environ_read(node)
             if (
                 name is not None
-                and is_read
                 and name.startswith(prefix)
                 and mod.module != env_module
             ):
@@ -652,28 +666,42 @@ def _registered_env_names(
     return names
 
 
-def _environ_access(node: ast.AST) -> tuple[str | None, bool]:
-    """(variable name, is_read) for an ``os.environ`` access node."""
+def _environ_read(node: ast.AST) -> str | None:
+    """The literal variable name an ``os.environ`` read node reads."""
     if isinstance(node, ast.Call):
         func = node.func
-        if isinstance(func, ast.Attribute):
-            target = ast.unparse(func.value)
-            if target == "os.environ" and func.attr in (
-                "get",
-                "setdefault",
-                "pop",
-            ):
-                if node.args and isinstance(node.args[0], ast.Constant):
-                    return str(node.args[0].value), True
-            elif target == "os" and func.attr == "getenv":
-                if node.args and isinstance(node.args[0], ast.Constant):
-                    return str(node.args[0].value), True
-    elif isinstance(node, ast.Subscript):
-        if ast.unparse(node.value) == "os.environ" and isinstance(
-            node.slice, ast.Constant
+        if isinstance(func, ast.Attribute) and (
+            (ast.unparse(func.value) == "os.environ" and func.attr == "get")
+            or (ast.unparse(func.value) == "os" and func.attr == "getenv")
         ):
-            return str(node.slice.value), isinstance(node.ctx, ast.Load)
-    return None, False
+            if node.args and isinstance(node.args[0], ast.Constant):
+                return str(node.args[0].value)
+    elif isinstance(node, ast.Subscript):
+        if (
+            ast.unparse(node.value) == "os.environ"
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.ctx, ast.Load)
+        ):
+            return str(node.slice.value)
+    return None
+
+
+def _environ_write(node: ast.AST) -> bool:
+    """True for an ``os.environ`` store or ``del`` (any key), or a call
+    of one of its mutating methods."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (
+            isinstance(func, ast.Attribute)
+            and ast.unparse(func.value) == "os.environ"
+            and func.attr
+            in ("setdefault", "pop", "popitem", "update", "clear")
+        )
+    return (
+        isinstance(node, ast.Subscript)
+        and ast.unparse(node.value) == "os.environ"
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+    )
 
 
 def _env_helper_arg(

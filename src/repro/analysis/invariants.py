@@ -187,6 +187,14 @@ class InvariantChecker(FabricLayer):
         self._last_progress = -1
         self._stalled_for = 0
 
+    @classmethod
+    def from_env(
+        cls, fabric: "MultiNocFabric", spec: str, out_dir: str | None
+    ) -> "InvariantChecker":
+        """Build a checker tuned by ``REPRO_CHECK_INTERVAL`` and
+        ``REPRO_CHECK_STALL`` (it has no spec and no artifacts)."""
+        return cls(fabric)
+
     def _fault_engine(self) -> Any:
         """The fabric's fault engine, or None.
 

@@ -559,14 +559,6 @@ class Program:
                 return found
         return None
 
-    def method_of(self, qualname: str, name: str) -> FunctionInfo | None:
-        """A method by name, searching the known base chain."""
-        for info in self.iter_mro(qualname):
-            method = info.methods.get(name)
-            if method is not None:
-                return method
-        return None
-
     def subclasses_of(self, base_name: str) -> list[ClassInfo]:
         """Classes whose (transitive) base resolves to ``base_name``.
 

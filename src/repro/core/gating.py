@@ -33,7 +33,7 @@ use it to see what this controller costs per simulated cycle.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -119,7 +119,6 @@ class _RouterGatingState:
     sleep_start: int = -1
     wake_ready: int = -1
     wake_requested: bool = False
-    periods: list[int] = field(default_factory=list)
 
 
 class PowerGatingController:
@@ -524,7 +523,6 @@ class PowerGatingController:
         if state.sleep_start < 0:
             return
         length = cycle - state.sleep_start
-        state.periods.append(length)
         if length >= self.breakeven_cycles:
             stats.compensated_sleep_cycles += length - self.breakeven_cycles
         else:
@@ -574,11 +572,3 @@ class PowerGatingController:
         for stats in self.stats:
             total = total.merge(stats)
         return total
-
-    def sleep_period_lengths(self) -> list[int]:
-        """All closed sleep-period lengths (for distribution analysis)."""
-        return [
-            length
-            for state in self._state.values()
-            for length in state.periods
-        ]

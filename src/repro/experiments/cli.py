@@ -18,16 +18,21 @@ Usage::
 
 Each experiment prints its table to stdout and, with ``--out``, also
 writes ``<name>.txt`` into the given directory.  Sweep execution is
-delegated to :mod:`repro.experiments.runner`: ``--jobs``/``--no-cache``
-/``--cache-dir`` set the corresponding ``REPRO_JOBS`` /
-``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR`` environment variables so every
-driver (and anything it spawns) sees the same policy.
+delegated to :mod:`repro.experiments.runner`.
+
+The run policy — kernel, instrumentation layers, jobs and cache — is
+one :class:`~repro.noc.layers.RunOptions`: the ``REPRO_*`` variables
+overlaid with ``--backend``, the layer flags, ``--jobs``,
+``--no-cache`` and ``--cache-dir``.  It is installed only while
+:func:`main` runs and reaches sweep workers as data, so the process
+environment is never written.  Any layer or non-default backend turns
+the cache off.  ``--workload`` is passed to ``ext_serving`` as an
+argument.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -50,13 +55,16 @@ from repro.experiments.fig12_bursty import run_fig12
 from repro.experiments.fig13_ir_thresholds import run_fig13
 from repro.experiments.fig14_64core import run_fig14
 from repro.experiments.table02_voltage import run_table02
-from repro.noc.layers import LAYERS
+from repro.noc.backend import backend_names
+from repro.noc.layers import LAYERS, RunOptions, install_run_options
+from repro.util import env
 
 __all__ = [
     "EXPERIMENTS",
     "PAPER_EXPERIMENTS",
     "run_experiment",
     "render_experiment",
+    "build_parser",
     "main",
 ]
 
@@ -138,13 +146,21 @@ def render_experiment(result, percentiles: bool = False) -> str:
     return "\n".join(parts)
 
 
-def run_experiment(name: str, scale: float = 1.0):
-    """Run one experiment by name and return its result."""
+def run_experiment(
+    name: str, scale: float = 1.0, workload: str | None = None
+):
+    """Run one experiment by name and return its result.
+
+    ``workload`` is the serving spec ``ext_serving`` sweeps (None: its
+    default); the other experiments have no workload to choose.
+    """
     if name not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {name!r}; choose from "
             f"{sorted(EXPERIMENTS)} or 'all'"
         )
+    if name == "ext_serving":
+        return run_ext_serving(scale=scale, workload=workload)
     return EXPERIMENTS[name](scale=scale)
 
 
@@ -259,16 +275,8 @@ class _TallyObserver(runner.SweepObserver):
         return f" — {rates}" if rates else ""
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "analysis":
-        # ``catnap-experiments analysis lint ...`` forwards to the
-        # static-analysis CLI so one entry point covers both halves.
-        from repro.analysis.cli import main as analysis_main
-
-        return analysis_main(argv[1:])
+def build_parser() -> argparse.ArgumentParser:
+    """The ``catnap-experiments`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="catnap-experiments",
         description="Regenerate the Catnap paper's figures and tables.",
@@ -314,82 +322,52 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print one line per completed sweep point to stderr",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="run with REPRO_CHECK=1: every simulated fabric verifies "
-        "cycle-level invariants (see docs/analysis.md)",
-    )
-    parser.add_argument(
-        "--faults",
-        metavar="SPEC",
-        default=None,
-        help="run with REPRO_FAULTS=SPEC: every simulated fabric "
-        "attaches a deterministic fault-injection engine "
-        "(see docs/faults.md); use '1' for the default schedule",
-    )
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="run with REPRO_TELEMETRY=1: every simulated fabric "
-        "records time series and a Perfetto trace under "
-        "results/telemetry/ (see docs/telemetry.md)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="directory for telemetry artifacts (implies --telemetry)",
-    )
-    parser.add_argument(
-        "--explain",
-        nargs="?",
-        const="1",
-        default=None,
-        metavar="SPEC",
-        help="run with REPRO_EXPLAIN=SPEC: every simulated fabric "
-        "attributes per-packet latency phases and per-subnet energy, "
-        "writing *.explain.json under results/explain/ "
-        "(see docs/explain.md); SPEC is '1' (both), 'latency', "
-        "'energy', or a comma list",
-    )
-    parser.add_argument(
-        "--explain-out",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="directory for attribution artifacts (implies --explain)",
-    )
-    parser.add_argument(
-        "--perf",
-        action="store_true",
-        help="run with REPRO_PERF=1: every simulated fabric profiles "
-        "its own step phases and writes *.perf.json under "
-        "results/perf/ (see docs/perf.md)",
-    )
-    parser.add_argument(
-        "--perf-out",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="directory for perf profile artifacts (implies --perf)",
-    )
+    # One flag per instrumentation layer (repro.noc.layers), plus a
+    # directory flag for each layer with artifacts.  The value lands
+    # under the variable's name, and the help is its registry entry.
+    for layer in LAYERS:
+        var = env.REGISTRY[layer.env]
+        help_text = f"{var.description} (see docs/{var.doc_page})"
+        if var.kind == "flag":
+            parser.add_argument(
+                layer.flag,
+                dest=layer.env,
+                action="store_const",
+                const="1",
+                help=help_text,
+            )
+        else:
+            parser.add_argument(
+                layer.flag,
+                dest=layer.env,
+                nargs="?",
+                const="1",
+                metavar="SPEC",
+                help=help_text,
+            )
+        if layer.out_flag:
+            parser.add_argument(
+                layer.out_flag,
+                dest=layer.dir_env,
+                metavar="DIR",
+                help=f"{env.REGISTRY[layer.dir_env].description} "
+                f"(implies {layer.flag})",
+            )
     parser.add_argument(
         "--workload",
         metavar="SPEC",
         default=None,
-        help="run with REPRO_WORKLOADS=SPEC: the serving workload swept "
-        "by ext_serving (see docs/workloads.md), e.g. llm:batch=8 or "
+        help="the serving workload swept by ext_serving "
+        "(see docs/workloads.md), e.g. llm:batch=8 or "
         "tenants:rates=0.1,0.05",
     )
     parser.add_argument(
         "--backend",
         metavar="NAME",
         default=None,
-        help="run with REPRO_BACKEND=NAME: simulation kernel for every "
-        "fabric — 'dense' steps each cycle, 'skip' jumps idle spans "
-        "(byte-identical results; see docs/architecture.md)",
+        help="simulation kernel for every fabric — 'dense' steps each "
+        "cycle, 'skip' jumps idle spans (byte-identical results; see "
+        "docs/architecture.md)",
     )
     parser.add_argument(
         "--percentiles",
@@ -410,77 +388,75 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="write per-sweep SweepStats (repro.obs/1 JSON) to PATH",
     )
-    args = parser.parse_args(argv)
-    if args.list or args.experiment is None:
-        for name in EXPERIMENTS:
-            print(name)
-        return 0
+    return parser
+
+
+def _run_options(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> RunOptions:
+    """The environment's run policy overlaid with the flags.
+
+    Each flag is validated here, so a typo fails fast with a usage
+    error rather than as one captured failure per sweep point.
+    """
+    flags = vars(args)
+    overlay: dict[str, str] = {}
     if args.jobs is not None:
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
-        os.environ["REPRO_JOBS"] = str(args.jobs)
+        overlay["REPRO_JOBS"] = str(args.jobs)
     if args.no_cache:
-        os.environ["REPRO_NO_CACHE"] = "1"
+        overlay["REPRO_NO_CACHE"] = "1"
     if args.cache_dir is not None:
-        os.environ["REPRO_CACHE_DIR"] = str(args.cache_dir)
+        overlay["REPRO_CACHE_DIR"] = str(args.cache_dir)
     if args.workload is not None:
-        # Validate here so a typo fails fast with a usage error rather
-        # than as one captured failure per sweep point (mirrors
-        # --faults).  Unlike observer flags this does NOT disable the
-        # cache: the canonical spec text lands in PointSpec.workload
-        # and is therefore already part of every cache key.
+        # Not part of the run policy: the canonical spec text lands in
+        # PointSpec.workload and so in every cache key.
         from repro.workloads.spec import parse_workload_spec
 
         try:
             parse_workload_spec(args.workload)
         except ValueError as exc:
             parser.error(f"--workload: {exc}")
-        os.environ["REPRO_WORKLOADS"] = args.workload
     if args.backend is not None:
-        # Validate here so a typo fails fast with a usage error rather
-        # than as one captured failure per sweep point (mirrors
-        # --faults).
-        from repro.noc.backend import DEFAULT_BACKEND, backend_names
-
         if args.backend not in backend_names():
             parser.error(
                 f"--backend: unknown backend {args.backend!r}; "
                 f"choose from {', '.join(backend_names())}"
             )
-        # Environment (not a parameter) so forked sweep workers build
-        # every fabric on the selected kernel.  Backends are
-        # result-equivalent by contract, but a cache hit would silently
-        # skip exercising the requested kernel — so any non-default
-        # choice disables caching wholesale (mirrors --check).
-        os.environ["REPRO_BACKEND"] = args.backend
-        if args.backend != DEFAULT_BACKEND:
-            os.environ["REPRO_NO_CACHE"] = "1"
-    # Instrumentation layers (repro.noc.layers).  Each flag is
-    # validated here, so a typo fails fast with a usage error rather
-    # than as one captured failure per sweep point, then exported
-    # through the environment so forked sweep workers attach the layer
-    # to every fabric they construct.  A cache hit would skip the
-    # simulation — no checking, no injection, no artifacts — and
-    # instrumented results must not poison the shared cache, so any
-    # layer disables caching wholesale.
-    layers = []
+        overlay["REPRO_BACKEND"] = args.backend
     for layer in LAYERS:
-        value = getattr(args, layer.flag[2:].replace("-", "_"))
-        if layer.out_flag:
-            out = getattr(args, layer.out_flag[2:].replace("-", "_"))
-            if out is not None:
-                os.environ[layer.dir_env] = str(out)
-                value = value or "1"
-        if value is None or value is False:
+        spec = flags[layer.env]
+        if layer.out_flag and flags[layer.dir_env] is not None:
+            overlay[layer.dir_env] = flags[layer.dir_env]
+            spec = spec or "1"
+        if spec is None:
             continue
-        value = "1" if value is True else value
         try:
-            layer.parse_spec(value)
+            layer.parse_spec(spec)
         except ValueError as exc:
             parser.error(f"{layer.flag}: {exc}")
-        os.environ[layer.env] = value
-        os.environ["REPRO_NO_CACHE"] = "1"
-        layers.append(layer)
+        overlay[layer.env] = spec
+    return RunOptions.from_env(overlay)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] == "analysis":
+        # ``catnap-experiments analysis lint ...`` forwards to the
+        # static-analysis CLI so one entry point covers both halves.
+        from repro.analysis.cli import main as analysis_main
+
+        return analysis_main(argv[1:])
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.list or args.experiment is None:
+        for name in EXPERIMENTS:
+            print(name)
+        return 0
+    options = _run_options(parser, args)
     if args.experiment == "all":
         names = list(PAPER_EXPERIMENTS)
     elif args.experiment == "ablations":
@@ -488,14 +464,16 @@ def main(argv: list[str] | None = None) -> int:
     else:
         names = [args.experiment]
     from repro.obs.ledger import ArtifactObserver, LedgerObserver
-    from repro.util import env
 
     extra: list[runner.SweepObserver] = [
-        ArtifactObserver(layer) for layer in layers if layer.artifacts
+        ArtifactObserver(layer, out_dir)
+        for layer, _spec, out_dir in options.layers
+        if layer.artifacts
     ]
     if args.ledger or env.flag("REPRO_OBS"):
         extra.append(LedgerObserver())
     tally = _TallyObserver(progress=args.progress, extra=extra)
+    previous = install_run_options(options)
     runner.set_default_observer(tally)
     try:
         for name in names:
@@ -503,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
             # perf_counter, not time.time: wall-clock is not monotonic
             # (NTP steps would corrupt the elapsed figure) — SIM003.
             started = time.perf_counter()
-            result = run_experiment(name, args.scale)
+            result = run_experiment(name, args.scale, args.workload)
             table = render_experiment(
                 result, percentiles=args.percentiles
             )
@@ -520,6 +498,7 @@ def main(argv: list[str] | None = None) -> int:
                 (args.out / f"{name}.txt").write_text(table + "\n")
     finally:
         runner.set_default_observer(None)
+        install_run_options(previous)
     if args.stats_out is not None:
         import json
 

@@ -10,8 +10,8 @@ the list to :func:`run_sweep`, which
    :data:`CACHE_SCHEMA_VERSION`, so re-running a figure after an
    unrelated code change is a cache hit),
 2. fans the remaining points out across a ``multiprocessing`` pool
-   (worker count from ``REPRO_JOBS``, default ``os.cpu_count()``; a
-   deterministic serial path runs at ``REPRO_JOBS=1``), and
+   (worker count from the run policy, default ``os.cpu_count()``; a
+   deterministic serial path runs at one job), and
 3. reports structured progress/timing records (points done, hit/miss
    counts, wall-clock per point) through a :class:`SweepObserver`.
 
@@ -20,14 +20,11 @@ in isolation, serial and parallel runs produce byte-identical rows; the
 returned rows are additionally normalized through a JSON round trip so
 cached and freshly-computed results are indistinguishable.
 
-Environment variables (see ``docs/experiments.md``):
-
-``REPRO_JOBS``
-    Worker count for :func:`run_sweep` (default: all cores).
-``REPRO_NO_CACHE``
-    Any non-empty value other than ``0`` disables the on-disk cache.
-``REPRO_CACHE_DIR``
-    Cache directory (default ``results/.cache``).
+Jobs and cache come from the run policy
+(:func:`repro.noc.layers.run_options`: the experiments CLI's flags, or
+``REPRO_JOBS``, ``REPRO_NO_CACHE`` and ``REPRO_CACHE_DIR``, see
+``docs/experiments.md``), which pool workers receive through their
+initializer.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ from repro.experiments.common import (
     run_application_point,
     run_synthetic_point,
 )
+from repro.noc import layers
 from repro.noc.config import SYNTHETIC_PACKET_BITS, NocConfig
 from repro.noc.multinoc import MultiNocFabric
 from repro.noc.simulator import SimulationPhases
@@ -54,7 +52,6 @@ from repro.perf import meters
 from repro.power.network_power import COMPONENT_NAMES, power_at_port_load
 from repro.power.technology import table2_rows
 from repro.traffic.generators import BurstyTrafficSource
-from repro.util import env
 from repro.traffic.patterns import make_pattern
 
 __all__ = [
@@ -67,8 +64,6 @@ __all__ = [
     "ProgressObserver",
     "execute_point",
     "run_sweep",
-    "env_jobs",
-    "default_cache",
     "set_default_observer",
 ]
 
@@ -79,7 +74,7 @@ __all__ = [
 CACHE_SCHEMA_VERSION = 2
 
 #: Default on-disk cache location (override with ``REPRO_CACHE_DIR``).
-DEFAULT_CACHE_DIR = Path("results") / ".cache"
+DEFAULT_CACHE_DIR = Path(layers.DEFAULT_CACHE_DIR)
 
 
 def _jsonify(obj):
@@ -582,28 +577,6 @@ class SweepCache:
         return removed
 
 
-def _cache_disabled_by_env() -> bool:
-    return env.flag("REPRO_NO_CACHE")
-
-
-def default_cache() -> SweepCache | None:
-    """Cache per environment: ``None`` when ``REPRO_NO_CACHE`` is set."""
-    if _cache_disabled_by_env():
-        return None
-    return SweepCache(env.text("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
-
-
-def env_jobs(default: int | None = None) -> int:
-    """Worker count from ``REPRO_JOBS`` (default: all cores)."""
-    value = env.raw("REPRO_JOBS")
-    if value is None:
-        return default if default is not None else (os.cpu_count() or 1)
-    jobs = int(value)
-    if jobs < 1:
-        raise ValueError("REPRO_JOBS must be >= 1")
-    return jobs
-
-
 # -- observers ---------------------------------------------------------
 
 
@@ -827,13 +800,13 @@ def set_default_observer(observer: SweepObserver | None) -> None:
 
 # -- the sweep runner --------------------------------------------------
 
-_CACHE_FROM_ENV = object()  # sentinel: "resolve the cache from env vars"
+_CACHE_FROM_OPTIONS = object()  # sentinel: "the run policy's cache"
 
 
 def run_sweep(
     specs,
     jobs: int | None = None,
-    cache: SweepCache | None = _CACHE_FROM_ENV,
+    cache: SweepCache | None = _CACHE_FROM_OPTIONS,
     observer: SweepObserver | None = None,
 ) -> list[dict]:
     """Execute every spec and return their rows, flattened in spec order.
@@ -844,10 +817,10 @@ def run_sweep(
     in place.  Results are independent of ``jobs``: every spec carries
     its own seed, so serial and parallel execution are byte-identical.
 
-    ``jobs`` defaults to ``REPRO_JOBS`` (or all cores); ``cache``
-    defaults to :func:`default_cache` (pass ``None`` to force off);
-    ``observer`` defaults to the one installed with
-    :func:`set_default_observer`.
+    ``jobs`` and ``cache`` default to the run policy's
+    (:func:`repro.noc.layers.run_options`; pass ``cache=None`` to force
+    the cache off), which pool workers also run under; ``observer``
+    defaults to the one installed with :func:`set_default_observer`.
 
     A point that raises is retried once serially in the parent; if the
     retry also fails, the sweep continues without its rows and the
@@ -858,10 +831,15 @@ def run_sweep(
     specs = list(specs)
     if observer is None:
         observer = _default_observer or SweepObserver()
-    if cache is _CACHE_FROM_ENV:
-        cache = default_cache()
+    options = layers.run_options()
+    if cache is _CACHE_FROM_OPTIONS:
+        cache = (
+            None
+            if options.cache_dir is None
+            else SweepCache(options.cache_dir)
+        )
     if jobs is None:
-        jobs = env_jobs()
+        jobs = options.jobs
 
     stats = SweepStats(points=len(specs))
     started = time.perf_counter()
@@ -948,7 +926,11 @@ def run_sweep(
             # observable from the parent.
             for index, spec in pending:
                 observer.point_started(index, spec)
-            with _pool_context().Pool(workers) as pool:
+            with _pool_context().Pool(
+                workers,
+                initializer=layers.install_run_options,
+                initargs=(options,),
+            ) as pool:
                 for result in pool.imap_unordered(
                     _execute_indexed, pending
                 ):

@@ -19,7 +19,7 @@ import os
 import sys
 
 from repro.explain.hub import PHASE_NAMES
-from repro.noc.layers import BY_NAME
+from repro.noc.layers import BY_NAME, RunOptions
 from repro.obs.artifacts import read_json_artifact
 from repro.util.tables import format_table
 
@@ -164,9 +164,11 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    directory = (
-        args.dir if args.dir is not None else BY_NAME["explain"].out_dir()
-    )
+    directory = args.dir
+    if directory is None:
+        # Where an --explain run writes: $REPRO_EXPLAIN_DIR or the default.
+        explain = BY_NAME["explain"]
+        directory = RunOptions.from_env({explain.env: "1"}).out_dir(explain)
     documents = _load_documents(directory)
     if not documents:
         print(

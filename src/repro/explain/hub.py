@@ -61,11 +61,10 @@ import json
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.regional import OR_NETWORK_SWITCH_ENERGY_J
-from repro.noc.layers import BY_NAME, NEVER, FabricLayer
+from repro.noc.layers import NEVER, FabricLayer
 from repro.noc.network import ActivityCounters
 from repro.noc.router import PowerState
 from repro.power.router_power import RouterPowerModel
-from repro.util import env
 from repro.util.histogram import BoundedHistogram
 
 if TYPE_CHECKING:
@@ -202,12 +201,12 @@ class ExplainHub(FabricLayer):
     # Construction from the environment
     # ------------------------------------------------------------------
     @classmethod
-    def from_env(cls, fabric: "MultiNocFabric") -> "ExplainHub":
-        """Build a hub configured by ``REPRO_EXPLAIN*`` variables."""
-        latency, energy = parse_explain_spec(
-            env.text("REPRO_EXPLAIN", "")
-        )
-        out_dir = BY_NAME["explain"].out_dir()
+    def from_env(
+        cls, fabric: "MultiNocFabric", spec: str, out_dir: str | None
+    ) -> "ExplainHub":
+        """Build a hub for ``spec`` (an ``--explain`` value) writing to
+        ``out_dir``."""
+        latency, energy = parse_explain_spec(spec)
         return cls(
             fabric, out_dir=out_dir, latency=latency, energy=energy
         )

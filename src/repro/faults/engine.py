@@ -54,7 +54,6 @@ from repro.faults.spec import (
 )
 from repro.noc.layers import NEVER, FabricLayer
 from repro.noc.topology import Port
-from repro.util import env
 
 if TYPE_CHECKING:
     from repro.noc.flit import Packet
@@ -131,10 +130,12 @@ class FaultEngine(FabricLayer):
     # Construction from the environment
     # ------------------------------------------------------------------
     @classmethod
-    def from_env(cls, fabric: "MultiNocFabric") -> "FaultEngine":
-        """Build an engine from the ``REPRO_FAULTS`` spec grammar."""
-        spec = parse_fault_spec(env.text("REPRO_FAULTS"))
-        return cls(fabric, spec)
+    def from_env(
+        cls, fabric: "MultiNocFabric", spec: str, out_dir: str | None
+    ) -> "FaultEngine":
+        """Build an engine from ``spec`` in the ``REPRO_FAULTS``
+        grammar."""
+        return cls(fabric, parse_fault_spec(spec))
 
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
@@ -344,7 +345,6 @@ class FaultEngine(FabricLayer):
         total = 0
         for network in self.fabric.subnets:
             total += network.resync_credits()
-            total += self._resync_ni_credits(network)
         if total:
             self.credits_resynced += total
             self._log(
@@ -367,37 +367,6 @@ class FaultEngine(FabricLayer):
             event.recovered = True
             self._resolve(event, "recovered", cycle)
         self._pending_credit.clear()
-
-    def _resync_ni_credits(self, network: "SubnetNetwork") -> int:
-        """Recompute NI injection credits from ground truth.
-
-        The network-side resync covers router-to-router links; the
-        injection link's upstream counter lives in the NI, which the
-        engine (unlike the subnet) can see.
-        """
-        in_flight: dict[tuple[int, int], int] = {}
-        for router, in_port, vc, _flit in network.in_flight():
-            if in_port == Port.LOCAL:
-                key = (id(router), vc)
-                in_flight[key] = in_flight.get(key, 0) + 1
-        config = network.config
-        capacity = config.flits_per_vc
-        corrected = 0
-        subnet = network.subnet
-        for ni in self.fabric.nis:
-            router = network.routers[ni.node]
-            port = router.ports[Port.LOCAL]
-            credits = ni._credits[subnet]
-            for vc in range(config.vcs_per_port):
-                truth = (
-                    capacity
-                    - port.vcs[vc].occupancy
-                    - in_flight.get((id(router), vc), 0)
-                )
-                if credits[vc] != truth:
-                    corrected += abs(credits[vc] - truth)
-                    credits[vc] = truth
-        return corrected
 
     def _refresh_rcs(self, cycle: int) -> None:
         monitor = self.fabric.monitor

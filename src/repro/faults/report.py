@@ -55,11 +55,3 @@ class FaultReport:
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form for JSON artifacts and sweep rows."""
         return asdict(self)
-
-    def summary_line(self) -> str:
-        """One-line human summary for campaign output."""
-        return (
-            f"injected={self.injected} masked={self.masked} "
-            f"recovered={self.recovered} effective={self.effective} "
-            f"fatal={self.fatal} survival={self.survival_rate:.4f}"
-        )

@@ -34,7 +34,7 @@ Spec grammar (semicolon-separated ``key=value`` pairs)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
 
@@ -125,13 +125,6 @@ class FaultSpec:
                 f"unknown recovery {bad}; "
                 f"choose from {list(RECOVERY_NAMES)}"
             )
-
-    def with_recovery(self, *names: str) -> "FaultSpec":
-        """Copy with the given countermeasures enabled."""
-        merged = tuple(
-            dict.fromkeys((*self.recover, *names))
-        )
-        return replace(self, recover=merged)
 
     def to_string(self) -> str:
         """Round-trippable ``key=value;...`` form (the env grammar)."""

@@ -38,17 +38,17 @@ registered layer installed makes the kernel defer to dense stepping
 through the shadowed step, because nothing tells it what that wrapper
 observes.
 
-Backend selection: ``MultiNocFabric(config, backend="skip")`` or the
-``REPRO_BACKEND`` environment variable (the experiments CLI's
-``--backend`` flag sets it for sweep workers).  Unset means ``dense``.
+Backend selection: ``MultiNocFabric(config, backend="skip")``, else
+the run policy's backend (:class:`~repro.noc.layers.RunOptions`: the
+experiments CLI's ``--backend`` flag, or ``REPRO_BACKEND`` read when
+the fabric is built).  Unset means ``dense``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.noc.layers import NEVER, shadow_chain
-from repro.util import env
+from repro.noc.layers import DEFAULT_BACKEND, NEVER, shadow_chain
 
 if TYPE_CHECKING:
     from repro.noc.multinoc import MultiNocFabric
@@ -62,11 +62,7 @@ __all__ = [
     "NEVER",
     "backend_names",
     "make_backend",
-    "backend_from_env",
 ]
-
-#: Name used when neither the constructor nor the environment chooses.
-DEFAULT_BACKEND = "dense"
 
 
 class FabricBackend:
@@ -269,7 +265,3 @@ def make_backend(name: str, fabric: "MultiNocFabric") -> FabricBackend:
         ) from None
     return cls(fabric)
 
-
-def backend_from_env() -> str:
-    """Backend name selected by ``REPRO_BACKEND`` (default ``dense``)."""
-    return env.text("REPRO_BACKEND", DEFAULT_BACKEND)

@@ -160,16 +160,6 @@ class NetworkInterface:
         """Flits waiting at this NI (queued + unsent parts of streams)."""
         return self._queue_flits
 
-    @property
-    def queue_depth_packets(self) -> int:
-        """Packets waiting in the NI queue (excludes streaming slots)."""
-        return len(self.queue)
-
-    @property
-    def active_streams(self) -> int:
-        """Packets currently streaming flits on some (subnet, VC)."""
-        return self._active_slots
-
     def injection_rate(self) -> float:
         """Windowed average injection rate in packets/cycle (IR metric;
         0.0 unless ``track_rate`` is set)."""

@@ -20,12 +20,19 @@ detach bookkeeping and their answers to the skip kernel.
 
 Factories and spec parsers are dotted paths imported on first use, so
 a plain fabric never loads a layer package.
+
+:class:`RunOptions` is the run policy — kernel, enabled layers, jobs
+and cache — handed on as data: the experiments CLI installs one for the
+length of a run, the sweep runner passes it to pool workers, and
+:func:`run_options` returns it, or parses the environment afresh when
+none is installed.
 """
 
 from __future__ import annotations
 
 import importlib
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,12 +40,19 @@ from repro.util import env
 
 __all__ = [
     "Layer", "LAYERS", "BY_NAME", "NEVER", "FabricLayer", "ShadowSet",
-    "shadow_chain",
+    "shadow_chain", "DEFAULT_BACKEND", "DEFAULT_CACHE_DIR", "RunOptions",
+    "install_run_options", "run_options",
 ]
 
 #: Sentinel horizon for "never becomes active again" (sources and
 #: layers alike).
 NEVER = 1 << 62
+
+#: Kernel used when neither the constructor nor the run policy chooses.
+DEFAULT_BACKEND = "dense"
+
+#: Sweep-cache directory used when ``REPRO_CACHE_DIR`` is unset.
+DEFAULT_CACHE_DIR = os.path.join("results", ".cache")
 
 
 def _resolve(path: str) -> Any:
@@ -59,7 +73,8 @@ class Layer:
     attr: str
     #: Enabling variable; its value is also the layer's spec text.
     env: str
-    #: ``module:callable`` taking the fabric, returning a detached layer.
+    #: ``module:callable`` taking ``(fabric, spec, out_dir)``, returning
+    #: a detached layer.
     factory: str
     #: Experiments-CLI flag that sets :attr:`env`.
     flag: str
@@ -77,17 +92,12 @@ class Layer:
     def suffixes(self) -> tuple[str, ...]:
         return tuple(suffix for suffix, _ in self.artifacts)
 
-    def enabled(self) -> bool:
-        """True when :attr:`env` asks for this layer."""
-        return env.flag(self.env)
-
-    def out_dir(self) -> str:
-        """Artifact directory from :attr:`dir_env` (or the default)."""
-        return env.text(self.dir_env, self.default_dir)
-
-    def build(self, fabric: Any) -> Any:
-        """A detached instance configured from the environment."""
-        return _resolve(self.factory)(fabric)
+    def build(
+        self, fabric: Any, spec: str = "1", out_dir: str | None = None
+    ) -> Any:
+        """A detached instance for ``fabric`` configured by ``spec``
+        (the enabling variable's value) and the artifact directory."""
+        return _resolve(self.factory)(fabric, spec, out_dir)
 
     def parse_spec(self, text: str) -> None:
         """Validate spec text; raises ValueError on a bad spec."""
@@ -119,7 +129,7 @@ LAYERS: tuple[Layer, ...] = (
     ),
     Layer(
         "checker", "invariant_checker", "REPRO_CHECK",
-        "repro.analysis.invariants:InvariantChecker", "--check",
+        "repro.analysis.invariants:InvariantChecker.from_env", "--check",
     ),
     Layer(
         "telemetry", "telemetry", "REPRO_TELEMETRY",
@@ -145,6 +155,95 @@ LAYERS: tuple[Layer, ...] = (
 )
 
 BY_NAME: dict[str, Layer] = {layer.name: layer for layer in LAYERS}
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The run policy every fabric and sweep of a run obeys.
+
+    ``layers`` holds ``(layer, spec text, out dir)`` for each enabled
+    layer in :data:`LAYERS` order; ``out dir`` is None for a layer
+    without artifacts.  ``cache_dir`` None means no sweep cache.
+    """
+
+    backend: str = DEFAULT_BACKEND
+    layers: tuple[tuple[Layer, str, str | None], ...] = ()
+    jobs: int = 1
+    cache_dir: str | None = DEFAULT_CACHE_DIR
+
+    @classmethod
+    def from_env(
+        cls, overlay: Mapping[str, str] | None = None
+    ) -> "RunOptions":
+        """Parse the policy from ``REPRO_BACKEND``, each layer's enabling
+        and directory variable, ``REPRO_JOBS``, ``REPRO_NO_CACHE`` and
+        ``REPRO_CACHE_DIR``; values in ``overlay`` (the experiments
+        CLI's flags, by variable name) win over the environment.
+
+        Any enabled layer or non-default backend turns the cache off: a
+        hit would skip the simulation the layer or kernel is there to
+        run, and instrumented rows must not enter the shared cache.
+        """
+
+        def read(name: str, default: str = "") -> str:
+            return (overlay or {}).get(name) or env.text(name, default)
+
+        layers = []
+        for layer in LAYERS:
+            spec = read(layer.env)
+            if spec in ("", "0"):
+                continue
+            out_dir = (
+                read(layer.dir_env, layer.default_dir)
+                if layer.dir_env
+                else None
+            )
+            layers.append((layer, spec, out_dir))
+        backend = read("REPRO_BACKEND", DEFAULT_BACKEND)
+        jobs_text = read("REPRO_JOBS")
+        jobs = int(jobs_text) if jobs_text else os.cpu_count() or 1
+        if jobs < 1:
+            raise ValueError("REPRO_JOBS must be >= 1")
+        no_cache = (
+            layers
+            or backend != DEFAULT_BACKEND
+            or read("REPRO_NO_CACHE") not in ("", "0")
+        )
+        cache_dir = (
+            None if no_cache else read("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+        )
+        return cls(backend, tuple(layers), jobs, cache_dir)
+
+    def spec(self, layer: Layer) -> str | None:
+        """``layer``'s spec text; None when it is off here."""
+        return self._entry(layer)[1]
+
+    def out_dir(self, layer: Layer) -> str | None:
+        """``layer``'s artifact directory; None when it is off here."""
+        return self._entry(layer)[2]
+
+    def _entry(self, layer: Layer) -> tuple[Layer, str | None, str | None]:
+        for entry in self.layers:
+            if entry[0] == layer:
+                return entry
+        return layer, None, None
+
+
+_installed: RunOptions | None = None
+
+
+def install_run_options(options: RunOptions | None) -> RunOptions | None:
+    """Make ``options`` this process's run policy (None: parse the
+    environment at each :func:`run_options` call); returns the policy
+    it replaces.  Also the sweep pool's worker initializer."""
+    global _installed
+    previous, _installed = _installed, options
+    return previous
+
+
+def run_options() -> RunOptions:
+    """The installed run policy, or one parsed from the environment now."""
+    return _installed if _installed is not None else RunOptions.from_env()
 
 
 class ShadowSet:

@@ -20,11 +20,11 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.core.gating import GatingStats, PowerGatingController
 from repro.core.monitor import CongestionMonitor
 from repro.core.policies import make_policy
-from repro.noc.backend import backend_from_env, make_backend
+from repro.noc.backend import make_backend
 from repro.noc.config import NocConfig
 from repro.noc.flit import Packet
 from repro.noc.interface import NetworkInterface
-from repro.noc.layers import LAYERS
+from repro.noc.layers import LAYERS, run_options
 from repro.noc.network import SubnetNetwork
 from repro.noc.routing import XYRouting
 from repro.noc.stats import NetworkStats
@@ -148,17 +148,17 @@ class MultiNocFabric:
         # cycle; ``skip`` charges idle routers zero Python work.  Both
         # satisfy the same state-equivalence contract, so the choice
         # never alters results — only wall-clock.
-        self.backend = make_backend(backend or backend_from_env(), self)
+        options = run_options()
+        self.backend = make_backend(backend or options.backend, self)
         # Instrumentation layers (repro.noc.layers), attached in
-        # registry order from their REPRO_* variables.  Each shadows
+        # registry order as the run policy enables them.  Each shadows
         # methods on this instance only, so a fabric with every layer
         # off runs the plain class bytecode.
         for layer in LAYERS:
-            setattr(
-                self,
-                layer.attr,
-                layer.build(self).attach() if layer.enabled() else None,
-            )
+            setattr(self, layer.attr, None)
+        for layer, spec, out_dir in options.layers:
+            hub = layer.build(self, spec, out_dir)
+            setattr(self, layer.attr, hub.attach())
 
     def swap_layer(self, name: str, instance: Any) -> None:
         """Replace the attached ``name`` layer with ``instance`` (a

@@ -370,39 +370,30 @@ class SubnetNetwork:
     def resync_credits(self) -> int:
         """Recompute every upstream credit counter from ground truth.
 
-        Credit-resynchronization recovery (:mod:`repro.faults`): for a
-        router-to-router link the correct credit count is the
-        downstream VC capacity minus its buffer occupancy minus the
-        flits in flight on the link.  Returns the total absolute
-        correction applied (0 when every counter was already
-        consistent — the steady state without faults).
+        Credit-resynchronization recovery (:mod:`repro.faults`): the
+        correct count at an input VC's credit home (the upstream
+        router, or the NI behind LOCAL) is the VC's capacity minus its
+        buffered flits minus the flits in flight toward it.  Unfed
+        mesh-edge ports never receive, so their placeholder already
+        holds the truth.  Returns the total absolute correction applied
+        (0 when every counter was already consistent — the steady state
+        without faults).
         """
-        in_flight: dict[tuple[int, int, int], int] = {}
-        for router, in_port, vc, _flit in self.in_flight():
-            key = (id(router), in_port, vc)
-            in_flight[key] = in_flight.get(key, 0) + 1
+        in_flight: dict[int, int] = {}
+        for slot in self._ring:
+            for channel, _flit in slot:
+                key = id(channel)
+                in_flight[key] = in_flight.get(key, 0) + 1
         capacity = self.config.flits_per_vc
-        vcs = self.config.vcs_per_port
         corrected = 0
         for router in self.routers:
-            for out_port in range(Port.COUNT):
-                if out_port == Port.LOCAL:
-                    continue
-                downstream = router.neighbor_router[out_port]
-                if downstream is None:
-                    continue
-                in_port = Port.OPPOSITE[out_port]
-                port = downstream.ports[in_port]
-                credits = router.credits[out_port]
-                for vc in range(vcs):
-                    truth = (
-                        capacity
-                        - port.vcs[vc].occupancy
-                        - in_flight.get((id(downstream), in_port, vc), 0)
-                    )
-                    if credits[vc] != truth:
-                        corrected += abs(credits[vc] - truth)
-                        credits[vc] = truth
+            for channel in router.channels:
+                home, vc = channel.home, channel.vc
+                queued = len(channel.fifo) + in_flight.get(id(channel), 0)
+                truth = capacity - queued
+                if home[vc] != truth:
+                    corrected += abs(home[vc] - truth)
+                    home[vc] = truth
         return corrected
 
     # ------------------------------------------------------------------

@@ -185,14 +185,6 @@ class Router:
         """BFA input: mean flit occupancy over all input ports."""
         return sum(p.occupancy for p in self.ports) / Port.COUNT
 
-    def occupancy_by_port(self) -> tuple[int, ...]:
-        """Flit occupancy of each input port, indexed by ``Port``.
-
-        Telemetry samplers poll this for the per-router occupancy
-        heatmap; it is a read-only snapshot with no hot-loop cost.
-        """
-        return tuple(p.occupancy for p in self.ports)
-
     @property
     def buffered_flits(self) -> int:
         """Flits in this router's input buffers (a recount)."""

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any
 
 from repro.experiments.runner import SweepObserver
-from repro.noc.layers import LAYERS, Layer
+from repro.noc.layers import Layer, run_options
 from repro.obs.artifacts import ArtifactScanner
 from repro.util import env
 
@@ -240,11 +240,11 @@ class ArtifactObserver(SweepObserver):
     def __init__(
         self,
         layer: Layer,
-        directory: str | None = None,
+        directory: str,
         stream: "IO[str] | None" = None,
     ) -> None:
         self.layer = layer
-        self.directory = directory or layer.out_dir()
+        self.directory = directory
         self.stream: IO[str] = (
             stream if stream is not None else sys.stderr
         )
@@ -374,9 +374,9 @@ class LedgerObserver(SweepObserver):
         )
         self._seq = 0
         self._scanners = [
-            ArtifactScanner(layer.out_dir(), layer.suffixes)
-            for layer in LAYERS
-            if layer.artifacts and layer.enabled()
+            ArtifactScanner(out_dir, layer.suffixes)
+            for layer, _spec, out_dir in run_options().layers
+            if layer.artifacts
         ]
         for scanner in self._scanners:
             scanner.prime()

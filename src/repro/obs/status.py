@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.obs.ledger import LEDGER_NAME, canonical_digest, read_ledger
+from repro.obs.ledger import LEDGER_NAME, read_ledger
 from repro.perf.meters import throughput_suffix
 from repro.util.ascii_plot import sparkline
 from repro.util.tables import format_table
@@ -317,21 +317,6 @@ def resolve_run(ref: str | None, root: "Path | str") -> Path | None:
             latest_stamp = stamp
             latest = child
     return latest
-
-
-def verify_digest(events: list[dict[str, Any]]) -> bool | None:
-    """Recorded vs recomputed digest; ``None`` for unfinished runs."""
-    recorded: str | None = None
-    prefix: list[dict[str, Any]] = []
-    for event in events:
-        if event.get("event") == "sweep_finished":
-            digest = event.get("digest")
-            recorded = digest if isinstance(digest, str) else None
-            break
-        prefix.append(event)
-    if recorded is None:
-        return None
-    return canonical_digest(prefix) == recorded
 
 
 def _bar(done: int, total: int, width: int = 20) -> str:

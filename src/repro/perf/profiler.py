@@ -28,7 +28,7 @@ import os
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.noc.layers import BY_NAME, FabricLayer
+from repro.noc.layers import FabricLayer
 from repro.util import env
 from repro.util.ascii_plot import bar_chart
 from repro.util.histogram import BoundedHistogram
@@ -111,9 +111,11 @@ class PhaseProfiler(FabricLayer):
     # Construction from the environment
     # ------------------------------------------------------------------
     @classmethod
-    def from_env(cls, fabric: "MultiNocFabric") -> "PhaseProfiler":
-        """Build a profiler configured by ``REPRO_PERF_*`` variables."""
-        out_dir = BY_NAME["perf"].out_dir()
+    def from_env(
+        cls, fabric: "MultiNocFabric", spec: str, out_dir: str | None
+    ) -> "PhaseProfiler":
+        """Build a profiler writing to ``out_dir``, with cProfile capture
+        per ``REPRO_PERF_CPROFILE``."""
         return cls(
             fabric,
             out_dir=out_dir,

@@ -47,11 +47,6 @@ class MemoryController:
         self.requests_served += 1
         return start + self.dram_latency
 
-    @property
-    def queue_delay(self) -> int:
-        """Current backlog, in cycles until a new request starts."""
-        return max(0, self._next_free)
-
 
 def place_memory_controllers(
     mesh: ConcentratedMesh, count: int = 8

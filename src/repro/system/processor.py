@@ -44,11 +44,6 @@ class SystemResult:
     control_fraction: float
     fabric_report: FabricReport
 
-    @property
-    def total_instructions(self) -> float:
-        """Instructions retired across all cores."""
-        return self.aggregate_ipc * self.cycles
-
 
 class Processor:
     """A many-core processor driving one NoC fabric configuration."""

@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.noc.layers import BY_NAME, FabricLayer
+from repro.noc.layers import FabricLayer
 from repro.noc.router import PowerState, Router
 from repro.telemetry.samplers import TimeSeriesSampler
 from repro.telemetry.trace import build_chrome_trace
@@ -117,10 +117,12 @@ class TelemetryHub(FabricLayer):
     # Construction from the environment
     # ------------------------------------------------------------------
     @classmethod
-    def from_env(cls, fabric: "MultiNocFabric") -> "TelemetryHub":
-        """Build a hub configured by ``REPRO_TELEMETRY_*`` variables."""
+    def from_env(
+        cls, fabric: "MultiNocFabric", spec: str, out_dir: str | None
+    ) -> "TelemetryHub":
+        """Build a hub writing to ``out_dir``, tuned by the
+        ``REPRO_TELEMETRY_*`` variables."""
         period = env.integer("REPRO_TELEMETRY_PERIOD", DEFAULT_PERIOD)
-        out_dir = BY_NAME["telemetry"].out_dir()
         max_packets = env.integer(
             "REPRO_TELEMETRY_MAX_PACKETS", DEFAULT_MAX_PACKETS
         )

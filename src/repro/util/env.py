@@ -10,13 +10,13 @@ repro.analysis contracts``, see ``docs/analysis.md``): a raw
 name, or a registry/doc mismatch against ``docs/index.md`` is a lint
 failure, so a new knob cannot ship half-documented.
 
-Writes (the experiments CLI exporting policy to forked sweep workers)
-still use ``os.environ[...] = ...`` directly — the registry governs
-how configuration is *consumed*, not how processes hand it down — but
-the names written must be registered, which SIM104 also checks.
+Nothing in ``src/repro`` writes ``os.environ``; SIM104 fails any
+store, ``del`` or mutating call.  Run policy (kernel, layers, jobs,
+cache) is parsed once by :meth:`repro.noc.layers.RunOptions.from_env`
+and handed to sweep workers as data.
 
-Reads happen at call time, never at import time, so tests and the CLI
-may mutate ``os.environ`` freely between fabric constructions.
+Reads happen at call time, never at import time, so tests may set
+variables between fabric constructions.
 """
 
 from __future__ import annotations

@@ -29,7 +29,25 @@ from repro.noc.config import (
     NocConfig,
     PowerGatingConfig,
 )
+from repro.noc.layers import RunOptions, run_options
 from repro.noc.multinoc import MultiNocFabric
+
+
+def cli_run_options(monkeypatch, argv: list[str]) -> RunOptions:
+    """Run the experiments CLI on ``argv`` (it must exit 0) and return
+    the run policy its first experiment ran under."""
+    from repro.experiments import cli
+
+    seen: list[RunOptions] = []
+    real = cli.run_experiment
+
+    def spy(*args, **kwargs):
+        seen.append(run_options())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    assert cli.main(argv) == 0
+    return seen[0]
 
 
 def small_config(**overrides) -> NocConfig:

@@ -563,20 +563,36 @@ def test_sim104_detects_direct_environ_read(tmp_path):
     )
 
 
-def test_sim104_allows_environ_writes(tmp_path):
+def test_sim104_forbids_environ_writes(tmp_path):
     planted = src("repro/noc/backend.py") + textwrap.dedent(
         """
 
         import os
 
 
-        def export_backend(name: str) -> None:
-            os.environ["REPRO_BACKEND"] = name
+        def export_backend() -> None:
+            os.environ["REPRO_BACKEND"] = "skip"
         """
     )
     assert rules_of(
         tmp_path, {"repro/noc/backend.py": planted}
-    ) == []
+    ) == ["SIM104"]
+
+
+def test_sim104_forbids_environ_mutators_of_any_name(tmp_path):
+    for index, statement in enumerate((
+        'os.environ.setdefault("REPRO_JOBS", "1")',
+        'os.environ.pop("REPRO_NO_CACHE", None)',
+        'del os.environ["HOME"]',
+        'os.environ.update(PATH="/bin")',
+    )):
+        planted = src("repro/noc/backend.py") + (
+            f"\n\nimport os\n\n\ndef mutate() -> None:\n    {statement}\n"
+        )
+        assert rules_of(
+            tmp_path / str(index),
+            {"repro/noc/backend.py": planted},
+        ) == ["SIM104"], statement
 
 
 def test_sim104_detects_registry_missing_from_docs(tmp_path):

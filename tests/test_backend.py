@@ -21,12 +21,12 @@ from repro.noc.backend import (
     DEFAULT_BACKEND,
     DenseBackend,
     SkipBackend,
-    backend_from_env,
     backend_names,
     make_backend,
 )
 from repro.noc.config import NocConfig, PowerGatingConfig
 from repro.noc.flit import Packet
+from repro.noc.layers import RunOptions
 from repro.noc.multinoc import MultiNocFabric
 from repro.noc.network import SubnetNetwork
 from repro.noc.router import PowerState
@@ -57,11 +57,11 @@ class TestRegistry:
 
     def test_env_default_is_dense(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert backend_from_env() == "dense"
+        assert RunOptions.from_env().backend == "dense"
 
     def test_env_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "skip")
-        assert backend_from_env() == "skip"
+        assert RunOptions.from_env().backend == "skip"
         fabric = MultiNocFabric(small_config(), seed=5)
         assert isinstance(fabric.backend, SkipBackend)
 

@@ -32,7 +32,7 @@ from repro.explain.hub import (
     ExplainHub,
     parse_explain_spec,
 )
-from repro.noc.layers import BY_NAME
+from repro.noc.layers import BY_NAME, RunOptions
 from repro.noc.multinoc import MultiNocFabric
 from repro.obs.artifacts import classify_artifact, explain_tax
 from repro.obs.ledger import ArtifactObserver
@@ -42,16 +42,7 @@ from repro.traffic.generators import (
     SyntheticTrafficSource,
 )
 from repro.traffic.patterns import make_pattern
-from tests.conftest import gated_config
-
-
-@pytest.fixture(autouse=True)
-def _explain_env_absent(monkeypatch):
-    """Every test here assumes a clean explain environment unless it
-    sets one itself — keeps this file order-independent of suite-mates
-    that run the CLI's --explain path."""
-    for name in ("REPRO_EXPLAIN", "REPRO_EXPLAIN_DIR"):
-        monkeypatch.delenv(name, raising=False)
+from tests.conftest import cli_run_options, gated_config
 
 
 def gated_fabric(seed: int = 9, backend=None, **overrides):
@@ -69,28 +60,35 @@ def run_traffic(fabric, cycles: int, load: float = 0.1, seed: int = 9):
         fabric.step()
 
 
-def run_bursty(fabric, cycles: int, seed: int = 9):
+def bursty_source(fabric, cycles: int, seed: int = 9):
     """Step-load schedule exercising sleeps, wakeups, and stalls."""
     schedule = [(0, 0.85), (cycles // 4, 0.02), (cycles // 2, 0.9)]
-    source = BurstyTrafficSource(
+    return BurstyTrafficSource(
         fabric,
         make_pattern("transpose", fabric.mesh),
         schedule,
         seed=seed,
     )
+
+
+def run_bursty(fabric, cycles: int, seed: int = 9):
+    source = bursty_source(fabric, cycles, seed)
     for _ in range(cycles):
         source.step(fabric.cycle)
         fabric.step()
 
 
 def attributed_run(seed: int = 9, backend=None) -> MultiNocFabric:
-    """A drained bursty run with a hub attached from construction."""
+    """A drained bursty run with a hub attached from construction,
+    driven by the fabric's own kernel and ended by an idle tail (where
+    the skip kernel jumps)."""
     fabric = gated_fabric(seed=seed, backend=backend)
     hub = ExplainHub(fabric, out_dir=None).attach()
     assert fabric.explain is None  # env off; hand-attached hub
     fabric.explain = hub
-    run_bursty(fabric, 2400, seed=seed)
+    fabric.backend.run(2400, bursty_source(fabric, 2400, seed))
     assert fabric.drain(50_000)
+    fabric.backend.run(2000)
     return fabric
 
 
@@ -113,13 +111,14 @@ class TestSpecParsing:
 
     def test_enabled_reads_env(self, monkeypatch):
         layer = BY_NAME["explain"]
-        assert not layer.enabled()
+        monkeypatch.delenv("REPRO_EXPLAIN", raising=False)
+        assert RunOptions.from_env().spec(layer) is None
         monkeypatch.setenv("REPRO_EXPLAIN", "0")
-        assert not layer.enabled()
+        assert RunOptions.from_env().spec(layer) is None
         monkeypatch.setenv("REPRO_EXPLAIN", "1")
-        assert layer.enabled()
+        assert RunOptions.from_env().spec(layer) == "1"
         monkeypatch.setenv("REPRO_EXPLAIN", "latency")
-        assert layer.enabled()
+        assert RunOptions.from_env().spec(layer) == "latency"
 
 
 class TestZeroOverhead:
@@ -215,6 +214,8 @@ class TestLatencyReconciliation:
     @pytest.mark.parametrize("backend", [None, "skip"])
     def test_phase_sums_equal_latency_for_every_packet(self, backend):
         fabric = attributed_run(backend=backend)
+        if backend == "skip":
+            assert fabric.backend.cycles_jumped > 0
         hub = fabric.explain
         assert hub.packets_seen > 100
         assert hub.phase_mismatches == 0
@@ -260,6 +261,8 @@ class TestEnergyReconciliation:
     @pytest.mark.parametrize("backend", [None, "skip"])
     def test_power_breakdown_bitwise_identical(self, backend):
         fabric = attributed_run(backend=backend)
+        if backend == "skip":
+            assert fabric.backend.cycles_jumped > 0
         hub = fabric.explain
         reconstructed = compute_network_power(
             hub.reconstructed_report()
@@ -313,7 +316,9 @@ class TestEnergyReconciliation:
 class TestDigestDeterminism:
     def test_dense_vs_skip_byte_identical(self):
         dense = attributed_run(backend=None).explain
-        skip = attributed_run(backend="skip").explain
+        skip_fabric = attributed_run(backend="skip")
+        assert skip_fabric.backend.cycles_jumped > 0
+        skip = skip_fabric.explain
         assert dense.attribution_digest() == skip.attribution_digest()
         assert json.dumps(
             dense._document_body(), sort_keys=True
@@ -554,59 +559,38 @@ class TestExperimentsCliFlags:
         err = capsys.readouterr().err
         assert "--explain" in err
 
-    def test_good_spec_sets_env_and_disables_cache(
+    def test_good_spec_enables_explain_and_disables_cache(
         self, monkeypatch, tmp_path
     ):
-        from repro.experiments.cli import main
-
-        # Restore-to-absent dance (mirrors the telemetry-flag tests):
-        # main() writes os.environ for forked sweep workers, and the
-        # test must not leak that into later tests.
-        for name in (
-            "REPRO_EXPLAIN",
-            "REPRO_EXPLAIN_DIR",
-            "REPRO_NO_CACHE",
-        ):
-            monkeypatch.setenv(name, "placeholder")
-            monkeypatch.delenv(name)
-        assert (
-            main(
-                [
-                    "fig14",
-                    "--scale",
-                    "0.02",
-                    "--explain",
-                    "--explain-out",
-                    str(tmp_path),
-                ]
-            )
-            == 0
+        for name in ("REPRO_EXPLAIN", "REPRO_EXPLAIN_DIR", "REPRO_NO_CACHE"):
+            monkeypatch.delenv(name, raising=False)
+        options = cli_run_options(
+            monkeypatch,
+            [
+                "fig14",
+                "--scale",
+                "0.02",
+                "--explain",
+                "--explain-out",
+                str(tmp_path),
+            ],
         )
-        assert os.environ["REPRO_EXPLAIN"] == "1"
-        assert os.environ["REPRO_EXPLAIN_DIR"] == str(tmp_path)
+        layer = BY_NAME["explain"]
+        assert options.spec(layer) == "1"
+        assert options.out_dir(layer) == str(tmp_path)
         # Attributed rows must never be served from the cache.
-        assert os.environ["REPRO_NO_CACHE"] == "1"
+        assert options.cache_dir is None
         names = os.listdir(tmp_path)
         assert any(n.endswith(".explain.json") for n in names)
 
     def test_explain_out_implies_explain(self, monkeypatch, tmp_path):
-        from repro.experiments.cli import main
-
-        for name in (
-            "REPRO_EXPLAIN",
-            "REPRO_EXPLAIN_DIR",
-            "REPRO_NO_CACHE",
-        ):
-            monkeypatch.setenv(name, "placeholder")
-            monkeypatch.delenv(name)
-        assert (
-            main(
-                ["fig14", "--scale", "0.02",
-                 "--explain-out", str(tmp_path)]
-            )
-            == 0
+        for name in ("REPRO_EXPLAIN", "REPRO_EXPLAIN_DIR", "REPRO_NO_CACHE"):
+            monkeypatch.delenv(name, raising=False)
+        options = cli_run_options(
+            monkeypatch,
+            ["fig14", "--scale", "0.02", "--explain-out", str(tmp_path)],
         )
-        assert os.environ["REPRO_EXPLAIN"] == "1"
+        assert options.spec(BY_NAME["explain"]) == "1"
 
 
 class TestExplainCli:

@@ -26,7 +26,7 @@ from repro.faults.spec import (
     compile_schedule,
     parse_fault_spec,
 )
-from repro.noc.layers import BY_NAME
+from repro.noc.layers import BY_NAME, RunOptions
 from repro.noc.multinoc import MultiNocFabric
 from repro.noc.router import PowerState
 from repro.noc.simulator import SimulationPhases, run_open_loop
@@ -163,11 +163,11 @@ class TestZeroOverhead:
     def test_faults_enabled_switch(self, monkeypatch):
         layer = BY_NAME["faults"]
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert not layer.enabled()
+        assert RunOptions.from_env().spec(layer) is None
         monkeypatch.setenv("REPRO_FAULTS", "0")
-        assert not layer.enabled()
+        assert RunOptions.from_env().spec(layer) is None
         monkeypatch.setenv("REPRO_FAULTS", "rate=0.01")
-        assert layer.enabled()
+        assert RunOptions.from_env().spec(layer) == "rate=0.01"
 
     def test_maybe_attach_is_noop_when_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
@@ -496,8 +496,9 @@ class TestRecoveryConfig:
         assert not recovery.wakeup_timeout_enabled
         assert not recovery.rcs_refresh_enabled
 
-    def test_telemetry_sees_fault_instants(self, monkeypatch):
+    def test_telemetry_sees_fault_instants(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path))
         monkeypatch.setenv(
             "REPRO_FAULTS", f"rate=0.02;seed=3;end={PHASES.total}"
         )

@@ -21,7 +21,7 @@ from repro.analysis.invariants import (
 )
 from repro.core.policies import CatnapPolicy
 from repro.noc.flit import Flit, Packet
-from repro.noc.layers import BY_NAME
+from repro.noc.layers import BY_NAME, RunOptions
 from repro.noc.multinoc import MultiNocFabric
 from repro.noc.router import PowerState
 from repro.noc.topology import Port
@@ -47,7 +47,7 @@ def offer_traffic(fabric: MultiNocFabric, packets: int = 20) -> None:
 class TestAttachment:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECK", raising=False)
-        assert not BY_NAME["checker"].enabled()
+        assert RunOptions.from_env().spec(BY_NAME["checker"]) is None
         fabric = small_fabric()
         assert fabric.invariant_checker is None
         # Zero overhead off: the class method is not shadowed.
@@ -58,7 +58,7 @@ class TestAttachment:
 
     def test_zero_value_means_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "0")
-        assert not BY_NAME["checker"].enabled()
+        assert RunOptions.from_env().spec(BY_NAME["checker"]) is None
         assert small_fabric().invariant_checker is None
 
     def test_env_var_attaches_checker(self, monkeypatch):

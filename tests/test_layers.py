@@ -24,6 +24,7 @@ from repro.noc.layers import (
     LAYERS,
     NEVER,
     FabricLayer,
+    RunOptions,
     ShadowSet,
     shadow_chain,
 )
@@ -97,33 +98,37 @@ def test_registry_order_is_the_attach_order(monkeypatch):
 
 
 def test_registry_names_are_registered_env_vars_and_cli_flags():
-    from repro.experiments import cli
+    from repro.experiments.cli import build_parser
 
-    source = Path(cli.__file__).read_text()
+    actions = {
+        option: action
+        for action in build_parser()._actions
+        for option in action.option_strings
+    }
     for layer in LAYERS:
         assert layer.env in env.REGISTRY
-        assert f'"{layer.flag}"' in source
+        assert actions[layer.flag].dest == layer.env
         if layer.artifacts:
             assert layer.dir_env in env.REGISTRY
-            assert f'"{layer.out_flag}"' in source
+            assert actions[layer.out_flag].dest == layer.dir_env
 
 
 @pytest.mark.parametrize("layer", LAYERS, ids=lambda layer: layer.name)
 def test_env_gates_attach(layer, monkeypatch):
     _clear_layer_env(monkeypatch)
-    assert not layer.enabled()
+    assert RunOptions.from_env().spec(layer) is None
     fabric = _fabric()
     assert getattr(fabric, layer.attr) is None
     assert "step" not in vars(fabric)
     monkeypatch.setenv(layer.env, "0")
-    assert not layer.enabled()
+    assert RunOptions.from_env().spec(layer) is None
     assert getattr(_fabric(), layer.attr) is None
 
     monkeypatch.setenv(layer.env, "1")
     extra, configured = _ENV_CONFIG[layer.name]
     for name, value in extra.items():
         monkeypatch.setenv(name, value)
-    assert layer.enabled()
+    assert RunOptions.from_env().spec(layer) is not None
     fabric = _fabric()
     hub = getattr(fabric, layer.attr)
     assert hub is not None and configured(hub)
@@ -352,10 +357,10 @@ def test_skip_kernel_defers_to_an_unregistered_shadow(monkeypatch):
 
 
 def test_cli_runs_skip_under_every_layer_without_a_note(monkeypatch,
-                                                        capsys):
+                                                        capsys, tmp_path):
     for name in env.REGISTRY:
-        monkeypatch.setenv(name, "placeholder")
-        monkeypatch.delenv(name)
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert experiments_main(["table02"]) == 0
     plain = capsys.readouterr().out
     assert experiments_main(

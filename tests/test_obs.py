@@ -476,20 +476,13 @@ class TestSweepStatsToJson:
 
 @pytest.mark.slow
 class TestCliIntegration:
-    def _guard_env(self, monkeypatch, names):
-        for name in names:
-            monkeypatch.setenv(name, "placeholder")
-            monkeypatch.delenv(name)
-
     def test_ledger_and_stats_out_flags(
         self, tmp_path, capsys, monkeypatch
     ):
         from repro.experiments.cli import main
 
-        self._guard_env(
-            monkeypatch,
-            ("REPRO_JOBS", "REPRO_NO_CACHE", "REPRO_OBS_DIR"),
-        )
+        for name in ("REPRO_JOBS", "REPRO_NO_CACHE"):
+            monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
         monkeypatch.setenv(
             "REPRO_CACHE_DIR", str(tmp_path / "cache")

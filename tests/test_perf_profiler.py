@@ -19,7 +19,7 @@ import pytest
 from repro.analysis.invariants import InvariantChecker
 from repro.experiments.runner import PointSpec, execute_point
 from repro.noc.config import NocConfig, PowerGatingConfig
-from repro.noc.layers import BY_NAME
+from repro.noc.layers import BY_NAME, RunOptions
 from repro.noc.multinoc import MultiNocFabric
 from repro.perf.profiler import (
     PROFILE_SCHEMA,
@@ -85,7 +85,7 @@ class TestZeroOverheadWhenDetached:
         monkeypatch.delenv("REPRO_PERF", raising=False)
         fabric = MultiNocFabric(_config(), seed=7)
         assert fabric.perf is None
-        assert not BY_NAME["perf"].enabled()
+        assert RunOptions.from_env().spec(BY_NAME["perf"]) is None
         assert "step" not in fabric.__dict__
         assert "report" not in fabric.__dict__
         assert fabric.step.__func__ is MultiNocFabric.step

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+
+from tests.conftest import cli_run_options
 
 from repro.experiments.cli import (
     EXPERIMENTS,
@@ -61,32 +65,18 @@ class TestTelemetryFlags:
     def test_trace_out_implies_telemetry_and_writes_artifacts(
         self, tmp_path, capsys, monkeypatch
     ):
-        import os
+        from repro.noc.layers import BY_NAME
 
-        # main() exports these for sweep workers; the test must leave
-        # no trace in the process environment afterwards.  delenv on
-        # an *absent* var registers nothing to undo, so a bare delenv
-        # would let main()'s os.environ writes outlive the test —
-        # setenv first registers restore-to-absent, then delenv clears
-        # the placeholder for the call.
         for name in ("REPRO_TELEMETRY", "REPRO_TELEMETRY_DIR"):
-            monkeypatch.setenv(name, "placeholder")
-            monkeypatch.delenv(name)
+            monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         out_dir = tmp_path / "tel"
-        assert (
-            main(
-                [
-                    "fig06",
-                    "--scale",
-                    "0.02",
-                    "--trace-out",
-                    str(out_dir),
-                ]
-            )
-            == 0
+        options = cli_run_options(
+            monkeypatch,
+            ["fig06", "--scale", "0.02", "--trace-out", str(out_dir)],
         )
-        assert os.environ["REPRO_TELEMETRY"] == "1"
+        assert options.spec(BY_NAME["telemetry"]) == "1"
+        assert options.out_dir(BY_NAME["telemetry"]) == str(out_dir)
         names = sorted(p.name for p in out_dir.iterdir())
         assert any(n.endswith(".trace.json") for n in names)
         assert any(n.endswith(".timeseries.json") for n in names)
@@ -143,20 +133,19 @@ class TestFaultFlags:
         err = capsys.readouterr().err
         assert "--faults" in err
 
-    def test_good_spec_sets_env_and_disables_cache(self, monkeypatch):
-        import os
+    def test_good_spec_enables_faults_and_disables_cache(self, monkeypatch):
+        from repro.noc.layers import BY_NAME
 
-        # Same restore-to-absent dance as the telemetry-flag test:
-        # main() writes os.environ for forked sweep workers, and the
-        # test must not leak that into later tests.
         for name in ("REPRO_FAULTS", "REPRO_NO_CACHE"):
-            monkeypatch.setenv(name, "placeholder")
-            monkeypatch.delenv(name)
-        assert main(["fig14", "--scale", "0.02", "--faults", "rate=0.001;seed=3"]) == 0
-        assert os.environ["REPRO_FAULTS"] == "rate=0.001;seed=3"
+            monkeypatch.delenv(name, raising=False)
+        options = cli_run_options(
+            monkeypatch,
+            ["fig14", "--scale", "0.02", "--faults", "rate=0.001;seed=3"],
+        )
+        assert options.spec(BY_NAME["faults"]) == "rate=0.001;seed=3"
         # Faulted rows must never enter (or be served from) the
         # healthy-result cache.
-        assert os.environ["REPRO_NO_CACHE"] == "1"
+        assert options.cache_dir is None
 
 
 class TestBackendFlag:
@@ -172,28 +161,28 @@ class TestBackendFlag:
         assert "bogus" in err
         assert "dense" in err and "skip" in err
 
-    def test_good_backend_sets_env_and_disables_cache(self, monkeypatch):
-        import os
-
+    def test_good_backend_selects_kernel_and_disables_cache(
+        self, monkeypatch
+    ):
         for name in ("REPRO_BACKEND", "REPRO_NO_CACHE"):
-            monkeypatch.setenv(name, "placeholder")
-            monkeypatch.delenv(name)
-        assert main(["fig14", "--scale", "0.02", "--backend", "skip"]) == 0
-        assert os.environ["REPRO_BACKEND"] == "skip"
+            monkeypatch.delenv(name, raising=False)
+        options = cli_run_options(
+            monkeypatch, ["fig14", "--scale", "0.02", "--backend", "skip"]
+        )
+        assert options.backend == "skip"
         # A cache hit would silently skip exercising the requested
         # kernel, so any non-default backend disables caching.
-        assert os.environ["REPRO_NO_CACHE"] == "1"
+        assert options.cache_dir is None
 
     def test_default_backend_keeps_cache(self, monkeypatch, tmp_path):
-        import os
-
         for name in ("REPRO_BACKEND", "REPRO_NO_CACHE"):
-            monkeypatch.setenv(name, "placeholder")
-            monkeypatch.delenv(name)
+            monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["fig14", "--scale", "0.02", "--backend", "dense"]) == 0
-        assert os.environ["REPRO_BACKEND"] == "dense"
-        assert "REPRO_NO_CACHE" not in os.environ
+        options = cli_run_options(
+            monkeypatch, ["fig14", "--scale", "0.02", "--backend", "dense"]
+        )
+        assert options.backend == "dense"
+        assert options.cache_dir == str(tmp_path)
 
     def test_point_failed_is_loud_without_progress(self, capsys):
         from repro.experiments.cli import _TallyObserver
@@ -216,3 +205,72 @@ class TestBackendFlag:
         err = capsys.readouterr().err
         assert "FAILED" in err and "boom" in err
         assert recorded == [(3, "ValueError: boom")]
+
+
+class TestRunPolicy:
+    def test_main_leaves_the_environment_untouched(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.noc.backend import DenseBackend
+        from repro.noc.layers import LAYERS
+        from repro.noc.multinoc import MultiNocFabric
+        from tests.conftest import small_config
+
+        for layer in LAYERS:
+            for name in (layer.env, layer.dir_env):
+                if name:
+                    monkeypatch.delenv(name, raising=False)
+        for name in ("REPRO_BACKEND", "REPRO_CACHE_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        argv = [
+            "fig14", "--scale", "0.02", "--backend", "skip", "--jobs", "2",
+            "--no-cache", "--cache-dir", str(tmp_path / "cache"),
+            "--check", "--faults", "1", "--telemetry", "--explain",
+            "--perf",
+        ]
+        for layer in LAYERS:
+            if layer.out_flag:
+                argv += [layer.out_flag, str(tmp_path / layer.name)]
+        assert main(argv) == 0
+        assert dict(os.environ) == before
+        fabric = MultiNocFabric(small_config(), seed=5)
+        assert isinstance(fabric.backend, DenseBackend)
+        assert all(getattr(fabric, layer.attr) is None for layer in LAYERS)
+        assert "step" not in vars(fabric)
+
+    @pytest.mark.parametrize("variable", ["REPRO_PERF", "REPRO_CHECK"])
+    def test_env_enabled_layer_bypasses_a_warm_cache(
+        self, variable, monkeypatch, tmp_path, capsys
+    ):
+        for name in ("REPRO_NO_CACHE", "REPRO_PERF", "REPRO_CHECK"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_PERF_DIR", str(tmp_path / "perf"))
+        argv = ["fig14", "--scale", "0.02"]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert "12 points, 12 cached" in capsys.readouterr().out
+        monkeypatch.setenv(variable, "1")
+        assert main(argv) == 0
+        assert "12 points, 0 cached, 12 simulated" in capsys.readouterr().out
+        profiles = list((tmp_path / "perf").glob("*.perf.json"))
+        assert len(profiles) == (12 if variable == "REPRO_PERF" else 0)
+
+    def test_workload_reaches_ext_serving_as_an_argument(
+        self, monkeypatch, capsys
+    ):
+        from repro.experiments import cli
+        from repro.experiments.common import ExperimentResult
+
+        monkeypatch.delenv("REPRO_WORKLOADS", raising=False)
+        seen = {}
+
+        def fake(scale, workload):
+            seen["workload"] = workload
+            return ExperimentResult("ext_serving", "t", [{"x": 1}])
+
+        monkeypatch.setattr(cli, "run_ext_serving", fake)
+        assert main(["ext_serving", "--workload", "llm:batch=8"]) == 0
+        assert seen == {"workload": "llm:batch=8"}
+        assert "REPRO_WORKLOADS" not in os.environ

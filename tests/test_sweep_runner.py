@@ -19,10 +19,10 @@ from repro.experiments.runner import (
     PointSpec,
     SweepCache,
     SweepObserver,
-    env_jobs,
     run_sweep,
 )
 from repro.noc.config import NocConfig
+from repro.noc.layers import RunOptions
 
 TINY = synthetic_phases(0.04)
 
@@ -287,17 +287,17 @@ class TestEnvJobs:
         import os
 
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert env_jobs() == (os.cpu_count() or 1)
-        assert env_jobs(default=3) == 3
+        assert RunOptions.from_env().jobs == (os.cpu_count() or 1)
+        assert RunOptions.from_env({"REPRO_JOBS": "3"}).jobs == 3
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")
-        assert env_jobs() == 2
+        assert RunOptions.from_env().jobs == 2
 
     def test_rejects_nonpositive(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "0")
         with pytest.raises(ValueError):
-            env_jobs()
+            RunOptions.from_env()
 
 
 class TestMultiRowKinds:

@@ -18,7 +18,7 @@ import pytest
 
 from tests.conftest import gated_config, small_fabric
 
-from repro.noc.layers import BY_NAME
+from repro.noc.layers import BY_NAME, RunOptions
 from repro.noc.multinoc import MultiNocFabric
 from repro.obs.ledger import ArtifactObserver
 from repro.telemetry import TelemetryHub, validate_trace
@@ -28,20 +28,6 @@ from repro.traffic.generators import (
     SyntheticTrafficSource,
 )
 from repro.traffic.patterns import make_pattern
-
-
-@pytest.fixture(autouse=True)
-def _telemetry_env_absent(monkeypatch):
-    """Every test here assumes a clean telemetry environment unless it
-    sets one itself — keeps this file order-independent of suite-mates
-    that run the CLI's --telemetry path."""
-    for name in (
-        "REPRO_TELEMETRY",
-        "REPRO_TELEMETRY_DIR",
-        "REPRO_TELEMETRY_PERIOD",
-        "REPRO_TELEMETRY_MAX_PACKETS",
-    ):
-        monkeypatch.delenv(name, raising=False)
 
 
 def gated_fabric(seed: int = 9, **overrides) -> MultiNocFabric:
@@ -120,11 +106,11 @@ class TestZeroOverhead:
     def test_telemetry_enabled_reads_env(self, monkeypatch):
         layer = BY_NAME["telemetry"]
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert not layer.enabled()
+        assert RunOptions.from_env().spec(layer) is None
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert not layer.enabled()
+        assert RunOptions.from_env().spec(layer) is None
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert layer.enabled()
+        assert RunOptions.from_env().spec(layer) == "1"
 
     def test_maybe_attach_respects_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
