@@ -65,7 +65,8 @@ def test_explain_off_is_the_class_fast_path(monkeypatch):
     for ni in fabric.nis:
         assert "_assign_head" not in ni.__dict__
         assert "step" not in ni.__dict__
-        assert ni.packet_sink == fabric._on_packet_received
+    for network in fabric.subnets:
+        assert network.eject_sink == fabric._on_packet_received
 
 
 def test_explain_off_overhead(benchmark, monkeypatch):

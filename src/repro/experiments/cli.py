@@ -164,115 +164,33 @@ def run_experiment(
     return EXPERIMENTS[name](scale=scale)
 
 
-class _TallyObserver(runner.SweepObserver):
-    """Accumulates hit/miss counts and simulated-work totals across the
-    sweeps of one experiment, optionally echoing per-point progress
-    lines to stderr and fanning events out to extra observers."""
+class _SweepLog(runner.SweepObserver, list):
+    """Every finished sweep's :class:`~repro.experiments.runner.SweepStats`,
+    in order: the summary lines and ``--stats-out`` read them."""
 
-    def __init__(
-        self,
-        progress: bool,
-        extra: list[runner.SweepObserver] | None = None,
-    ):
-        self.progress = (
-            runner.ProgressObserver() if progress else None
-        )
-        self.extra = list(extra) if extra else []
-        self.reset()
+    def sweep_finished(self, stats: runner.SweepStats) -> None:
+        self.append(stats)
 
-    def reset(self) -> None:
-        self.points = 0
-        self.hits = 0
-        self.misses = 0
-        self.sim_cycles = 0
-        self.sim_flits = 0
-        #: ``SweepStats.to_json()`` of every finished sweep, in order
-        #: (across resets — an experiment's whole CLI invocation feeds
-        #: one ``--stats-out`` document).
-        if not hasattr(self, "sweep_stats"):
-            self.sweep_stats: list[dict] = []
 
-    def sweep_context(self, specs, jobs: int, cached: bool) -> None:
-        if self.progress:
-            self.progress.sweep_context(specs, jobs, cached)
-        for observer in self.extra:
-            observer.sweep_context(specs, jobs, cached)
+def _summary(sweeps: list[runner.SweepStats], elapsed: float) -> str:
+    """`` — N points, H cached, M simulated — <rates>`` over ``elapsed``
+    for one experiment's sweeps; empty when no point finished.  Failed
+    points are neither hits nor misses, so they are not counted."""
+    hits = sum(stats.cache_hits for stats in sweeps)
+    misses = sum(stats.cache_misses for stats in sweeps)
+    if not hits + misses:
+        return ""
+    from repro.perf.meters import throughput_suffix
 
-    def sweep_started(self, total: int) -> None:
-        if self.progress:
-            self.progress.sweep_started(total)
-        for observer in self.extra:
-            observer.sweep_started(total)
-
-    def point_started(self, index, spec) -> None:
-        if self.progress:
-            self.progress.point_started(index, spec)
-        for observer in self.extra:
-            observer.point_started(index, spec)
-
-    def worker_heartbeat(
-        self, pid: int, cycles: int, flits: int, elapsed: float
-    ) -> None:
-        if self.progress:
-            self.progress.worker_heartbeat(pid, cycles, flits, elapsed)
-        for observer in self.extra:
-            observer.worker_heartbeat(pid, cycles, flits, elapsed)
-
-    def point_finished(self, index, spec, rows, elapsed, cached) -> None:
-        self.points += 1
-        if cached:
-            self.hits += 1
-        else:
-            self.misses += 1
-        if self.progress:
-            self.progress.point_finished(index, spec, rows, elapsed, cached)
-        for observer in self.extra:
-            observer.point_finished(index, spec, rows, elapsed, cached)
-
-    def point_failed(self, index, spec, error) -> None:
-        # Always loud, even without --progress: a permanently failed
-        # point means missing table rows, which must not pass silently.
-        if self.progress:
-            self.progress.point_failed(index, spec, error)
-        else:
-            print(
-                f"  [{index}] FAILED {spec.describe()}: {error}",
-                file=sys.stderr,
-            )
-        for observer in self.extra:
-            observer.point_failed(index, spec, error)
-
-    def sweep_finished(self, stats) -> None:
-        self.sim_cycles += stats.sim_cycles
-        self.sim_flits += stats.sim_flits
-        self.sweep_stats.append(stats.to_json())
-        if self.progress:
-            self.progress.sweep_finished(stats)
-        elif stats.retried_points or stats.failed_points:
-            # Even without --progress, degraded sweeps must be loud:
-            # retries mean flaky points, failures mean missing rows.
-            line = f"  sweep: {stats.retried_points} retried"
-            if stats.failed_points:
-                line += f", {len(stats.failed_points)} FAILED"
-            print(line, file=sys.stderr)
-        for observer in self.extra:
-            observer.sweep_finished(stats)
-
-    def summary(self) -> str:
-        if not self.points:
-            return ""
-        return (
-            f" — {self.points} points, {self.hits} cached, "
-            f"{self.misses} simulated"
-        )
-
-    def throughput(self, elapsed: float) -> str:
-        """``" — 1.2M cycles/s, …"`` over ``elapsed``; empty when no
-        simulated work happened (all-cached or analytic runs)."""
-        from repro.perf.meters import throughput_suffix
-
-        rates = throughput_suffix(self.sim_cycles, self.sim_flits, elapsed)
-        return f" — {rates}" if rates else ""
+    rates = throughput_suffix(
+        sum(stats.sim_cycles for stats in sweeps),
+        sum(stats.sim_flits for stats in sweeps),
+        elapsed,
+    )
+    return (
+        f" — {hits + misses} points, {hits} cached, {misses} simulated"
+        + (f" — {rates}" if rates else "")
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,19 +383,23 @@ def main(argv: list[str] | None = None) -> int:
         names = [args.experiment]
     from repro.obs.ledger import ArtifactObserver, LedgerObserver
 
-    extra: list[runner.SweepObserver] = [
+    sweeps = _SweepLog()
+    observers: list[runner.SweepObserver] = [
+        runner.ProgressObserver(verbose=args.progress),
+        sweeps,
+    ]
+    observers += [
         ArtifactObserver(layer, out_dir)
         for layer, _spec, out_dir in options.layers
         if layer.artifacts
     ]
     if args.ledger or env.flag("REPRO_OBS"):
-        extra.append(LedgerObserver())
-    tally = _TallyObserver(progress=args.progress, extra=extra)
+        observers.append(LedgerObserver())
     previous = install_run_options(options)
-    runner.set_default_observer(tally)
+    runner.set_default_observers(*observers)
     try:
         for name in names:
-            tally.reset()
+            first_sweep = len(sweeps)
             # perf_counter, not time.time: wall-clock is not monotonic
             # (NTP steps would corrupt the elapsed figure) — SIM003.
             started = time.perf_counter()
@@ -488,8 +410,8 @@ def main(argv: list[str] | None = None) -> int:
             elapsed = time.perf_counter() - started
             print(table)
             print(
-                f"[{name} finished in {elapsed:.1f}s{tally.summary()}"
-                f"{tally.throughput(elapsed)}]\n"
+                f"[{name} finished in {elapsed:.1f}s"
+                f"{_summary(sweeps[first_sweep:], elapsed)}]\n"
             )
             if name == "fig08":
                 print("Headline:", headline_summary(result), "\n")
@@ -497,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
                 args.out.mkdir(parents=True, exist_ok=True)
                 (args.out / f"{name}.txt").write_text(table + "\n")
     finally:
-        runner.set_default_observer(None)
+        runner.set_default_observers()
         install_run_options(previous)
     if args.stats_out is not None:
         import json
@@ -507,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
             json.dumps(
                 {
                     "schema": "repro.obs/1",
-                    "sweeps": tally.sweep_stats,
+                    "sweeps": [stats.to_json() for stats in sweeps],
                 },
                 indent=2,
                 sort_keys=True,

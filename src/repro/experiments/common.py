@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.noc.config import SYNTHETIC_PACKET_BITS, NocConfig
-from repro.noc.multinoc import MultiNocFabric
+from repro.noc.multinoc import FabricReport, MultiNocFabric
 from repro.noc.simulator import SimulationPhases, run_open_loop
 from repro.perf import meters
 from repro.power.network_power import (
@@ -31,6 +31,8 @@ __all__ = [
     "ExperimentResult",
     "env_scale",
     "synthetic_phases",
+    "report_columns",
+    "open_loop_columns",
     "run_synthetic_point",
     "run_application_point",
     "DEFAULT_SEED",
@@ -144,6 +146,39 @@ def synthetic_phases(scale: float = 1.0) -> SimulationPhases:
     )
 
 
+def report_columns(
+    report: FabricReport, power: NetworkPowerBreakdown
+) -> dict:
+    """The columns every measured row carries: the design, its CSC
+    share and power, and the per-subnet and latency distributions."""
+    config = report.config
+    return {
+        "config": config.name,
+        "policy": config.selection_policy,
+        "csc_pct": 100.0 * report.csc_fraction,
+        "power_w": power.total_watts,
+        "dynamic_w": power.dynamic_watts,
+        "static_w": power.static_watts,
+        "subnet_share": list(report.subnet_injection_share),
+        "latency_p50": report.latency_p50,
+        "latency_p95": report.latency_p95,
+        "latency_p99": report.latency_p99,
+        "avg_hops_per_subnet": list(report.avg_hops_per_subnet),
+    }
+
+
+def open_loop_columns(report: FabricReport) -> dict:
+    """:func:`report_columns` plus the measured-window latency and
+    throughput of an open-loop (:func:`run_open_loop`) report."""
+    return {
+        **report_columns(report, compute_network_power(report)),
+        "latency": report.avg_packet_latency,
+        "network_latency": report.avg_network_latency,
+        "throughput": report.throughput_packets,
+        "throughput_flits": report.throughput_flits,
+    }
+
+
 def run_synthetic_point(
     config: NocConfig,
     pattern_name: str,
@@ -160,26 +195,11 @@ def run_synthetic_point(
     )
     report = run_open_loop(fabric, source, phases)
     meters.note_report(report)
-    power = compute_network_power(report)
     return {
-        "config": config.name,
-        "policy": config.selection_policy,
+        **open_loop_columns(report),
         "metric": config.congestion.metric,
         "pattern": pattern_name,
         "load": load,
-        "latency": report.avg_packet_latency,
-        "network_latency": report.avg_network_latency,
-        "throughput": report.throughput_packets,
-        "throughput_flits": report.throughput_flits,
-        "csc_pct": 100.0 * report.csc_fraction,
-        "power_w": power.total_watts,
-        "dynamic_w": power.dynamic_watts,
-        "static_w": power.static_watts,
-        "subnet_share": report.subnet_injection_share,
-        "latency_p50": report.latency_p50,
-        "latency_p95": report.latency_p95,
-        "latency_p99": report.latency_p99,
-        "avg_hops_per_subnet": report.avg_hops_per_subnet,
     }
 
 
@@ -195,21 +215,9 @@ def run_application_point(
     meters.note_report(result.fabric_report)
     power = compute_network_power(result.fabric_report)
     row = {
-        "config": config.name,
-        "policy": config.selection_policy,
+        **report_columns(result.fabric_report, power),
         "workload": workload_name,
         "ipc": result.aggregate_ipc,
         "miss_latency": result.avg_miss_latency,
-        "csc_pct": 100.0 * result.fabric_report.csc_fraction,
-        "power_w": power.total_watts,
-        "dynamic_w": power.dynamic_watts,
-        "static_w": power.static_watts,
-        "subnet_share": list(result.fabric_report.subnet_injection_share),
-        "latency_p50": result.fabric_report.latency_p50,
-        "latency_p95": result.fabric_report.latency_p95,
-        "latency_p99": result.fabric_report.latency_p99,
-        "avg_hops_per_subnet": list(
-            result.fabric_report.avg_hops_per_subnet
-        ),
     }
     return row, result, power

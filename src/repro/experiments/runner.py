@@ -12,8 +12,9 @@ the list to :func:`run_sweep`, which
 2. fans the remaining points out across a ``multiprocessing`` pool
    (worker count from the run policy, default ``os.cpu_count()``; a
    deterministic serial path runs at one job), and
-3. reports structured progress/timing records (points done, hit/miss
-   counts, wall-clock per point) through a :class:`SweepObserver`.
+3. reports one :class:`PointResult` per point (rows, wall-clock,
+   worker pid, simulated work) and a :class:`SweepStats` per sweep to
+   every :class:`SweepObserver`.
 
 Because a spec carries its seed explicitly and every point is executed
 in isolation, serial and parallel runs produce byte-identical rows; the
@@ -61,10 +62,11 @@ __all__ = [
     "SweepCache",
     "SweepObserver",
     "SweepStats",
+    "PointResult",
     "ProgressObserver",
     "execute_point",
     "run_sweep",
-    "set_default_observer",
+    "set_default_observers",
 ]
 
 #: Bump when row contents or spec hashing change incompatibly; every
@@ -468,19 +470,35 @@ def execute_point(spec: PointSpec) -> list[dict]:
     return _jsonify(executor(spec))
 
 
-def _execute_indexed(item: tuple[int, PointSpec]):
+@dataclass(frozen=True)
+class PointResult:
+    """One sweep point's outcome: what a worker (or the cache) produced.
+
+    ``elapsed`` is the in-worker execution time, ``pid`` the worker's
+    process (for busy-time attribution in :class:`SweepStats`), and
+    ``cycles``/``flits`` the simulated work from the per-point work
+    meter, so a forked pool can ship worker-side counts back to the
+    parent.  ``error`` is ``None`` on success.  A cache hit is
+    ``cached=True`` with zero work.
+    """
+
+    index: int
+    rows: list[dict]
+    elapsed: float = 0.0
+    cached: bool = False
+    pid: int = 0
+    cycles: int = 0
+    flits: int = 0
+    error: str | None = None
+
+
+def _execute_indexed(item: tuple[int, PointSpec]) -> PointResult:
     """Pool worker body: run one spec, keep its position and timing.
 
-    Also returns the worker's pid (for busy-time attribution in
-    :class:`SweepStats`) and the simulated work the point performed —
-    a ``(cycles, flits)`` delta from the per-point work meter, so a
-    forked pool can ship worker-side counts back to the parent.
-
-    Exceptions are captured rather than propagated (the final ``error``
-    element; ``None`` on success): letting one bad point unwind
-    ``imap_unordered`` would discard every other worker's finished
-    results, so the parent decides — it retries failed points once
-    serially and surfaces permanent failures through
+    Exceptions are captured rather than propagated (in ``error``):
+    letting one bad point unwind ``imap_unordered`` would discard every
+    other worker's finished results, so the parent decides — it retries
+    failed points once serially and surfaces permanent failures through
     :attr:`SweepStats.failed_points`.
     """
     index, spec = item
@@ -493,7 +511,16 @@ def _execute_indexed(item: tuple[int, PointSpec]):
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - started
-    return index, rows, elapsed, os.getpid(), meters.drain_point(), error
+    cycles, flits = meters.drain_point()
+    return PointResult(
+        index,
+        rows,
+        elapsed,
+        pid=os.getpid(),
+        cycles=cycles,
+        flits=flits,
+        error=error,
+    )
 
 
 # -- on-disk cache -----------------------------------------------------
@@ -655,58 +682,44 @@ class SweepStats:
 class SweepObserver:
     """Hook interface for sweep progress; all methods default to no-ops.
 
-    ``point_finished`` fires once per point, in completion order (which
-    under a parallel pool is not spec order); ``elapsed`` is the
-    in-worker execution time and is ``0.0`` for cache hits.
-
-    ``sweep_context`` fires once before ``sweep_started`` with the
-    resolved execution policy — the full spec list, the worker count,
-    and whether a cache is in play — so observers that need run
-    identity (the :mod:`repro.obs` ledger derives its run-id from the
-    spec digests) never have to re-derive it from the environment.
-    ``point_started`` marks a point entering the execution section (in
-    spec order; cache hits never start), and ``worker_heartbeat``
-    reports each executed point's worker pid plus its simulated-work
-    delta, immediately before the matching ``point_finished``.
+    ``sweep_started`` fires once with the resolved execution policy —
+    the full spec list, the worker count, and whether a cache is in
+    play — so observers that need run identity (the :mod:`repro.obs`
+    ledger derives its run-id from the spec digests) never have to
+    re-derive it from the environment.  ``point_started`` marks a point
+    entering the execution section (in spec order; cache hits never
+    start).  ``point_finished`` fires once per successful point, in
+    completion order (which under a parallel pool is not spec order),
+    with the point's :class:`PointResult`; ``point_failed`` gets the
+    record of a point that failed both its run and the serial retry.
     """
 
-    def sweep_context(
+    def sweep_started(
         self, specs: list["PointSpec"], jobs: int, cached: bool
     ) -> None:
         """Execution policy for the sweep about to run."""
 
-    def sweep_started(self, total: int) -> None:
-        pass
-
     def point_started(self, index: int, spec: "PointSpec") -> None:
         """``specs[index]`` was handed to the execution section."""
 
-    def worker_heartbeat(
-        self, pid: int, cycles: int, flits: int, elapsed: float
-    ) -> None:
-        """One executed point's worker pid and (cycles, flits) delta."""
+    def point_finished(self, spec: PointSpec, result: PointResult) -> None:
+        """``spec`` produced ``result.rows`` (executed or cached)."""
 
-    def point_finished(
-        self,
-        index: int,
-        spec: PointSpec,
-        rows: list[dict],
-        elapsed: float,
-        cached: bool,
-    ) -> None:
-        pass
-
-    def point_failed(
-        self, index: int, spec: PointSpec, error: str
-    ) -> None:
+    def point_failed(self, spec: PointSpec, result: PointResult) -> None:
         """A point failed both its first run and the serial retry."""
 
     def sweep_finished(self, stats: SweepStats) -> None:
-        pass
+        """The sweep's aggregate record."""
 
 
 class ProgressObserver(SweepObserver):
-    """Prints one line per completed point plus a summary.
+    """Prints sweep progress to stderr.
+
+    ``verbose`` (the CLI's ``--progress``) prints one line per completed
+    point plus a summary.  Without it only what must never pass
+    silently is printed: each permanently failed point (its table rows
+    are missing) and the summary of a sweep that retried or lost
+    points.
 
     Status lines carry a rolling ETA (wall time so far divided by
     completed points, scaled to the remainder — meaningless before two
@@ -714,17 +727,18 @@ class ProgressObserver(SweepObserver):
     cache-hit count when any point hit.
     """
 
-    def __init__(self, stream=None):
+    def __init__(self, stream=None, verbose: bool = True):
         import sys
 
         self.stream = stream if stream is not None else sys.stderr
+        self.verbose = verbose
         self._total = 0
         self._done = 0
         self._hits = 0
         self._started = 0.0
 
-    def sweep_started(self, total: int) -> None:
-        self._total = total
+    def sweep_started(self, specs, jobs: int, cached: bool) -> None:
+        self._total = len(specs)
         self._done = 0
         self._hits = 0
         self._started = time.perf_counter()
@@ -742,26 +756,32 @@ class ProgressObserver(SweepObserver):
             extras.append(f"{self._hits} cached")
         return f" [{', '.join(extras)}]" if extras else ""
 
-    def point_finished(self, index, spec, rows, elapsed, cached) -> None:
+    def point_finished(self, spec, result: PointResult) -> None:
         self._done += 1
-        if cached:
+        if result.cached:
             self._hits += 1
-        status = "cache" if cached else f"{elapsed:.2f}s"
+        if not self.verbose:
+            return
+        status = "cache" if result.cached else f"{result.elapsed:.2f}s"
         print(
             f"  [{self._done}/{self._total}] {spec.describe()} "
             f"({status}){self._suffix()}",
             file=self.stream,
         )
 
-    def point_failed(self, index, spec, error) -> None:
+    def point_failed(self, spec, result: PointResult) -> None:
         self._done += 1
         print(
             f"  [{self._done}/{self._total}] {spec.describe()} "
-            f"FAILED: {error}",
+            f"FAILED: {result.error}",
             file=self.stream,
         )
 
     def sweep_finished(self, stats: SweepStats) -> None:
+        if not (
+            self.verbose or stats.retried_points or stats.failed_points
+        ):
+            return
         line = (
             f"  sweep: {stats.points} points, {stats.cache_hits} cached, "
             f"{stats.cache_misses} simulated in {stats.wall_seconds:.2f}s"
@@ -786,16 +806,18 @@ class ProgressObserver(SweepObserver):
         print(line, file=self.stream)
 
 
-_default_observer: SweepObserver | None = None
+_default_observers: tuple[SweepObserver, ...] = ()
 
 
-def set_default_observer(observer: SweepObserver | None) -> None:
-    """Observer used by :func:`run_sweep` calls that pass none.
+def set_default_observers(*observers: SweepObserver) -> None:
+    """Observers used by :func:`run_sweep` calls that pass none.
 
-    The CLI installs one here so drivers stay observer-agnostic.
+    The experiments CLI and ``python -m repro.faults campaign
+    --ledger`` install theirs here so drivers stay observer-agnostic;
+    call with no arguments to clear.
     """
-    global _default_observer
-    _default_observer = observer
+    global _default_observers
+    _default_observers = observers
 
 
 # -- the sweep runner --------------------------------------------------
@@ -807,7 +829,7 @@ def run_sweep(
     specs,
     jobs: int | None = None,
     cache: SweepCache | None = _CACHE_FROM_OPTIONS,
-    observer: SweepObserver | None = None,
+    observers=None,
 ) -> list[dict]:
     """Execute every spec and return their rows, flattened in spec order.
 
@@ -819,18 +841,25 @@ def run_sweep(
 
     ``jobs`` and ``cache`` default to the run policy's
     (:func:`repro.noc.layers.run_options`; pass ``cache=None`` to force
-    the cache off), which pool workers also run under; ``observer``
-    defaults to the one installed with :func:`set_default_observer`.
+    the cache off), which pool workers also run under.  Every event
+    goes to each of ``observers``, in order; ``None`` means the ones
+    installed with :func:`set_default_observers`.
 
     A point that raises is retried once serially in the parent; if the
     retry also fails, the sweep continues without its rows and the
     failure is surfaced through :attr:`SweepStats.failed_points` and
-    the observer's ``point_failed`` hook (so one bad point cannot
+    the observers' ``point_failed`` hook (so one bad point cannot
     discard an hour of finished work).
     """
     specs = list(specs)
-    if observer is None:
-        observer = _default_observer or SweepObserver()
+    if observers is None:
+        observers = _default_observers
+    observers = tuple(observers)
+
+    def emit(hook: str, *args) -> None:
+        for observer in observers:
+            getattr(observer, hook)(*args)
+
     options = layers.run_options()
     if cache is _CACHE_FROM_OPTIONS:
         cache = (
@@ -843,8 +872,7 @@ def run_sweep(
 
     stats = SweepStats(points=len(specs))
     started = time.perf_counter()
-    observer.sweep_context(specs, jobs, cache is not None)
-    observer.sweep_started(len(specs))
+    emit("sweep_started", specs, jobs, cache is not None)
 
     rows_by_index: dict[int, list[dict]] = {}
     pending: list[tuple[int, PointSpec]] = []
@@ -854,46 +882,31 @@ def run_sweep(
             rows_by_index[index] = hit
             stats.cache_hits += 1
             stats.point_seconds.append(0.0)
-            observer.point_finished(index, spec, hit, 0.0, True)
+            emit("point_finished", spec, PointResult(index, hit, cached=True))
         else:
             pending.append((index, spec))
 
-    def record(
-        index: int,
-        rows: list[dict],
-        elapsed: float,
-        pid: int,
-        work: tuple[int, int],
-        from_worker: bool,
-    ) -> None:
-        rows_by_index[index] = rows
+    def record(result: PointResult) -> None:
+        rows_by_index[result.index] = result.rows
         stats.cache_misses += 1
-        stats.point_seconds.append(elapsed)
-        stats.sim_cycles += work[0]
-        stats.sim_flits += work[1]
-        stats.worker_busy_seconds[pid] = (
-            stats.worker_busy_seconds.get(pid, 0.0) + elapsed
+        stats.point_seconds.append(result.elapsed)
+        stats.sim_cycles += result.cycles
+        stats.sim_flits += result.flits
+        stats.worker_busy_seconds[result.pid] = (
+            stats.worker_busy_seconds.get(result.pid, 0.0) + result.elapsed
         )
-        observer.worker_heartbeat(pid, work[0], work[1], elapsed)
-        if from_worker:
+        if result.pid != os.getpid():
             # Pool workers accumulate into their own (forked) process
             # meter, which dies with them; fold their shipped delta
-            # into this process's lifetime total.  Serial points ran
-            # in-process and are already counted.
-            meters.WORK.add(*work)
+            # into this process's lifetime total.  Points run here
+            # (serially or as a retry) are already counted.
+            meters.WORK.add(result.cycles, result.flits)
+        spec = specs[result.index]
         if cache is not None:
-            cache.put(specs[index], rows)
-        observer.point_finished(index, specs[index], rows, elapsed, False)
+            cache.put(spec, result.rows)
+        emit("point_finished", spec, result)
 
-    def settle(
-        index: int,
-        rows: list[dict],
-        elapsed: float,
-        pid: int,
-        work: tuple[int, int],
-        error: str | None,
-        from_worker: bool,
-    ) -> None:
+    def settle(result: PointResult) -> None:
         """Record one executed point, retrying a failure once serially.
 
         The retry runs in the parent process (transient worker-side
@@ -902,18 +915,15 @@ def run_sweep(
         ``stats.failed_points`` instead of raising, so the rest of the
         sweep still completes and returns its rows.
         """
-        if error is None:
-            record(index, rows, elapsed, pid, work, from_worker)
-            return
-        index, rows, elapsed, pid, work, error = _execute_indexed(
-            (index, specs[index])
-        )
-        if error is None:
+        if result.error is not None:
+            spec = specs[result.index]
+            result = _execute_indexed((result.index, spec))
+            if result.error is not None:
+                stats.failed_points.append((result.index, result.error))
+                emit("point_failed", spec, result)
+                return
             stats.retried_points += 1
-            record(index, rows, elapsed, pid, work, False)
-            return
-        stats.failed_points.append((index, error))
-        observer.point_failed(index, specs[index], error)
+        record(result)
 
     if pending:
         workers = min(jobs, len(pending))
@@ -925,7 +935,7 @@ def run_sweep(
             # in spec order — per-worker start instants are not
             # observable from the parent.
             for index, spec in pending:
-                observer.point_started(index, spec)
+                emit("point_started", index, spec)
             with _pool_context().Pool(
                 workers,
                 initializer=layers.install_run_options,
@@ -934,15 +944,15 @@ def run_sweep(
                 for result in pool.imap_unordered(
                     _execute_indexed, pending
                 ):
-                    settle(*result, True)
+                    settle(result)
         else:
-            for item in pending:
-                observer.point_started(*item)
-                settle(*_execute_indexed(item), False)
+            for index, spec in pending:
+                emit("point_started", index, spec)
+                settle(_execute_indexed((index, spec)))
         stats.exec_wall_seconds = time.perf_counter() - exec_started
 
     stats.wall_seconds = time.perf_counter() - started
-    observer.sweep_finished(stats)
+    emit("sweep_finished", stats)
 
     out: list[dict] = []
     for index, spec in enumerate(specs):

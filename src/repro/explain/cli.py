@@ -58,6 +58,7 @@ def _show(documents: list[tuple[str, dict]]) -> str:
             total_cycles = latency.get("latency_cycles", 0)
             row["packets"] = packets
             row["unfinished"] = latency.get("unfinished", 0)
+            row["headless"] = latency.get("headless", 0)
             row["mismatches"] = latency.get("phase_mismatches", 0)
             row["wakeup_frac"] = (
                 totals.get("wakeup_stall", 0) / total_cycles

@@ -27,8 +27,8 @@ that sum to it *exactly* (no sampling, no estimation):
 
 The probe placement makes the identity structural: ``_assign_head``
 brackets ``[created, assigned)``, the post-``ni.step`` slot scan
-classifies ``[assigned, injected)``, and a tap on every NI's
-``packet_sink`` completes the packet from its own timestamps.  The
+classifies ``[assigned, injected)``, and a tap on every subnet's
+``eject_sink`` completes the packet from its own timestamps.  The
 router charges a fixed ``pipeline_cycles`` per injection and
 ``hop_cycles`` per hop, so ``[injected, head_ejected_cycle]`` splits in
 closed form: ``inject_pipe = pipeline_cycles``, ``link = hop_cycles *
@@ -51,7 +51,8 @@ formulas are applied once on both sides).
 
 Created-but-undelivered packets at run end (sentinel ``-1``
 timestamps) are excluded from every distribution and reported as
-``unfinished``.
+``unfinished``; delivered packets whose head a fault dropped in flight
+are excluded too and reported as ``headless``.
 """
 
 from __future__ import annotations
@@ -179,6 +180,7 @@ class ExplainHub(FabricLayer):
         self._id_map: dict[int, int] = {}
         self._next_relative_id = 0
         self.packets_seen = 0
+        self.headless_packets = 0
         self.truncated_packets = 0
         self.phase_mismatches = 0
         self.latency_cycles = 0
@@ -233,8 +235,11 @@ class ExplainHub(FabricLayer):
                     self._make_assign_probe(ni, ni._assign_head),
                 )
                 install(ni, "step", self._make_stall_probe(ni, ni.step))
+            for network in fabric.subnets:
                 install(
-                    ni, "packet_sink", self._make_sink_tap(ni.packet_sink)
+                    network,
+                    "eject_sink",
+                    self._make_sink_tap(network.eject_sink),
                 )
         telemetry = getattr(fabric, "telemetry", None)
         if telemetry is not None:
@@ -337,8 +342,8 @@ class ExplainHub(FabricLayer):
     def _make_sink_tap(
         self, orig: "Callable[[Packet, int], None]"
     ) -> "Callable[[Packet, int], None]":
-        # The NI calls packet_sink after setting received_cycle; the
-        # packet's head timestamps and hops were written on the way.
+        # The router calls eject_sink after setting received_cycle;
+        # the packet's head timestamps and hops were written on the way.
         def tap(packet: "Packet", cycle: int) -> None:
             orig(packet, cycle)
             self._complete(packet)
@@ -354,12 +359,12 @@ class ExplainHub(FabricLayer):
         received = packet.received_cycle
         injected = packet.injected_cycle
         head_ejected = packet.head_ejected_cycle
-        if (
-            received < 0
-            or injected < 0
-            or trace.assigned < 0
-            or head_ejected < 0
-        ):
+        if head_ejected < 0:
+            # Delivered, but a fault dropped its head in flight: the
+            # head-side phases cannot be split, so it is only counted.
+            self.headless_packets += 1
+            return
+        if received < 0 or injected < 0 or trace.assigned < 0:
             # Sentinel timestamps: never folded into distributions.
             return
         inject_pipe = self._pipeline_cycles
@@ -588,6 +593,7 @@ class ExplainHub(FabricLayer):
             "phases": list(PHASE_NAMES),
             "packets": self.packets_seen,
             "unfinished": len(self._packets),
+            "headless": self.headless_packets,
             "truncated": self.truncated_packets,
             "phase_mismatches": self.phase_mismatches,
             "latency_cycles": self.latency_cycles,

@@ -130,17 +130,17 @@ def main(argv: list[str] | None = None) -> int:
     from repro.util import env
 
     if args.ledger or env.flag("REPRO_OBS"):
-        # The campaign driver calls run_sweep without an observer, so
-        # the ledger attaches through the runner's default-observer
-        # slot (restored on the way out, crash or not).
+        # The campaign driver calls run_sweep without observers, so the
+        # ledger attaches through the runner's default observers
+        # (cleared on the way out, crash or not).
         from repro.experiments import runner
         from repro.obs.ledger import LedgerObserver
 
-        runner.set_default_observer(LedgerObserver())
+        runner.set_default_observers(LedgerObserver())
         try:
             result = _run_campaign(args)
         finally:
-            runner.set_default_observer(None)
+            runner.set_default_observers()
     else:
         result = _run_campaign(args)
     print(render_campaign(result))

@@ -15,7 +15,7 @@ same contract as :class:`repro.perf.profiler.PhaseProfiler`,
   bits after every legitimate recomputation;
 * each ``network.deliver_arrivals`` — removes or corrupts link flits in
   flight (``drop-flit`` / ``corrupt-flit``);
-* each ``ni.packet_sink`` — counts survived vs. damaged receptions.
+* each ``network.eject_sink`` — counts survived vs. damaged receptions.
 
 Because shadowing only touches *instances*, a fabric without an engine
 runs plain class bytecode — fault-off runs take the identical code path
@@ -164,8 +164,10 @@ class FaultEngine(FabricLayer):
                 "deliver_arrivals",
                 self._make_deliver_tap(network, network.deliver_arrivals),
             )
-        for ni in fabric.nis:
-            install(ni, "packet_sink", self._make_sink_tap(ni.packet_sink))
+        for network in fabric.subnets:
+            install(
+                network, "eject_sink", self._make_sink_tap(network.eject_sink)
+            )
         if self.recovery.wakeup_timeout_enabled:
             gating.arm_wake_timeout(
                 self.recovery.wakeup_timeout,

@@ -23,7 +23,7 @@ simulator's self-profile (``REPRO_PERF=1``, see ``docs/perf.md``).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.noc.buffers import vc_candidates
 from repro.noc.config import NocConfig
@@ -83,7 +83,8 @@ class _StreamSlot:
 
 
 class NetworkInterface:
-    """Injection/ejection endpoint shared by the tiles of one node."""
+    """Injection endpoint shared by the tiles of one node (ejected
+    packets go from the router straight to the fabric's sink)."""
 
     def __init__(
         self,
@@ -130,8 +131,6 @@ class NetworkInterface:
         self._routes = routing.rows[node]
         self.policy: "SubnetSelectionPolicy | None" = None
         self.gating: "PowerGatingController | None" = None
-        #: callable(packet, cycle) invoked when a packet fully arrives.
-        self.packet_sink: Callable[[Packet, int], None] | None = None
         self._queue_flits = 0
         # Injection-rate averages for the IR metric; only maintained
         # when track_rate is set (they cost per-cycle work on every NI).
@@ -285,14 +284,3 @@ class NetworkInterface:
             self._stream_rr[subnet] = vc + 1
             return True
         return False
-
-    # ------------------------------------------------------------------
-    # Sink side
-    # ------------------------------------------------------------------
-    def receive_flit(self, flit: Flit, subnet: int, cycle: int) -> None:
-        """Accept an ejected flit; complete the packet on its tail."""
-        if flit.is_tail:
-            packet = flit.packet
-            packet.received_cycle = cycle
-            if self.packet_sink is not None:
-                self.packet_sink(packet, cycle)

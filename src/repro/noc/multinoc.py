@@ -134,9 +134,8 @@ class MultiNocFabric:
                 self.rng,
             )
             ni.gating = self.gating
-            ni.packet_sink = self._on_packet_received
         for network in self.subnets:
-            network.eject_sink = self._eject_to_ni
+            network.eject_sink = self._on_packet_received
         if self.monitor.needs_blocking_counters:
             for network in self.subnets:
                 for router in network.routers:
@@ -184,9 +183,6 @@ class MultiNocFabric:
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _eject_to_ni(self, flit, subnet: int, node: int, cycle: int) -> None:
-        self.nis[node].receive_flit(flit, subnet, cycle)
-
     def _on_packet_received(self, packet: Packet, cycle: int) -> None:
         self.stats.record_received(packet, cycle)
         if self.packet_sink is not None:
@@ -310,6 +306,10 @@ class MultiNocFabric:
     def report(self) -> FabricReport:
         """Snapshot statistics for power modelling and experiments."""
         self.gating.finalize(self.cycle)
+        stats = self.stats
+        measured = (
+            stats.measure_start is not None and stats.measure_end is not None
+        )
         return FabricReport(
             config=self.config,
             cycles=self.cycle,
@@ -319,31 +319,16 @@ class MultiNocFabric:
             gating=list(self.gating.stats),
             gating_policy=self.gating.policy,
             rcs_transitions=self.monitor.regional.transitions,
-            avg_packet_latency=self.stats.average_packet_latency(),
-            avg_network_latency=self.stats.average_network_latency(),
-            throughput_packets=(
-                self.stats.throughput_packets()
-                if self.stats.measure_start is not None
-                and self.stats.measure_end is not None
-                else 0.0
-            ),
-            throughput_flits=(
-                self.stats.throughput_flits()
-                if self.stats.measure_start is not None
-                and self.stats.measure_end is not None
-                else 0.0
-            ),
-            offered_rate=(
-                self.stats.offered_rate()
-                if self.stats.measure_start is not None
-                and self.stats.measure_end is not None
-                else 0.0
-            ),
-            packets_received=self.stats.packets_received,
+            avg_packet_latency=stats.average_packet_latency(),
+            avg_network_latency=stats.average_network_latency(),
+            throughput_packets=stats.throughput_packets() if measured else 0.0,
+            throughput_flits=stats.throughput_flits() if measured else 0.0,
+            offered_rate=stats.offered_rate() if measured else 0.0,
+            packets_received=stats.packets_received,
             subnet_injection_share=self.subnet_injection_share(),
-            latency_p50=self.stats.latency_percentile(0.50),
-            latency_p95=self.stats.latency_percentile(0.95),
-            latency_p99=self.stats.latency_percentile(0.99),
-            avg_hops_per_subnet=self.stats.average_hops_per_subnet(),
-            tenants=self.stats.tenants_summary(),
+            latency_p50=stats.latency_percentile(0.50),
+            latency_p95=stats.latency_percentile(0.95),
+            latency_p99=stats.latency_percentile(0.99),
+            avg_hops_per_subnet=stats.average_hops_per_subnet(),
+            tenants=stats.tenants_summary(),
         )

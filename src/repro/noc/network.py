@@ -15,7 +15,7 @@ from typing import Callable
 
 from repro.noc.buffers import VirtualChannel, vc_candidates
 from repro.noc.config import NocConfig
-from repro.noc.flit import Flit
+from repro.noc.flit import Flit, Packet
 from repro.noc.router import PowerState, Router
 from repro.noc.routing import XYRouting
 from repro.noc.topology import ConcentratedMesh, Port
@@ -159,9 +159,9 @@ class SubnetNetwork:
         ]
         self._ring_len = ring_len
         self._scan = _scan_tables(config.vcs_per_port)
-        #: callable(flit, subnet, node, cycle) installed by the fabric;
-        #: receives the tail flit of every ejected packet.
-        self.eject_sink: Callable[[Flit, int, int, int], None] | None = None
+        #: callable(packet, cycle) installed by the fabric; receives
+        #: every packet whose tail ejects, ``received_cycle`` stamped.
+        self.eject_sink: Callable[[Packet, int], None] | None = None
         #: callable(router, requester_node) installed by the gating
         #: controller; collects look-ahead wakeup requests.
         self.wakeup_sink: Callable[[Router, int], None] | None = None
@@ -218,7 +218,8 @@ class SubnetNetwork:
         input ``hop_cycles`` later with their look-ahead route
         computed, or eject to the NI, and return a credit to their VC's
         credit home.  An ejecting head flit stamps its packet's
-        ``head_ejected_cycle``; an ejecting tail goes to ``eject_sink``.
+        ``head_ejected_cycle``; an ejecting tail stamps its
+        ``received_cycle`` and hands the packet to ``eject_sink``.
 
         Counters and ``flits_in_network`` are charged once per call,
         each router's ``held`` once per router.
@@ -232,7 +233,6 @@ class SubnetNetwork:
             (cycle + self._hop_cycles) % self._ring_len
         ].append
         eject_sink = self.eject_sink
-        subnet = self.subnet
         vcs = self.config.vcs_per_port
         request_wakeup = self.request_wakeup
         orders_get = _ALLOC_ORDERS.get
@@ -283,7 +283,9 @@ class SubnetNetwork:
                         packets_ejected += 1
                         if eject_sink is None:
                             raise RuntimeError("no ejection sink installed")
-                        eject_sink(flit, subnet, router.node, cycle)
+                        packet = flit.packet
+                        packet.received_cycle = cycle
+                        eject_sink(packet, cycle)
                 else:
                     downstream, row, down_vcs, next_row = links[out_port]
                     out_vc = channel.out_vc

@@ -49,7 +49,7 @@ from repro.obs.artifacts import ArtifactScanner
 from repro.util import env
 
 if TYPE_CHECKING:
-    from repro.experiments.runner import PointSpec, SweepStats
+    from repro.experiments.runner import PointResult, PointSpec, SweepStats
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -257,18 +257,13 @@ class ArtifactObserver(SweepObserver):
             self.reported.append(path)
             print(f"  {self.layer.name}: {path}", file=self.stream)
 
-    def sweep_started(self, total: int) -> None:
+    def sweep_started(
+        self, specs: "list[PointSpec]", jobs: int, cached: bool
+    ) -> None:
         # Pre-existing artifacts belong to earlier runs.
         self._scanner.prime()
 
-    def point_finished(
-        self,
-        index: int,
-        spec: Any,
-        rows: list[dict[str, Any]],
-        elapsed: float,
-        cached: bool,
-    ) -> None:
+    def point_finished(self, spec: "PointSpec", result: "PointResult") -> None:
         self._report_fresh()
 
     def sweep_finished(self, stats: "SweepStats") -> None:
@@ -293,11 +288,7 @@ class LedgerObserver(SweepObserver):
         self.runs: list[Path] = []
         self._handle: IO[str] | None = None
         self._seq = 0
-        self._specs: list["PointSpec"] = []
         self._scanners: list[ArtifactScanner] = []
-        self._run_id = ""
-        self._jobs = 0
-        self._cached = False
 
     # -- plumbing ------------------------------------------------------
 
@@ -352,22 +343,15 @@ class LedgerObserver(SweepObserver):
 
     # -- SweepObserver hooks -------------------------------------------
 
-    def sweep_context(
+    def sweep_started(
         self, specs: "list[PointSpec]", jobs: int, cached: bool
     ) -> None:
         if self._handle is not None:
             # A sweep_finished never arrived (crashed sweep); seal the
             # previous ledger before starting the next run.
             self._close()
-        self._specs = list(specs)
-        self._jobs = jobs
-        self._cached = cached
-        self._run_id = run_id_for(self._specs)
-
-    def sweep_started(self, total: int) -> None:
-        if not self._specs and total:
-            return  # no context (not launched via run_sweep): no ledger
-        run_dir = self._allocate_run_dir(self._run_id)
+        run_id = run_id_for(specs)
+        run_dir = self._allocate_run_dir(run_id)
         self.runs.append(run_dir)
         self._handle = open(
             run_dir / LEDGER_NAME, "a", buffering=1, encoding="utf-8"
@@ -384,14 +368,13 @@ class LedgerObserver(SweepObserver):
             {
                 "event": "sweep_started",
                 "schema": LEDGER_SCHEMA,
-                "run_id": self._run_id,
-                "total": total,
-                "jobs": self._jobs,
-                "cache": self._cached,
-                "specs": [s.digest() for s in self._specs],
+                "run_id": run_id,
+                "total": len(specs),
+                "jobs": jobs,
+                "cache": cached,
+                "specs": [s.digest() for s in specs],
                 "spec_index": [
-                    self._spec_entry(i, s)
-                    for i, s in enumerate(self._specs)
+                    self._spec_entry(i, s) for i, s in enumerate(specs)
                 ],
             },
             milestone=True,
@@ -401,49 +384,37 @@ class LedgerObserver(SweepObserver):
     def point_started(self, index: int, spec: "PointSpec") -> None:
         self._emit({"event": "point_started", "index": index})
 
-    def worker_heartbeat(
-        self, pid: int, cycles: int, flits: int, elapsed: float
-    ) -> None:
-        self._emit(
-            {
-                "event": "heartbeat",
-                "pid": pid,
-                "cycles": cycles,
-                "flits": flits,
-                "elapsed": elapsed,
-            }
-        )
-
-    def point_finished(
-        self,
-        index: int,
-        spec: "PointSpec",
-        rows: list[dict[str, Any]],
-        elapsed: float,
-        cached: bool,
-    ) -> None:
+    def point_finished(self, spec: "PointSpec", result: "PointResult") -> None:
+        rows = result.rows
         event: dict[str, Any] = {
-            "event": "cache_hit" if cached else "point_finished",
-            "index": index,
+            "event": "cache_hit" if result.cached else "point_finished",
+            "index": result.index,
             "spec": spec.digest(),
             "rows": len(rows),
             "rows_digest": _rows_digest(rows),
             "row_summary": _row_summary(rows),
         }
-        if not cached:
-            event["elapsed"] = elapsed
+        if not result.cached:
+            self._emit(
+                {
+                    "event": "heartbeat",
+                    "pid": result.pid,
+                    "cycles": result.cycles,
+                    "flits": result.flits,
+                    "elapsed": result.elapsed,
+                }
+            )
+            event["elapsed"] = result.elapsed
             event["artifacts"] = self._fresh_artifacts()
         self._emit(event)
 
-    def point_failed(
-        self, index: int, spec: "PointSpec", error: str
-    ) -> None:
+    def point_failed(self, spec: "PointSpec", result: "PointResult") -> None:
         self._emit(
             {
                 "event": "point_failed",
-                "index": index,
+                "index": result.index,
                 "spec": spec.digest(),
-                "error": error,
+                "error": result.error,
             },
             milestone=True,
         )

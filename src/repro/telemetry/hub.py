@@ -13,7 +13,8 @@ same contract as :class:`repro.analysis.invariants.InvariantChecker`):
   cycle (O(1) per transition, no per-cycle scans);
 * ``monitor.regional.update`` — diffs the latched RCS bits at update
   boundaries for toggle events and duty-cycle integration;
-* each ``ni.packet_sink`` — records packet lifetimes at tail ejection.
+* each ``network.eject_sink`` — records packet lifetimes at tail
+  ejection.
 
 Because shadowing only touches *instances*, a fabric without a hub
 executes the original unhooked class methods: telemetry-off runs take
@@ -153,8 +154,12 @@ class TelemetryHub(FabricLayer):
         self._orig_regional_update = install(
             fabric.monitor.regional, "update", self._tap_regional_update
         )
-        for ni in fabric.nis:
-            install(ni, "packet_sink", self._make_packet_tap(ni.packet_sink))
+        for network in fabric.subnets:
+            install(
+                network,
+                "eject_sink",
+                self._make_packet_tap(network.eject_sink),
+            )
 
     # ------------------------------------------------------------------
     # Shadowed fabric methods

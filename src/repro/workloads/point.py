@@ -10,11 +10,11 @@ import hashlib
 import json
 from dataclasses import asdict
 
+from repro.experiments.common import open_loop_columns
 from repro.noc.config import SYNTHETIC_PACKET_BITS, NocConfig
 from repro.noc.multinoc import FabricReport, MultiNocFabric
 from repro.noc.simulator import SimulationPhases, run_open_loop
 from repro.perf import meters
-from repro.power.network_power import compute_network_power
 from repro.workloads.spec import make_workload_source, parse_workload_spec
 
 __all__ = ["run_serving_point", "report_digest", "sleep_fractions"]
@@ -64,26 +64,11 @@ def run_serving_point(
     )
     report = run_open_loop(fabric, source, phases)
     meters.note_report(report)
-    power = compute_network_power(report)
     return {
-        "config": config.name,
-        "policy": config.selection_policy,
+        **open_loop_columns(report),
         "workload": spec.kind,
         "workload_spec": spec.to_text(),
         "load": report.offered_rate,
-        "latency": report.avg_packet_latency,
-        "network_latency": report.avg_network_latency,
-        "throughput": report.throughput_packets,
-        "throughput_flits": report.throughput_flits,
-        "csc_pct": 100.0 * report.csc_fraction,
-        "power_w": power.total_watts,
-        "dynamic_w": power.dynamic_watts,
-        "static_w": power.static_watts,
-        "subnet_share": report.subnet_injection_share,
-        "latency_p50": report.latency_p50,
-        "latency_p95": report.latency_p95,
-        "latency_p99": report.latency_p99,
-        "avg_hops_per_subnet": report.avg_hops_per_subnet,
         "tenants": report.tenants,
         "sleep_frac": sleep_fractions(report),
     }

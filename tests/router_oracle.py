@@ -40,8 +40,8 @@ def _send(network, flit, downstream, in_port: int, vc: int,
     counters.link_traversals += 1
 
 
-def _eject(network, flit, node: int, cycle: int) -> None:
-    """Count an ejected flit; hand a tail to the fabric's NI."""
+def _eject(network, flit, cycle: int) -> None:
+    """Count an ejected flit; hand a tail's packet to the fabric."""
     counters = network.counters
     counters.buffer_reads += 1
     counters.crossbar_traversals += 1
@@ -53,7 +53,8 @@ def _eject(network, flit, node: int, cycle: int) -> None:
         counters.packets_ejected += 1
         if network.eject_sink is None:
             raise RuntimeError("no ejection sink installed")
-        network.eject_sink(flit, network.subnet, node, cycle)
+        flit.packet.received_cycle = cycle
+        network.eject_sink(flit.packet, cycle)
 
 
 def oracle_router_step(network, router, cycle: int) -> None:
@@ -125,7 +126,7 @@ def oracle_router_step(network, router, cycle: int) -> None:
         channel = pop(in_port, in_vc)
         if flit.is_tail and channel.has_allocation:
             channel.release_allocation()
-        _eject(network, flit, router.node, cycle)
+        _eject(network, flit, cycle)
 
     if not router.mask:
         return

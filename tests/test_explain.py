@@ -24,6 +24,7 @@ import os
 
 import pytest
 
+from repro.experiments.runner import PointResult
 from repro.explain.cli import main as explain_main
 from repro.faults.engine import FaultEngine
 from repro.faults.spec import parse_fault_spec
@@ -130,9 +131,10 @@ class TestZeroOverhead:
         for ni in fabric.nis:
             assert "_assign_head" not in ni.__dict__
             assert "step" not in ni.__dict__
-            # packet_sink is a plain data slot on the NI; without a hub
-            # it is the fabric's own completion callback.
-            assert ni.packet_sink == fabric._on_packet_received
+        # eject_sink is a plain data slot on the subnet; without a hub
+        # it is the fabric's own completion callback.
+        for network in fabric.subnets:
+            assert network.eject_sink == fabric._on_packet_received
         assert fabric.step.__func__ is MultiNocFabric.step
 
     def test_constructor_attaches_hub_from_env(
@@ -162,9 +164,16 @@ class TestZeroOverhead:
         hub = ExplainHub(fabric, out_dir=None).attach()
         assert "step" in fabric.__dict__
         assert "_assign_head" in fabric.nis[0].__dict__
-        assert fabric.nis[0].packet_sink != fabric._on_packet_received
-        # The flit path carries no probe: no subnet gains a shadow.
-        assert [vars(network) for network in fabric.subnets] == subnets
+        assert fabric.subnets[0].eject_sink != fabric._on_packet_received
+        # The flit path carries no probe: the packet sink is the only
+        # shadow a subnet gains.
+        assert [
+            {k: v for k, v in vars(network).items() if k != "eject_sink"}
+            for network in fabric.subnets
+        ] == [
+            {k: v for k, v in before.items() if k != "eject_sink"}
+            for before in subnets
+        ]
         run_traffic(fabric, 64)
         hub.detach()
         assert "step" not in fabric.__dict__
@@ -172,9 +181,10 @@ class TestZeroOverhead:
         for ni in fabric.nis:
             assert "_assign_head" not in ni.__dict__
             assert "step" not in ni.__dict__
-            # packet_sink is a plain data slot on the NI; without a hub
-            # it is the fabric's own completion callback.
-            assert ni.packet_sink == fabric._on_packet_received
+        # eject_sink is a plain data slot on the subnet; without a hub
+        # it is the fabric's own completion callback.
+        for network in fabric.subnets:
+            assert network.eject_sink == fabric._on_packet_received
         assert fabric.step.__func__ is MultiNocFabric.step
         # Stepping after detach records nothing further.
         seen = hub.packets_seen
@@ -367,7 +377,7 @@ class TestPinnedAttribution:
     asleep (wakeup stalls)."""
 
     DIGEST = (
-        "d79035de0a9cc4706e3be2a8dde6cd845ffa604931e1b8b904d9d2f64a5583d6"
+        "aba1aa21759ff36f6cc3e593ebac997451d406a5b4a071702f0d4d76db069901"
     )
     PHASE_TOTALS = [803213, 9938, 337, 65849, 9382, 195789, 47004, 55568]
 
@@ -389,6 +399,11 @@ class TestPinnedAttribution:
         fabric.backend.run(3000, source)
         assert sum(fabric.faults.dropped_flits) > 0
         assert hub.packets_seen == 4691 and not hub._packets
+        assert hub.headless_packets > 0
+        assert (
+            hub.packets_seen + hub.headless_packets
+            == fabric.stats.packets_received
+        )
         assert hub.phase_mismatches == 0
         assert hub.phase_totals == self.PHASE_TOTALS
         assert hub.attribution_digest() == self.DIGEST
@@ -447,9 +462,9 @@ class TestArtifactsAndObserver:
             BY_NAME["explain"], directory=str(tmp_path), stream=stream
         )
         (tmp_path / "old.explain.json").write_text("{}")
-        observer.sweep_started(1)
+        observer.sweep_started([], 1, False)
         self._flushed(tmp_path)
-        observer.point_finished(0, None, [], 0.0, False)
+        observer.point_finished(None, PointResult(0, []))
         observer.sweep_finished(None)
         assert len(observer.reported) == 1
         assert "old" not in observer.reported[0]
@@ -459,8 +474,8 @@ class TestArtifactsAndObserver:
         observer = ArtifactObserver(
             BY_NAME["explain"], directory=str(tmp_path / "missing")
         )
-        observer.sweep_started(1)
-        observer.point_finished(0, None, [], 0.0, False)
+        observer.sweep_started([], 1, False)
+        observer.point_finished(None, PointResult(0, []))
         assert observer.reported == []
 
 

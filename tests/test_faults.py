@@ -143,11 +143,11 @@ class TestZeroOverhead:
         assert "update" not in fabric.monitor.__dict__
         for network in fabric.subnets:
             assert "deliver_arrivals" not in network.__dict__
-        # packet_sink is a plain data slot on the NI; without an
+        # eject_sink is a plain data slot on the subnet; without an
         # engine it holds the fabric's own reception callback, not a
         # counting tap.
-        for ni in fabric.nis:
-            assert ni.packet_sink == fabric._on_packet_received
+        for network in fabric.subnets:
+            assert network.eject_sink == fabric._on_packet_received
 
     def test_attach_detach_restores_structure(self):
         fabric = MultiNocFabric(small_config(), seed=5)

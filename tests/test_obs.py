@@ -18,6 +18,7 @@ import pytest
 
 from repro.experiments.common import synthetic_phases
 from repro.experiments.runner import (
+    PointResult,
     PointSpec,
     SweepCache,
     SweepStats,
@@ -56,7 +57,7 @@ def tiny_specs(seed: int = 7, loads=(0.02, 0.10, 0.20, 0.30)):
 def run_ledgered(tmp_path, jobs: int, cache=None, name="obs"):
     observer = LedgerObserver(root=tmp_path / name)
     rows = run_sweep(
-        tiny_specs(), jobs=jobs, cache=cache, observer=observer
+        tiny_specs(), jobs=jobs, cache=cache, observers=[observer]
     )
     events, warnings = read_ledger(observer.runs[-1] / LEDGER_NAME)
     assert warnings == []
@@ -184,7 +185,7 @@ class TestCanonicalDigest:
             tiny_specs(seed=8),
             jobs=1,
             cache=None,
-            observer=observer,
+            observers=[observer],
         )
         other, _ = read_ledger(observer.runs[-1] / LEDGER_NAME)
         assert canonical_digest(events) != canonical_digest(other)
@@ -242,7 +243,7 @@ class TestLedgerObserver:
             pattern="no_such_pattern",
         )
         observer = LedgerObserver(root=tmp_path / "obs")
-        run_sweep([bad], jobs=1, cache=None, observer=observer)
+        run_sweep([bad], jobs=1, cache=None, observers=[observer])
         events, _ = read_ledger(observer.runs[-1] / LEDGER_NAME)
         kinds = [e["event"] for e in events]
         assert "point_failed" in kinds
@@ -374,7 +375,7 @@ class TestReport:
             tiny_specs(loads=(0.05, 0.10)),
             jobs=1,
             cache=None,
-            observer=observer,
+            observers=[observer],
         )
         report = build_report(observer.runs[-1])
         rows = report["rollup"]["rows"]
@@ -420,26 +421,26 @@ class TestProgressObserverEta:
 
     def test_no_eta_before_two_points(self):
         observer, stream = self._observer()
-        observer.sweep_started(3)
-        observer.point_finished(0, tiny_specs()[0], [], 0.5, False)
+        observer.sweep_started(tiny_specs()[:3], 1, False)
+        observer.point_finished(tiny_specs()[0], PointResult(0, [], 0.5))
         assert "eta" not in stream.getvalue()
 
     def test_eta_and_cache_count_after_two_points(self):
         observer, stream = self._observer()
-        observer.sweep_started(3)
+        observer.sweep_started(tiny_specs()[:3], 1, False)
         spec = tiny_specs()[0]
-        observer.point_finished(0, spec, [], 0.5, False)
-        observer.point_finished(1, spec, [], 0.0, True)
+        observer.point_finished(spec, PointResult(0, [], 0.5))
+        observer.point_finished(spec, PointResult(1, [], cached=True))
         lines = stream.getvalue().splitlines()
         assert "eta" in lines[-1]
         assert "1 cached" in lines[-1]
 
     def test_no_eta_on_last_point(self):
         observer, stream = self._observer()
-        observer.sweep_started(2)
+        observer.sweep_started(tiny_specs()[:2], 1, False)
         spec = tiny_specs()[0]
-        observer.point_finished(0, spec, [], 0.5, False)
-        observer.point_finished(1, spec, [], 0.5, False)
+        observer.point_finished(spec, PointResult(0, [], 0.5))
+        observer.point_finished(spec, PointResult(1, [], 0.5))
         assert "eta" not in stream.getvalue().splitlines()[-1]
 
     def test_summary_line_reports_retries(self):

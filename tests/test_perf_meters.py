@@ -65,7 +65,9 @@ class _UtilizationMixin:
         specs = tiny_specs()
         observer = RecordingObserver()
         before = meters.WORK.snapshot()
-        rows = run_sweep(specs, jobs=self.jobs, cache=None, observer=observer)
+        rows = run_sweep(
+            specs, jobs=self.jobs, cache=None, observers=[observer]
+        )
         after = meters.WORK.snapshot()
         return specs, rows, observer.stats, before, after
 
@@ -120,7 +122,7 @@ class TestCachedSweepMetering:
         run_sweep(specs, jobs=1, cache=cache)
         observer = RecordingObserver()
         before = meters.WORK.snapshot()
-        run_sweep(specs, jobs=1, cache=cache, observer=observer)
+        run_sweep(specs, jobs=1, cache=cache, observers=[observer])
         assert observer.stats.cache_hits == len(specs)
         assert observer.stats.sim_cycles == 0
         assert observer.stats.sim_flits == 0
@@ -138,7 +140,7 @@ class TestProgressLine:
         stream = io.StringIO()
         observer = ProgressObserver(stream=stream)
         run_sweep(
-            tiny_specs(loads=(0.02,)), jobs=1, cache=None, observer=observer
+            tiny_specs(loads=(0.02,)), jobs=1, cache=None, observers=[observer]
         )
         summary = stream.getvalue().splitlines()[-1]
         assert "cycles/s" in summary
@@ -183,7 +185,7 @@ class TestPointMeterIsolation:
 def test_env_jobs_respected_in_worker_count(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "3")
     observer = RecordingObserver()
-    run_sweep(tiny_specs(), cache=None, observer=observer)
+    run_sweep(tiny_specs(), cache=None, observers=[observer])
     assert observer.stats.workers == 3
     monkeypatch.delenv("REPRO_JOBS")
     assert "REPRO_JOBS" not in os.environ

@@ -184,27 +184,45 @@ class TestBackendFlag:
         assert options.backend == "dense"
         assert options.cache_dir == str(tmp_path)
 
-    def test_point_failed_is_loud_without_progress(self, capsys):
-        from repro.experiments.cli import _TallyObserver
+    def test_point_failed_is_loud_without_progress(
+        self, capsys, monkeypatch
+    ):
+        from repro.experiments import runner
         from repro.experiments.common import synthetic_phases
-        from repro.experiments.runner import PointSpec
         from repro.noc.config import NocConfig
 
-        spec = PointSpec.synthetic(
-            NocConfig.mesh_64_core(), "uniform", 0.1,
-            synthetic_phases(0.04), 7,
-        )
+        specs = [
+            runner.PointSpec.synthetic(
+                NocConfig.mesh_64_core(), "uniform", load,
+                synthetic_phases(0.04), 7,
+            )
+            for load in (0.02, 0.1)
+        ]
+        real = runner._EXECUTORS["synthetic"]
+
+        def boom_at_0_1(spec):
+            if spec.load == 0.1:
+                raise ValueError("boom")
+            return real(spec)
+
+        monkeypatch.setitem(runner._EXECUTORS, "synthetic", boom_at_0_1)
         recorded = []
 
-        class _Extra:
-            def point_failed(self, index, spec, error):
-                recorded.append((index, error))
+        class _Extra(runner.SweepObserver):
+            def point_failed(self, spec, result):
+                recorded.append((result.index, result.error))
 
-        tally = _TallyObserver(progress=False, extra=[_Extra()])
-        tally.point_failed(3, spec, "ValueError: boom")
-        err = capsys.readouterr().err
-        assert "FAILED" in err and "boom" in err
-        assert recorded == [(3, "ValueError: boom")]
+        # What the CLI installs without --progress.
+        quiet = runner.ProgressObserver(verbose=False)
+        runner.run_sweep(
+            specs, jobs=1, cache=None, observers=[quiet, _Extra()]
+        )
+        lines = capsys.readouterr().err.splitlines()
+        assert "FAILED" in lines[0] and "boom" in lines[0]
+        assert "1 FAILED" in lines[1]
+        # The healthy point prints nothing.
+        assert len(lines) == 2
+        assert recorded == [(1, "ValueError: boom")]
 
 
 class TestRunPolicy:

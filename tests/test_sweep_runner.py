@@ -42,14 +42,14 @@ class RecordingObserver(SweepObserver):
         self.failures = []
         self.stats = None
 
-    def sweep_started(self, total):
-        self.started_with = total
+    def sweep_started(self, specs, jobs, cached):
+        self.started_with = len(specs)
 
-    def point_finished(self, index, spec, rows, elapsed, cached):
-        self.finished.append((index, cached))
+    def point_finished(self, spec, result):
+        self.finished.append((result.index, result.cached))
 
-    def point_failed(self, index, spec, error):
-        self.failures.append((index, error))
+    def point_failed(self, spec, result):
+        self.failures.append((result.index, result.error))
 
     def sweep_finished(self, stats):
         self.stats = stats
@@ -100,8 +100,8 @@ class TestCache:
         specs = tiny_specs(loads=(0.02, 0.10))
         cache = SweepCache(tmp_path)
         cold_obs, warm_obs = RecordingObserver(), RecordingObserver()
-        cold = run_sweep(specs, jobs=1, cache=cache, observer=cold_obs)
-        warm = run_sweep(specs, jobs=1, cache=cache, observer=warm_obs)
+        cold = run_sweep(specs, jobs=1, cache=cache, observers=[cold_obs])
+        warm = run_sweep(specs, jobs=1, cache=cache, observers=[warm_obs])
         assert cold == warm
         assert cold_obs.stats.cache_misses == 2
         assert warm_obs.stats.cache_hits == 2
@@ -113,7 +113,7 @@ class TestCache:
         run_sweep([spec], jobs=1, cache=cache)
         changed = dataclasses.replace(spec, seed=8)
         obs = RecordingObserver()
-        run_sweep([changed], jobs=1, cache=cache, observer=obs)
+        run_sweep([changed], jobs=1, cache=cache, observers=[obs])
         assert obs.stats.cache_misses == 1
 
     def test_schema_version_guards_entries(self, tmp_path):
@@ -184,7 +184,7 @@ class TestFailureHandling:
         monkeypatch.setitem(runner_mod._EXECUTORS, "synthetic", flaky)
         obs = RecordingObserver()
         rows = run_sweep(
-            tiny_specs(loads=(0.02,)), jobs=1, cache=None, observer=obs
+            tiny_specs(loads=(0.02,)), jobs=1, cache=None, observers=[obs]
         )
         assert rows
         assert obs.stats.retried_points == 1
@@ -194,7 +194,7 @@ class TestFailureHandling:
     def test_permanent_failure_is_surfaced_not_raised(self):
         specs = tiny_specs(loads=(0.02, 0.10)) + [self.bad_spec()]
         obs = RecordingObserver()
-        rows = run_sweep(specs, jobs=1, cache=None, observer=obs)
+        rows = run_sweep(specs, jobs=1, cache=None, observers=[obs])
         assert len(obs.stats.failed_points) == 1
         index, error = obs.stats.failed_points[0]
         assert index == 2
@@ -208,7 +208,7 @@ class TestFailureHandling:
     def test_pool_failure_does_not_poison_other_points(self):
         specs = [self.bad_spec()] + tiny_specs(loads=(0.02, 0.10))
         obs = RecordingObserver()
-        rows = run_sweep(specs, jobs=3, cache=None, observer=obs)
+        rows = run_sweep(specs, jobs=3, cache=None, observers=[obs])
         assert [index for index, _ in obs.stats.failed_points] == [0]
         assert rows == run_sweep(
             tiny_specs(loads=(0.02, 0.10)), jobs=1, cache=None
@@ -216,7 +216,7 @@ class TestFailureHandling:
 
     def test_failed_points_never_enter_the_cache(self, tmp_path):
         cache = SweepCache(tmp_path)
-        run_sweep([self.bad_spec()], jobs=1, cache=cache, observer=None)
+        run_sweep([self.bad_spec()], jobs=1, cache=cache, observers=None)
         assert list(tmp_path.glob("*.json")) == []
 
 
@@ -274,7 +274,7 @@ class TestObserver:
     def test_callbacks_fire_per_point(self):
         obs = RecordingObserver()
         specs = tiny_specs(loads=(0.02, 0.10))
-        run_sweep(specs, jobs=1, cache=None, observer=obs)
+        run_sweep(specs, jobs=1, cache=None, observers=[obs])
         assert obs.started_with == 2
         assert sorted(i for i, _ in obs.finished) == [0, 1]
         assert obs.stats.points == 2

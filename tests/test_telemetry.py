@@ -18,6 +18,7 @@ import pytest
 
 from tests.conftest import gated_config, small_fabric
 
+from repro.experiments.runner import PointResult
 from repro.noc.layers import BY_NAME, RunOptions
 from repro.noc.multinoc import MultiNocFabric
 from repro.obs.ledger import ArtifactObserver
@@ -84,9 +85,9 @@ class TestZeroOverhead:
         assert "_sleep" not in fabric.gating.__dict__
         assert "update" not in fabric.monitor.regional.__dict__
         assert fabric.step.__func__ is MultiNocFabric.step
-        # The NI sinks are restored to the fabric's own bound method.
-        for ni in fabric.nis:
-            assert ni.packet_sink == fabric._on_packet_received
+        # The subnet sinks are restored to the fabric's own bound method.
+        for network in fabric.subnets:
+            assert network.eject_sink == fabric._on_packet_received
         # Stepping after detach records nothing further.
         seen = hub.packets_seen
         run_traffic(fabric, 64)
@@ -348,14 +349,14 @@ class TestObserver:
             BY_NAME["telemetry"], directory=str(tmp_path)
         )
         (tmp_path / "old.trace.json").write_text("{}")
-        observer.sweep_started(1)
+        observer.sweep_started([], 1, False)
         fabric = gated_fabric()
         hub = TelemetryHub(
             fabric, period=16, out_dir=str(tmp_path)
         ).attach()
         run_traffic(fabric, 100)
         hub.flush()
-        observer.point_finished(0, None, [], 0.0, False)
+        observer.point_finished(None, PointResult(0, []))
         observer.sweep_finished(None)
         assert len(observer.reported) == 3
         assert all("old" not in path for path in observer.reported)
@@ -364,8 +365,8 @@ class TestObserver:
         observer = ArtifactObserver(
             BY_NAME["telemetry"], directory=str(tmp_path / "missing")
         )
-        observer.sweep_started(1)
-        observer.point_finished(0, None, [], 0.0, False)
+        observer.sweep_started([], 1, False)
+        observer.point_finished(None, PointResult(0, []))
         assert observer.reported == []
 
 

@@ -365,7 +365,7 @@ class TestObsJoin:
                 seed=9,
             )
         ]
-        run_sweep(specs, jobs=1, cache=None, observer=observer)
+        run_sweep(specs, jobs=1, cache=None, observers=[observer])
         assert observer.runs
         report = build_report(observer.runs[-1])
         row = report["rollup"]["rows"][0]
