@@ -51,8 +51,8 @@ Overhead is zero when disabled: the checker wraps ``fabric.step`` via
 an instance attribute, so an unchecked fabric runs the original bound
 method with no extra branches.  ``REPRO_CHECK_INTERVAL`` (default 1)
 checks every N-th cycle; the laws hold at every cycle boundary, so
-sampling trades coverage for speed without false positives.
-``REPRO_CHECK_STALL`` (default 1024) sets the watchdog horizon.
+sampling trades coverage for speed without false positives.  The
+watchdog horizon is the constructor's ``stall_cycles`` (default 1024).
 """
 
 from __future__ import annotations
@@ -149,13 +149,11 @@ class InvariantChecker(FabricLayer):
         self,
         fabric: "MultiNocFabric",
         interval: int | None = None,
-        stall_cycles: int | None = None,
+        stall_cycles: int = 1024,
     ) -> None:
         super().__init__(fabric)
         if interval is None:
             interval = env.integer("REPRO_CHECK_INTERVAL", 1)
-        if stall_cycles is None:
-            stall_cycles = env.integer("REPRO_CHECK_STALL", 1024)
         if interval < 1:
             raise ValueError("check interval must be >= 1")
         if stall_cycles < 1:
@@ -191,8 +189,8 @@ class InvariantChecker(FabricLayer):
     def from_env(
         cls, fabric: "MultiNocFabric", spec: str, out_dir: str | None
     ) -> "InvariantChecker":
-        """Build a checker tuned by ``REPRO_CHECK_INTERVAL`` and
-        ``REPRO_CHECK_STALL`` (it has no spec and no artifacts)."""
+        """Build a checker tuned by ``REPRO_CHECK_INTERVAL`` (it has no
+        spec and no artifacts)."""
         return cls(fabric)
 
     def _fault_engine(self) -> Any:

@@ -387,11 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     observers: list[runner.SweepObserver] = [
         runner.ProgressObserver(verbose=args.progress),
         sweeps,
-    ]
-    observers += [
-        ArtifactObserver(layer, out_dir)
-        for layer, _spec, out_dir in options.layers
-        if layer.artifacts
+        ArtifactObserver(),
     ]
     if args.ledger or env.flag("REPRO_OBS"):
         observers.append(LedgerObserver())

@@ -13,8 +13,8 @@ the list to :func:`run_sweep`, which
    (worker count from the run policy, default ``os.cpu_count()``; a
    deterministic serial path runs at one job), and
 3. reports one :class:`PointResult` per point (rows, wall-clock,
-   worker pid, simulated work) and a :class:`SweepStats` per sweep to
-   every :class:`SweepObserver`.
+   worker pid, simulated work, the artifacts its layers flushed) and a
+   :class:`SweepStats` per sweep to every :class:`SweepObserver`.
 
 Because a spec carries its seed explicitly and every point is executed
 in isolation, serial and parallel runs produce byte-identical rows; the
@@ -478,8 +478,11 @@ class PointResult:
     process (for busy-time attribution in :class:`SweepStats`), and
     ``cycles``/``flits`` the simulated work from the per-point work
     meter, so a forked pool can ship worker-side counts back to the
-    parent.  ``error`` is ``None`` on success.  A cache hit is
-    ``cached=True`` with zero work.
+    parent.  ``artifacts`` holds ``(layer, path)`` for every file the
+    point's instrumentation layers flushed
+    (:func:`repro.noc.layers.drain_artifacts`).  ``error`` is ``None``
+    on success.  A cache hit is ``cached=True`` with zero work and no
+    artifacts.
     """
 
     index: int
@@ -490,6 +493,7 @@ class PointResult:
     cycles: int = 0
     flits: int = 0
     error: str | None = None
+    artifacts: tuple[tuple[str, str], ...] = ()
 
 
 def _execute_indexed(item: tuple[int, PointSpec]) -> PointResult:
@@ -503,6 +507,7 @@ def _execute_indexed(item: tuple[int, PointSpec]) -> PointResult:
     """
     index, spec = item
     meters.begin_point()
+    layers.collect_artifacts()
     started = time.perf_counter()
     error: str | None = None
     rows: list[dict] = []
@@ -520,6 +525,7 @@ def _execute_indexed(item: tuple[int, PointSpec]) -> PointResult:
         cycles=cycles,
         flits=flits,
         error=error,
+        artifacts=layers.drain_artifacts(),
     )
 
 

@@ -20,7 +20,7 @@ import sys
 
 from repro.explain.hub import PHASE_NAMES
 from repro.noc.layers import BY_NAME, RunOptions
-from repro.obs.artifacts import read_json_artifact
+from repro.obs.artifacts import classify_artifact, read_json_artifact
 from repro.util.tables import format_table
 
 __all__ = ["main"]
@@ -34,7 +34,7 @@ def _load_documents(directory: str) -> list[tuple[str, dict]]:
     except OSError:
         return documents
     for name in names:
-        if not name.endswith(BY_NAME["explain"].suffixes):
+        if classify_artifact(name) != "explain-attribution":
             continue
         path = os.path.join(directory, name)
         doc = read_json_artifact(path)

@@ -2,9 +2,9 @@
 
 Five optional layers observe a :class:`~repro.noc.multinoc.
 MultiNocFabric`.  Each is one :class:`Layer` record in :data:`LAYERS`,
-in attach order; the fabric constructor, the experiments CLI, the sweep
-artifact observer and the run ledger all loop over it.  Adding a layer
-means adding one record and one :class:`FabricLayer` subclass.
+in attach order; the fabric constructor, the experiments CLI and the
+artifact readers all loop over it.  Adding a layer means adding one
+record and one :class:`FabricLayer` subclass.
 
 Layers observe by *shadowing*: per-instance attributes over class
 methods (``fabric.step``, ``gating._sleep``, NI sinks, ...), so an
@@ -20,6 +20,12 @@ detach bookkeeping and their answers to the skip kernel.
 
 Factories and spec parsers are dotted paths imported on first use, so
 a plain fabric never loads a layer package.
+
+While the sweep runner executes a point, between
+:func:`collect_artifacts` and :func:`drain_artifacts`, every layer
+records the paths its flush wrote; the point's
+:class:`~repro.experiments.runner.PointResult` carries them to the
+observers, so no observer reads an artifact directory.
 
 :class:`RunOptions` is the run policy — kernel, enabled layers, jobs
 and cache — handed on as data: the experiments CLI installs one for the
@@ -41,7 +47,8 @@ from repro.util import env
 __all__ = [
     "Layer", "LAYERS", "BY_NAME", "NEVER", "FabricLayer", "ShadowSet",
     "shadow_chain", "DEFAULT_BACKEND", "DEFAULT_CACHE_DIR", "RunOptions",
-    "install_run_options", "run_options",
+    "install_run_options", "run_options", "collect_artifacts",
+    "drain_artifacts",
 ]
 
 #: Sentinel horizon for "never becomes active again" (sources and
@@ -87,10 +94,6 @@ class Layer:
     out_flag: str = ""
     #: ``(suffix, kind)`` of every artifact file the layer flushes.
     artifacts: tuple[tuple[str, str], ...] = ()
-
-    @property
-    def suffixes(self) -> tuple[str, ...]:
-        return tuple(suffix for suffix, _ in self.artifacts)
 
     def build(
         self, fabric: Any, spec: str = "1", out_dir: str | None = None
@@ -155,6 +158,29 @@ LAYERS: tuple[Layer, ...] = (
 )
 
 BY_NAME: dict[str, Layer] = {layer.name: layer for layer in LAYERS}
+
+#: ``(layer, path)`` of every artifact flushed since
+#: :func:`collect_artifacts`; None when nothing is being kept.
+_flushed: list[tuple[str, str]] | None = None
+
+
+def collect_artifacts() -> None:
+    """Start keeping the artifact paths layers flush (the sweep runner
+    calls this before each point it executes)."""
+    global _flushed
+    _flushed = []
+
+
+def drain_artifacts() -> tuple[tuple[str, str], ...]:
+    """``(layer, path)`` of every artifact flushed since
+    :func:`collect_artifacts`, in flush order; stops keeping them.
+
+    The innermost ``report`` shadow flushes first, so one report
+    yields the layers in :data:`LAYERS` order.
+    """
+    global _flushed
+    flushed, _flushed = _flushed or [], None
+    return tuple(flushed)
 
 
 @dataclass(frozen=True)
@@ -336,6 +362,8 @@ class FabricLayer:
     ``out_dir`` is set, and then calls :meth:`_install_probes` for the
     layer's other shadows.  A second attach raises; :meth:`detach`
     restores every shadow and is a no-op when nothing is attached.
+    :meth:`_report` flushes the layer's artifacts and, inside a sweep
+    point, records their paths for :func:`drain_artifacts`.
 
     The skip kernel runs the shadowed step on every cycle it visits.
     Before a quiescence jump it asks every layer in the ``step`` chain
@@ -377,7 +405,11 @@ class FabricLayer:
 
     def _report(self) -> Any:
         report = self._orig_report()
-        self.flush()
+        paths = self.flush()
+        if _flushed is not None:
+            _flushed.extend(
+                (self.name, path) for path in sorted(paths.values())
+            )
         return report
 
     def _artifact_stem(self) -> str:

@@ -20,9 +20,11 @@ execution durable and queryable:
   ledger with the telemetry/perf artifacts its points produced into an
   energy-proportionality rollup plus a machine-readable
   ``report.json``;
-* :mod:`repro.obs.artifacts` — the fresh-artifact directory scanner
-  shared by the run ledger and :class:`~repro.obs.ledger.
-  ArtifactObserver`, which announces each layer's new artifacts.
+* :mod:`repro.obs.artifacts` — artifact naming and the readers the
+  rollup joins through.  Each point's artifact paths arrive in its
+  :class:`~repro.experiments.runner.PointResult`, which the ledger
+  records and :class:`~repro.obs.ledger.ArtifactObserver` prints; no
+  observer reads an artifact directory.
 
 Enable per run with ``catnap-experiments <fig> --ledger`` (or
 ``REPRO_OBS=1``); artifacts land under ``REPRO_OBS_DIR`` (default

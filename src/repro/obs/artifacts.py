@@ -1,14 +1,15 @@
-"""Artifact-directory scanning and artifact readers for the rollup.
+"""Artifact naming and the artifact readers for the rollup.
 
 The instrumentation layers with artifacts — telemetry
 (``*.timeseries.json``, ``*.trace.json``, ``*.summary.txt``), perf
 (``*.perf.json``, ``*.pstats``, ``*.folded.txt``) and explain
 (``*.explain.json``) — drop per-point files into ``results/``
 directories while a sweep runs; their suffixes live in the
-:mod:`repro.noc.layers` registry.  :class:`ArtifactScanner` is the one
-implementation of "which files appeared since I last looked" — the
-sweep's :class:`repro.obs.ledger.ArtifactObserver` and the run ledger
-both scan through it.
+:mod:`repro.noc.layers` registry.  Each point's
+:class:`~repro.experiments.runner.PointResult` carries the paths its
+layers flushed, which the run ledger records and
+:class:`repro.obs.ledger.ArtifactObserver` prints;
+:func:`next_flush_ref` keeps those paths distinct.
 
 The module also holds the readers the campaign rollup
 (:mod:`repro.obs.report`) uses to *join* a ledger with the artifacts
@@ -21,12 +22,10 @@ points that did complete.
 from __future__ import annotations
 
 import json
-import os
 
 from repro.noc.layers import LAYERS
 
 __all__ = [
-    "ArtifactScanner",
     "classify_artifact",
     "explain_tax",
     "next_flush_ref",
@@ -38,52 +37,6 @@ __all__ = [
 _KINDS: tuple[tuple[str, str], ...] = tuple(
     pair for layer in LAYERS for pair in layer.artifacts
 )
-
-
-class ArtifactScanner:
-    """Tracks fresh artifact files appearing in one directory.
-
-    ``fresh()`` returns the paths of matching files that appeared since
-    the previous call (or since :meth:`prime`), sorted by name so the
-    report order is deterministic.  A directory that does not exist yet
-    simply scans empty — subsystems create their directories lazily on
-    first flush.
-    """
-
-    def __init__(
-        self, directory: str, suffixes: tuple[str, ...]
-    ) -> None:
-        self.directory = directory
-        self.suffixes = suffixes
-        self._known: set[str] = set()
-
-    def scan(self) -> list[str]:
-        """All matching file names currently present, sorted."""
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return []
-        return sorted(
-            name for name in names if name.endswith(self.suffixes)
-        )
-
-    def prime(self) -> None:
-        """Mark everything currently present as already known.
-
-        Pre-existing artifacts belong to earlier runs; callers prime at
-        sweep start so only this sweep's output is reported.
-        """
-        self._known.update(self.scan())
-
-    def fresh(self) -> list[str]:
-        """Paths of files that appeared since the last look, sorted."""
-        paths: list[str] = []
-        for name in self.scan():
-            if name in self._known:
-                continue
-            self._known.add(name)
-            paths.append(os.path.join(self.directory, name))
-        return paths
 
 
 #: Process-wide flush counts per artifact-stem prefix; see

@@ -9,7 +9,7 @@ sweep runs.  Event stream, in emission order::
     point_started   specs[i] entered the execution section
     cache_hit       specs[i] was served from the on-disk cache
     heartbeat       worker pid + (cycles, flits, elapsed) point delta
-    point_finished  specs[i] executed; rows digest + fresh artifacts
+    point_finished  specs[i] executed; rows digest + its artifacts
     point_failed    specs[i] failed its run and the serial retry
     sweep_finished  SweepStats.to_json() + the canonical ledger digest
 
@@ -44,8 +44,6 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any
 
 from repro.experiments.runner import SweepObserver
-from repro.noc.layers import Layer, run_options
-from repro.obs.artifacts import ArtifactScanner
 from repro.util import env
 
 if TYPE_CHECKING:
@@ -230,46 +228,26 @@ def read_ledger(
 
 
 class ArtifactObserver(SweepObserver):
-    """Announces one layer's new artifacts as sweep points complete.
+    """Announces each finished point's artifacts, one
+    ``  <layer>: <path>`` line per file its layers flushed.
 
-    Layers attach inside sweep worker processes, so the parent CLI
-    never sees the hubs — only the files they flush into the layer's
-    artifact directory, one ``  <layer>: <path>`` line per file.
+    Layers attach inside sweep worker processes, so the parent never
+    sees them; their flushed paths arrive in
+    :attr:`~repro.experiments.runner.PointResult.artifacts`, grouped
+    in layer order.
     """
 
-    def __init__(
-        self,
-        layer: Layer,
-        directory: str,
-        stream: "IO[str] | None" = None,
-    ) -> None:
-        self.layer = layer
-        self.directory = directory
+    def __init__(self, stream: "IO[str] | None" = None) -> None:
         self.stream: IO[str] = (
             stream if stream is not None else sys.stderr
         )
-        self._scanner = ArtifactScanner(self.directory, layer.suffixes)
         #: Every artifact path reported so far, in report order.
         self.reported: list[str] = []
 
-    def _report_fresh(self) -> None:
-        for path in self._scanner.fresh():
-            self.reported.append(path)
-            print(f"  {self.layer.name}: {path}", file=self.stream)
-
-    def sweep_started(
-        self, specs: "list[PointSpec]", jobs: int, cached: bool
-    ) -> None:
-        # Pre-existing artifacts belong to earlier runs.
-        self._scanner.prime()
-
     def point_finished(self, spec: "PointSpec", result: "PointResult") -> None:
-        self._report_fresh()
-
-    def sweep_finished(self, stats: "SweepStats") -> None:
-        # Parallel workers may flush after their point_finished record
-        # was consumed; catch any stragglers.
-        self._report_fresh()
+        for layer, path in result.artifacts:
+            self.reported.append(path)
+            print(f"  {layer}: {path}", file=self.stream)
 
 
 class LedgerObserver(SweepObserver):
@@ -288,7 +266,6 @@ class LedgerObserver(SweepObserver):
         self.runs: list[Path] = []
         self._handle: IO[str] | None = None
         self._seq = 0
-        self._scanners: list[ArtifactScanner] = []
 
     # -- plumbing ------------------------------------------------------
 
@@ -321,12 +298,6 @@ class LedgerObserver(SweepObserver):
         run_dir.mkdir(parents=True, exist_ok=True)
         return run_dir
 
-    def _fresh_artifacts(self) -> list[str]:
-        paths: list[str] = []
-        for scanner in self._scanners:
-            paths.extend(scanner.fresh())
-        return paths
-
     def _spec_entry(self, index: int, spec: "PointSpec") -> dict[str, Any]:
         """Compact join-ready identity of one spec for the header."""
         return {
@@ -357,13 +328,6 @@ class LedgerObserver(SweepObserver):
             run_dir / LEDGER_NAME, "a", buffering=1, encoding="utf-8"
         )
         self._seq = 0
-        self._scanners = [
-            ArtifactScanner(out_dir, layer.suffixes)
-            for layer, _spec, out_dir in run_options().layers
-            if layer.artifacts
-        ]
-        for scanner in self._scanners:
-            scanner.prime()
         self._emit(
             {
                 "event": "sweep_started",
@@ -405,7 +369,7 @@ class LedgerObserver(SweepObserver):
                 }
             )
             event["elapsed"] = result.elapsed
-            event["artifacts"] = self._fresh_artifacts()
+            event["artifacts"] = [path for _, path in result.artifacts]
         self._emit(event)
 
     def point_failed(self, spec: "PointSpec", result: "PointResult") -> None:
@@ -424,12 +388,10 @@ class LedgerObserver(SweepObserver):
             return
         run_dir = self.runs[-1]
         events, _ = read_ledger(run_dir / LEDGER_NAME)
-        straggler = self._fresh_artifacts()
         self._emit(
             {
                 "event": "sweep_finished",
                 "stats": stats.to_json(),
-                "artifacts": straggler,
                 "digest": canonical_digest(events),
             },
             milestone=True,

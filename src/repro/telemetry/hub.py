@@ -20,10 +20,10 @@ Because shadowing only touches *instances*, a fabric without a hub
 executes the original unhooked class methods: telemetry-off runs take
 the identical code path as a build without this package.  Enable with
 ``REPRO_TELEMETRY=1`` (see :mod:`repro.noc.layers`); tune with
-``REPRO_TELEMETRY_PERIOD`` (sampling period, default 64 cycles),
+``REPRO_TELEMETRY_PERIOD`` (sampling period, default 64 cycles) and
 ``REPRO_TELEMETRY_DIR`` (output directory, default
-``results/telemetry``) and ``REPRO_TELEMETRY_MAX_PACKETS`` (packet
-trace memory cap, default 20000 records).
+``results/telemetry``).  The packet trace keeps at most
+:data:`DEFAULT_MAX_PACKETS` records per fabric.
 
 Accounting convention (matches :class:`repro.core.gating.GatingStats`,
 which counts each router's state at the *entry* of every controller
@@ -121,18 +121,10 @@ class TelemetryHub(FabricLayer):
     def from_env(
         cls, fabric: "MultiNocFabric", spec: str, out_dir: str | None
     ) -> "TelemetryHub":
-        """Build a hub writing to ``out_dir``, tuned by the
-        ``REPRO_TELEMETRY_*`` variables."""
+        """Build a hub writing to ``out_dir``, sampling every
+        ``REPRO_TELEMETRY_PERIOD`` cycles."""
         period = env.integer("REPRO_TELEMETRY_PERIOD", DEFAULT_PERIOD)
-        max_packets = env.integer(
-            "REPRO_TELEMETRY_MAX_PACKETS", DEFAULT_MAX_PACKETS
-        )
-        return cls(
-            fabric,
-            period=period,
-            out_dir=out_dir,
-            max_packets=max_packets,
-        )
+        return cls(fabric, period=period, out_dir=out_dir)
 
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)

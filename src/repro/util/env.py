@@ -99,10 +99,6 @@ _register(EnvVar(
     "REPRO_CHECK_INTERVAL", "int", "1", "analysis.md",
     "check every N-th cycle (laws hold at every cycle boundary)",
 ))
-_register(EnvVar(
-    "REPRO_CHECK_STALL", "int", "1024", "analysis.md",
-    "deadlock-watchdog horizon in cycles",
-))
 
 # -- fault injection ---------------------------------------------------
 _register(EnvVar(
@@ -122,10 +118,6 @@ _register(EnvVar(
 _register(EnvVar(
     "REPRO_TELEMETRY_PERIOD", "int", "64", "telemetry.md",
     "time-series sampling period in cycles",
-))
-_register(EnvVar(
-    "REPRO_TELEMETRY_MAX_PACKETS", "int", "20000", "telemetry.md",
-    "per-fabric cap on fully-traced packets",
 ))
 
 # -- attribution -------------------------------------------------------
@@ -171,10 +163,6 @@ _register(EnvVar(
 _register(EnvVar(
     "REPRO_WORKLOADS_DIR", "path", "results/workloads", "workloads.md",
     "default output directory for recorded streaming traces",
-))
-_register(EnvVar(
-    "REPRO_WORKLOADS_CHUNK", "int", "65536", "workloads.md",
-    "records per compressed chunk in the streaming trace format",
 ))
 
 # -- benchmark harness -------------------------------------------------

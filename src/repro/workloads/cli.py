@@ -251,8 +251,7 @@ def _add_common(parser: argparse.ArgumentParser, gen: bool) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="records per compressed chunk "
-        "(default REPRO_WORKLOADS_CHUNK or 65536)",
+        help="records per compressed chunk (default 65536)",
     )
     if gen:
         parser.add_argument(

@@ -32,7 +32,6 @@ import zlib
 from pathlib import Path
 
 from repro.traffic.trace import TraceRecord
-from repro.util import env
 
 __all__ = [
     "STREAM_MAGIC",
@@ -50,7 +49,7 @@ STREAM_MAGIC = b"CATNAPTR"
 #: Format version written by :class:`StreamingTraceWriter`.
 STREAM_VERSION = 1
 
-#: Records per compressed chunk (override with ``REPRO_WORKLOADS_CHUNK``).
+#: Records per compressed chunk unless the writer is given another count.
 DEFAULT_CHUNK_RECORDS = 65536
 
 _HEADER = struct.Struct("<8sHHIQ")
@@ -97,9 +96,7 @@ class StreamingTraceWriter:
         self, path: str | Path, chunk_records: int | None = None
     ) -> None:
         if chunk_records is None:
-            chunk_records = env.integer(
-                "REPRO_WORKLOADS_CHUNK", DEFAULT_CHUNK_RECORDS
-            )
+            chunk_records = DEFAULT_CHUNK_RECORDS
         if chunk_records < 1:
             raise ValueError(
                 f"chunk_records must be >= 1, got {chunk_records}"

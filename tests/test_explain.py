@@ -421,7 +421,7 @@ class TestArtifactsAndObserver:
 
     def test_flush_writes_classified_artifact(self, tmp_path):
         path = self._flushed(tmp_path)
-        assert path.endswith(BY_NAME["explain"].suffixes)
+        assert path.endswith(".explain.json")
         assert classify_artifact(path) == "explain-attribution"
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -458,25 +458,13 @@ class TestArtifactsAndObserver:
         import io
 
         stream = io.StringIO()
-        observer = ArtifactObserver(
-            BY_NAME["explain"], directory=str(tmp_path), stream=stream
+        observer = ArtifactObserver(stream=stream)
+        path = self._flushed(tmp_path)
+        observer.point_finished(
+            None, PointResult(0, [], artifacts=(("explain", path),))
         )
-        (tmp_path / "old.explain.json").write_text("{}")
-        observer.sweep_started([], 1, False)
-        self._flushed(tmp_path)
-        observer.point_finished(None, PointResult(0, []))
-        observer.sweep_finished(None)
-        assert len(observer.reported) == 1
-        assert "old" not in observer.reported[0]
-        assert "explain:" in stream.getvalue()
-
-    def test_observer_survives_missing_directory(self, tmp_path):
-        observer = ArtifactObserver(
-            BY_NAME["explain"], directory=str(tmp_path / "missing")
-        )
-        observer.sweep_started([], 1, False)
-        observer.point_finished(None, PointResult(0, []))
-        assert observer.reported == []
+        assert observer.reported == [path]
+        assert f"explain: {path}" in stream.getvalue()
 
 
 class TestReportJoin:

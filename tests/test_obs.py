@@ -233,6 +233,51 @@ class TestLedgerObserver:
             ledgered, sort_keys=True
         )
 
+    def test_point_result_names_its_flushed_artifacts(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.runner import _execute_indexed
+        from repro.noc.layers import (
+            BY_NAME,
+            RunOptions,
+            drain_artifacts,
+            install_run_options,
+        )
+        from repro.obs.artifacts import classify_artifact
+
+        names = ("perf", "telemetry", "explain")
+        monkeypatch.setenv("REPRO_PERF_CPROFILE", "1")
+        overlay = {}
+        for name in names:
+            layer = BY_NAME[name]
+            overlay[layer.env] = "1"
+            overlay[layer.dir_env] = str(tmp_path / name)
+        spec = tiny_specs()[1]
+        previous = install_run_options(RunOptions.from_env(overlay))
+        try:
+            result = _execute_indexed((1, spec))
+        finally:
+            install_run_options(previous)
+        assert result.error is None
+        # One file per artifact suffix of each layer: layers in attach
+        # order, paths (which differ only by suffix) sorted within one.
+        assert [
+            (name, classify_artifact(path))
+            for name, path in result.artifacts
+        ] == [
+            (name, kind)
+            for name in names
+            for _, kind in sorted(BY_NAME[name].artifacts)
+        ]
+        # Exactly the files the point flushed, all with its stem.
+        on_disk = sorted(str(p) for p in tmp_path.rglob("*") if p.is_file())
+        assert sorted(path for _, path in result.artifacts) == on_disk
+        stem = f"{spec.config.name}-s{spec.seed}-p{os.getpid()}-"
+        for _, path in result.artifacts:
+            assert os.path.basename(path).startswith(stem)
+        # Outside a sweep point nothing is kept.
+        assert drain_artifacts() == ()
+
     def test_failed_point_recorded(self, tmp_path):
         from dataclasses import replace
 
@@ -370,16 +415,23 @@ class TestReport:
         monkeypatch.setenv(
             "REPRO_TELEMETRY_DIR", str(tmp_path / "telemetry")
         )
-        observer = LedgerObserver(root=tmp_path / "obs")
-        run_sweep(
-            tiny_specs(loads=(0.05, 0.10)),
-            jobs=1,
-            cache=None,
-            observers=[observer],
+        rollups = {}
+        for jobs in (1, 4):
+            observer = LedgerObserver(root=tmp_path / f"obs{jobs}")
+            run_sweep(
+                tiny_specs(loads=(0.05, 0.10, 0.20, 0.30)),
+                jobs=jobs,
+                cache=None,
+                observers=[observer],
+            )
+            report = build_report(observer.runs[-1])
+            rollups[jobs] = report["rollup"]
+        # Each point joins its own telemetry at any worker count.
+        assert json.dumps(rollups[1], sort_keys=True) == json.dumps(
+            rollups[4], sort_keys=True
         )
-        report = build_report(observer.runs[-1])
         rows = report["rollup"]["rows"]
-        assert len(rows) == 2
+        assert len(rows) == 4
         for row in rows:
             assert row["status"] == "ok"
             # 2-subnet fabric: one sleep fraction per subnet.

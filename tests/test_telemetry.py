@@ -345,29 +345,21 @@ class TestTraceExport:
 
 class TestObserver:
     def test_observer_reports_new_artifacts(self, tmp_path, capsys):
-        observer = ArtifactObserver(
-            BY_NAME["telemetry"], directory=str(tmp_path)
-        )
-        (tmp_path / "old.trace.json").write_text("{}")
-        observer.sweep_started([], 1, False)
+        observer = ArtifactObserver()
         fabric = gated_fabric()
         hub = TelemetryHub(
             fabric, period=16, out_dir=str(tmp_path)
         ).attach()
         run_traffic(fabric, 100)
-        hub.flush()
-        observer.point_finished(None, PointResult(0, []))
-        observer.sweep_finished(None)
-        assert len(observer.reported) == 3
-        assert all("old" not in path for path in observer.reported)
-
-    def test_observer_survives_missing_directory(self, tmp_path):
-        observer = ArtifactObserver(
-            BY_NAME["telemetry"], directory=str(tmp_path / "missing")
+        artifacts = tuple(
+            ("telemetry", path) for path in sorted(hub.flush().values())
         )
-        observer.sweep_started([], 1, False)
-        observer.point_finished(None, PointResult(0, []))
-        assert observer.reported == []
+        observer.point_finished(
+            None, PointResult(0, [], artifacts=artifacts)
+        )
+        observer.point_finished(None, PointResult(1, [], cached=True))
+        assert observer.reported == [path for _, path in artifacts]
+        assert capsys.readouterr().err.count("  telemetry: ") == 3
 
 
 class TestGatingConsistencyAfterDetach:
