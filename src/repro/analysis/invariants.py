@@ -12,10 +12,10 @@ conservation laws the simulator's distributed state must obey:
     the in-network count equals buffered flits plus link-in-flight
     flits (no loss, no duplication).
 ``credit-conservation``
-    Per (link, VC): upstream credit counter + downstream buffer
-    occupancy + flits in flight on the link equals the VC buffer
+    Per input VC with a sender: its ``free`` credits + its buffer
+    occupancy + flits in flight toward it equals the VC buffer
     capacity.  Covers router-to-router links and the NI-to-router
-    injection link.
+    injection link in one loop.
 ``router-accounting``
     Router-internal counters (``held``: buffered flits plus flits on a
     link toward the router; credit bounds) and the occupancy mask the
@@ -334,72 +334,47 @@ class InvariantChecker(FabricLayer):
         vcs = network.config.vcs_per_port
         subnet = network.subnet
         engine = self._fault_engine()
+        # Every input VC with a sender: a neighbour router behind a
+        # mesh port, or the node's NI behind LOCAL.  Mesh-edge VCs
+        # have no link and are outside the law.
         for router in network.routers:
-            for out_port in range(Port.COUNT):
-                if out_port == Port.LOCAL:
-                    continue  # ejection port: no credit loop
-                downstream = router.neighbor_router[out_port]
-                if downstream is None:
+            for index, channel in enumerate(router.channels):
+                in_port, vc = divmod(index, vcs)
+                upstream = router.neighbor_router[in_port]
+                if upstream is None and in_port != Port.LOCAL:
                     continue
-                in_port = Port.OPPOSITE[out_port]
-                port = downstream.ports[in_port]
-                for vc in range(vcs):
-                    credits = router.credits[out_port][vc]
-                    occupancy = port.vcs[vc].occupancy
-                    in_flight = census.per_channel.get(
-                        (id(downstream), in_port, vc), 0
-                    )
-                    lost = (
-                        engine.lost_credit(
-                            subnet, downstream.node, in_port, vc
-                        )
-                        if engine is not None
-                        else 0
-                    )
-                    if credits + occupancy + in_flight + lost != capacity:
-                        raise InvariantViolation(
-                            "credit-conservation",
-                            cycle,
-                            f"subnet {network.subnet} link "
-                            f"{router.node}->{downstream.node} "
-                            f"(port {Port.NAMES[out_port]}, vc {vc}): "
-                            f"credits {credits} + buffered {occupancy}"
-                            f" + in-flight {in_flight}"
-                            + (f" + {lost} injected losses" if lost else "")
-                            + f" != capacity {capacity} (a credit was "
-                            "lost, forged, or returned twice)",
-                        )
-                    if lost:
-                        self.expected["credit-conservation"] += 1
-        # NI -> local router injection link of every node.
-        for ni in self.fabric.nis:
-            router = network.routers[ni.node]
-            credits_row = ni._credits[network.subnet]
-            port = router.ports[Port.LOCAL]
-            for vc in range(vcs):
-                credits = credits_row[vc]
-                occupancy = port.vcs[vc].occupancy
+                free = channel.free
+                occupancy = len(channel.fifo)
                 in_flight = census.per_channel.get(
-                    (id(router), Port.LOCAL, vc), 0
+                    (id(router), in_port, vc), 0
                 )
                 lost = (
-                    engine.lost_credit(subnet, ni.node, Port.LOCAL, vc)
+                    engine.lost_credit(subnet, router.node, in_port, vc)
                     if engine is not None
                     else 0
                 )
-                if credits + occupancy + in_flight + lost != capacity:
-                    raise InvariantViolation(
-                        "credit-conservation",
-                        cycle,
-                        f"subnet {network.subnet} NI->router at node "
-                        f"{ni.node} (vc {vc}): credits {credits} + "
-                        f"buffered {occupancy} + in-flight {in_flight}"
-                        + (f" + {lost} injected losses" if lost else "")
-                        + f" != capacity {capacity} (injection-side "
-                        "credit was lost, forged, or returned twice)",
+                if free + occupancy + in_flight + lost == capacity:
+                    if lost:
+                        self.expected["credit-conservation"] += 1
+                    continue
+                if upstream is None:
+                    link = f"NI->router at node {router.node} (vc {vc})"
+                    cause = "injection-side credit was"
+                else:
+                    link = (
+                        f"link {upstream.node}->{router.node} (port "
+                        f"{Port.NAMES[Port.OPPOSITE[in_port]]}, vc {vc})"
                     )
-                if lost:
-                    self.expected["credit-conservation"] += 1
+                    cause = "a credit was"
+                raise InvariantViolation(
+                    "credit-conservation",
+                    cycle,
+                    f"subnet {subnet} {link}: credits {free} + buffered "
+                    f"{occupancy} + in-flight {in_flight}"
+                    + (f" + {lost} injected losses" if lost else "")
+                    + f" != capacity {capacity} ({cause} lost, forged, "
+                    "or returned twice)",
+                )
 
     def _check_router_accounting(
         self, network: "SubnetNetwork", census: "_RingCensus", cycle: int
@@ -430,18 +405,16 @@ class InvariantChecker(FabricLayer):
                     f"input VCs give {mask:#x} (the router step would "
                     "skip a VC or read an empty one)",
                 )
-            for out_port in range(Port.COUNT):
-                for vc, credits in enumerate(router.credits[out_port]):
-                    if not 0 <= credits <= capacity:
-                        raise InvariantViolation(
-                            "router-accounting",
-                            cycle,
-                            f"subnet {network.subnet} node "
-                            f"{router.node} port "
-                            f"{Port.NAMES[out_port]} vc {vc}: credit "
-                            f"counter {credits} outside [0, "
-                            f"{capacity}]",
-                        )
+            for index, channel in enumerate(router.channels):
+                if not 0 <= channel.free <= capacity:
+                    in_port, vc = divmod(index, router.vcs_per_port)
+                    raise InvariantViolation(
+                        "router-accounting",
+                        cycle,
+                        f"subnet {network.subnet} node {router.node} "
+                        f"in-port {Port.NAMES[in_port]} vc {vc}: credit "
+                        f"counter {channel.free} outside [0, {capacity}]",
+                    )
 
     def _check_gating_state(self, cycle: int) -> None:
         self.counts["gating-state"] += 1
@@ -584,11 +557,12 @@ class InvariantChecker(FabricLayer):
                                 flit.packet.message_class,
                                 router.vcs_per_port,
                             )
+                        dep_channels = downstream.ports[dep_port].vcs
                         edges = [
                             (subnet, downstream.node, dep_port, dep_vc)
                             for dep_vc in dep_vcs
-                            if router.credits[out_port][dep_vc] == 0
-                            or router.out_owner[out_port][dep_vc]
+                            if dep_channels[dep_vc].free == 0
+                            or dep_channels[dep_vc].owned
                         ]
                         graph[key] = edges
         cycle_path = _find_cycle(graph)

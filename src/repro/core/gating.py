@@ -154,7 +154,7 @@ class PowerGatingController:
             for router in network.routers
         }
         for network in subnets:
-            network.wakeup_sink = self._on_wakeup_request
+            network.gating = self
         # Wake-watchdog state (armed by the repro.faults recovery
         # layer via arm_wake_timeout; dormant and cost-free otherwise).
         self._wake_timeout: int | None = None
@@ -184,9 +184,6 @@ class PowerGatingController:
     # ------------------------------------------------------------------
     # Wakeup requests (look-ahead from routers, injection from NIs)
     # ------------------------------------------------------------------
-    def _on_wakeup_request(self, router: Router, requester_node: int) -> None:
-        self.request_wakeup(router)
-
     def request_wakeup(self, router: Router) -> None:
         """Ask for ``router`` to be powered up (idempotent per cycle)."""
         if self.policy == GatingPolicy.NONE:

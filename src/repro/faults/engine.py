@@ -262,18 +262,14 @@ class FaultEngine(FabricLayer):
 
     def _apply_lost_credit(self, event: FaultEvent, cycle: int) -> None:
         network = self.fabric.subnets[event.subnet]
-        router = network.routers[event.node]
-        credits = router.credits[event.port]
-        if credits[event.vc] <= 0:
+        downstream = network.routers[event.node].neighbor_router[event.port]
+        in_port = Port.OPPOSITE[event.port]
+        channel = downstream.ports[in_port].vcs[event.vc]
+        if channel.free <= 0:
             self._resolve(event, "masked", cycle)
             return
-        credits[event.vc] -= 1
-        key = (
-            event.subnet,
-            router.neighbor_node[event.port],
-            Port.OPPOSITE[event.port],
-            event.vc,
-        )
+        channel.free -= 1
+        key = (event.subnet, downstream.node, in_port, event.vc)
         self.lost_credits[key] = self.lost_credits.get(key, 0) + 1
         event.hits += 1
         self._log({"cycle": cycle, "event": "hit", "seq": event.seq})

@@ -58,7 +58,7 @@ def vc_candidates(message_class: int, vcs_per_port: int) -> tuple[int, ...]:
 
 
 class VirtualChannel:
-    """One VC FIFO plus its wormhole allocation state.
+    """One VC FIFO plus its wormhole allocation state and link state.
 
     ``out_port``/``out_vc`` record the output VC the packet at the front
     of this buffer holds; wormhole switching keeps them allocated from
@@ -66,16 +66,17 @@ class VirtualChannel:
     (its router, its :class:`InputPort` and its bit in the router's
     occupancy mask), so a link delivers a flit straight into it.
 
-    ``home[vc]`` is this VC's credit counter at its upstream sender:
-    ``home`` is that sender's credit list for the link (an upstream
-    router's ``credits[out_port]`` or the NI's per-subnet credits) and
-    ``vc`` this VC's index, so a departing flit returns its slot as
-    ``home[vc] += 1``.  Until a sender is wired in, ``home`` is a
-    placeholder list no sender reads (mesh-edge ports never receive).
+    The link into this VC keeps its state here, beside the buffer it
+    describes: ``free`` is the credit count its sender holds (buffer
+    slots neither occupied nor claimed by a flit in flight), so a flit
+    sent here costs ``free -= 1`` and a flit departing from here
+    returns ``free += 1``; ``owned`` is true while a packet upstream
+    holds this VC as its output VC.  Mesh-edge VCs have no sender and
+    keep ``free`` at ``depth``.
     """
 
     __slots__ = ("fifo", "out_port", "out_vc", "depth", "router", "port",
-                 "bit", "home", "vc")
+                 "bit", "free", "owned")
 
     def __init__(
         self,
@@ -83,8 +84,6 @@ class VirtualChannel:
         router: "Router",
         port: "InputPort",
         bit: int,
-        home: list[int],
-        vc: int,
     ) -> None:
         self.fifo: deque[Flit] = deque()
         self.depth = depth
@@ -93,8 +92,8 @@ class VirtualChannel:
         self.router = router
         self.port = port
         self.bit = bit
-        self.home = home
-        self.vc = vc
+        self.free = depth
+        self.owned = False
 
     @property
     def occupancy(self) -> int:
@@ -123,8 +122,7 @@ class InputPort:
     ``occupancy`` (total flits across VCs) is maintained incrementally
     because the BFM congestion metric reads it every cycle.  Flits
     arrive only through :meth:`repro.noc.network.SubnetNetwork.
-    deliver_arrivals`; ``index`` is the port's number at ``router``
-    and ``home`` the initial credit home of its VCs.
+    deliver_arrivals`; ``index`` is the port's number at ``router``.
     """
 
     __slots__ = ("vcs", "occupancy")
@@ -135,13 +133,10 @@ class InputPort:
         flits_per_vc: int,
         router: "Router",
         index: int,
-        home: list[int],
     ) -> None:
         base = index * vcs_per_port
         self.vcs = [
-            VirtualChannel(
-                flits_per_vc, router, self, 1 << (base + vc), home, vc
-            )
+            VirtualChannel(flits_per_vc, router, self, 1 << (base + vc))
             for vc in range(vcs_per_port)
         ]
         self.occupancy = 0

@@ -107,24 +107,18 @@ class NetworkInterface:
         # _live: bit ``subnet`` is set while that subnet has an active
         # slot, so the per-cycle streaming loop touches only those.
         self._live = 0
-        self._credits = [
-            [config.flits_per_vc] * vcs for _ in range(config.num_subnets)
-        ]
         self._stream_rr = [0] * config.num_subnets
         self._stream_orders = _rr_orders(vcs)
         # _lanes[subnet]: what streaming into that subnet touches — the
-        # slots, the network, the local router, the injection credits
-        # (the credit home of the router's LOCAL input VCs) and those
-        # VCs.
+        # slots, the network, the local router and its LOCAL input VCs
+        # (whose ``free`` counts are this NI's injection credits).
         self._lanes = []
         for subnet, network in enumerate(subnets):
             router = network.routers[node]
-            router.feed(Port.LOCAL, self._credits[subnet])
             self._lanes.append((
                 self._slots[subnet],
                 network,
                 router,
-                self._credits[subnet],
                 router.ports[Port.LOCAL].vcs,
             ))
         # The output port every packet takes at its local router.
@@ -251,7 +245,7 @@ class NetworkInterface:
         flit.  The flits carry their route from assignment and land in
         the local router's input VC ``pipeline_cycles`` later.
         """
-        slots, network, router, credits, local_vcs = self._lanes[subnet]
+        slots, network, router, local_vcs = self._lanes[subnet]
         for vc in self._stream_orders[self._stream_rr[subnet]]:
             slot = slots[vc]
             if slot is None:
@@ -260,14 +254,15 @@ class NetworkInterface:
                 if self.gating is not None:
                     self.gating.request_wakeup(router)
                 return False
-            if credits[vc] <= 0:
+            target = local_vcs[vc]
+            if target.free <= 0:
                 continue
             flit = slot.flits[slot.index]
-            credits[vc] -= 1
+            target.free -= 1
             router.held += 1
             network._ring[
                 (cycle + network._inject_cycles) % network._ring_len
-            ].append((local_vcs[vc], flit))
+            ].append((target, flit))
             network.flits_in_network += 1
             counters = network.counters
             counters.flits_injected += 1

@@ -11,7 +11,7 @@ the power model (§4.2) consumes.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.noc.buffers import VirtualChannel, vc_candidates
 from repro.noc.config import NocConfig
@@ -19,6 +19,9 @@ from repro.noc.flit import Flit, Packet
 from repro.noc.router import PowerState, Router
 from repro.noc.routing import XYRouting
 from repro.noc.topology import ConcentratedMesh, Port
+
+if TYPE_CHECKING:
+    from repro.core.gating import PowerGatingController
 
 __all__ = ["SubnetNetwork", "ActivityCounters"]
 
@@ -76,6 +79,11 @@ def _scan_tables(vcs: int) -> tuple:
             tuple((offset + 1) % total for offset in range(total)),
         )
     return tables
+
+
+def _no_wakeup(router: Router) -> None:
+    """Look-ahead wakeup target of a subnet without a gating
+    controller."""
 
 
 class ActivityCounters:
@@ -146,7 +154,7 @@ class SubnetNetwork:
         for node in range(mesh.num_nodes):
             for port, neighbor in mesh.neighbors(node).items():
                 self.routers[node].connect(
-                    port, self.routers[neighbor], neighbor, rows[neighbor]
+                    port, self.routers[neighbor], rows[neighbor]
                 )
         self._hop_cycles = config.timing.hop_cycles
         #: Cycles from NI injection to landing in the local router.
@@ -162,19 +170,11 @@ class SubnetNetwork:
         #: callable(packet, cycle) installed by the fabric; receives
         #: every packet whose tail ejects, ``received_cycle`` stamped.
         self.eject_sink: Callable[[Packet, int], None] | None = None
-        #: callable(router, requester_node) installed by the gating
-        #: controller; collects look-ahead wakeup requests.
-        self.wakeup_sink: Callable[[Router, int], None] | None = None
+        #: The gating controller, installed by it; the router step
+        #: sends look-ahead wakeup requests to its ``request_wakeup``.
+        self.gating: "PowerGatingController | None" = None
         #: Flits currently inside this subnet (buffered + in flight).
         self.flits_in_network = 0
-
-    # ------------------------------------------------------------------
-    # Gating hook
-    # ------------------------------------------------------------------
-    def request_wakeup(self, router: Router, requester_node: int) -> None:
-        """Forward a look-ahead wakeup request to the gating controller."""
-        if self.wakeup_sink is not None:
-            self.wakeup_sink(router, requester_node)
 
     # ------------------------------------------------------------------
     # Per-cycle evaluation
@@ -214,12 +214,13 @@ class SubnetNetwork:
         port are both unclaimed this cycle, it holds (or is granted) an
         output VC, the downstream VC has a credit, and the next hop is
         awake; a sleeping or waking next hop gets a look-ahead wakeup
-        request instead.  Winners leave for the downstream router's
-        input ``hop_cycles`` later with their look-ahead route
-        computed, or eject to the NI, and return a credit to their VC's
-        credit home.  An ejecting head flit stamps its packet's
-        ``head_ejected_cycle``; an ejecting tail stamps its
-        ``received_cycle`` and hands the packet to ``eject_sink``.
+        request to the gating controller instead.  Winners leave for
+        the downstream router's input ``hop_cycles`` later with their
+        look-ahead route computed, or eject to the NI, and return a
+        credit to their sender as ``channel.free += 1``.  An ejecting
+        head flit stamps its packet's ``head_ejected_cycle``; an
+        ejecting tail stamps its ``received_cycle`` and hands the
+        packet to ``eject_sink``.
 
         Counters and ``flits_in_network`` are charged once per call,
         each router's ``held`` once per router.
@@ -234,7 +235,12 @@ class SubnetNetwork:
         ].append
         eject_sink = self.eject_sink
         vcs = self.config.vcs_per_port
-        request_wakeup = self.request_wakeup
+        # Bound once per call, so a shadow on the controller's
+        # request_wakeup (telemetry, faults) sees every request.
+        gating = self.gating
+        request_wakeup = (
+            _no_wakeup if gating is None else gating.request_wakeup
+        )
         orders_get = _ALLOC_ORDERS.get
         local = Port.LOCAL
         moved_flits = 0
@@ -272,7 +278,7 @@ class SubnetNetwork:
                     # through the local output.
                     fifo.popleft()
                     channel.port.occupancy -= 1
-                    channel.home[channel.vc] += 1
+                    channel.free += 1
                     if flit.is_tail and channel.out_port >= 0:
                         channel.out_port = -1
                         channel.out_vc = -1
@@ -287,7 +293,7 @@ class SubnetNetwork:
                         packet.received_cycle = cycle
                         eject_sink(packet, cycle)
                 else:
-                    downstream, row, down_vcs, next_row = links[out_port]
+                    downstream, down_vcs, next_row = links[out_port]
                     out_vc = channel.out_vc
                     if out_vc < 0:
                         # VC allocation: round-robin over the VCs the
@@ -298,7 +304,7 @@ class SubnetNetwork:
                                 f"{router.node} port {Port.NAMES[out_port]}"
                             )
                         if downstream.power_state:
-                            request_wakeup(downstream, router.node)
+                            request_wakeup(downstream)
                             continue
                         mc = flit.packet.message_class
                         orders = orders_get((mc, vcs))
@@ -307,37 +313,36 @@ class SubnetNetwork:
                         n = len(orders)
                         start = router._vc_rr
                         router._vc_rr = (start + 1) % n
-                        owner = router.out_owner[out_port]
                         for out_vc in orders[start % n]:
-                            if not owner[out_vc]:
-                                owner[out_vc] = True
+                            target = down_vcs[out_vc]
+                            if not target.owned:
+                                target.owned = True
                                 channel.out_port = out_port
                                 channel.out_vc = out_vc
                                 break
                         else:
                             continue
-                        credit = row[out_vc]
-                        if credit <= 0:
+                        if target.free <= 0:
                             continue
                     else:
-                        credit = row[out_vc]
-                        if credit <= 0:
+                        target = down_vcs[out_vc]
+                        if target.free <= 0:
                             continue
                         if downstream.power_state:
-                            request_wakeup(downstream, router.node)
+                            request_wakeup(downstream)
                             continue
                     # Switch traversal onto the link, with the
                     # look-ahead route for the next hop.
                     fifo.popleft()
                     channel.port.occupancy -= 1
-                    row[out_vc] = credit - 1
-                    channel.home[channel.vc] += 1
+                    target.free -= 1
+                    channel.free += 1
                     if flit.is_tail:
-                        router.out_owner[out_port][out_vc] = False
+                        target.owned = False
                         channel.out_port = -1
                         channel.out_vc = -1
                     flit.route = next_row[flit.packet.dst]
-                    send_append((down_vcs[out_vc], flit))
+                    send_append((target, flit))
                     downstream.held += 1
                     if flit.is_head:
                         # Head-flit link traversals count the packet's
@@ -370,16 +375,14 @@ class SubnetNetwork:
     # Recovery
     # ------------------------------------------------------------------
     def resync_credits(self) -> int:
-        """Recompute every upstream credit counter from ground truth.
+        """Recompute every input VC's ``free`` credits from ground truth.
 
         Credit-resynchronization recovery (:mod:`repro.faults`): the
-        correct count at an input VC's credit home (the upstream
-        router, or the NI behind LOCAL) is the VC's capacity minus its
-        buffered flits minus the flits in flight toward it.  Unfed
-        mesh-edge ports never receive, so their placeholder already
-        holds the truth.  Returns the total absolute correction applied
-        (0 when every counter was already consistent — the steady state
-        without faults).
+        correct count is the VC's capacity minus its buffered flits
+        minus the flits in flight toward it (mesh-edge VCs never
+        receive, so theirs already is).  Returns the total absolute
+        correction applied (0 when every counter was already consistent
+        — the steady state without faults).
         """
         in_flight: dict[int, int] = {}
         for slot in self._ring:
@@ -390,12 +393,11 @@ class SubnetNetwork:
         corrected = 0
         for router in self.routers:
             for channel in router.channels:
-                home, vc = channel.home, channel.vc
                 queued = len(channel.fifo) + in_flight.get(id(channel), 0)
                 truth = capacity - queued
-                if home[vc] != truth:
-                    corrected += abs(home[vc] - truth)
-                    home[vc] = truth
+                if channel.free != truth:
+                    corrected += abs(channel.free - truth)
+                    channel.free = truth
         return corrected
 
     # ------------------------------------------------------------------

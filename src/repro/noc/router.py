@@ -6,7 +6,8 @@ control, wormhole switching, look-ahead X-Y routing, and a separable
 round-robin switch allocator.  The two pipeline stages plus one link
 cycle give the 3-cycle per-hop latency used throughout.
 
-A :class:`Router` holds its buffers, credits, allocation state and an
+A :class:`Router` holds its buffers (each input VC carries the credit
+and ownership state of the link into it), allocation state and an
 occupancy bitmask; the pipeline itself runs once per subnet in
 :meth:`repro.noc.network.SubnetNetwork.step_routers`, for every router
 of the subnet in one call.
@@ -28,7 +29,7 @@ from repro.noc.topology import Port
 __all__ = ["PowerState", "Router"]
 
 #: ``links`` entry of an output port without a downstream router.
-_NO_LINK: tuple = (None, None, (), ())
+_NO_LINK: tuple = (None, (), ())
 
 
 class PowerState:
@@ -56,10 +57,7 @@ class Router:
         "channels",
         "scan",
         "mask",
-        "credits",
-        "out_owner",
         "neighbor_router",
-        "neighbor_node",
         "links",
         "vcs_per_port",
         "flits_per_vc",
@@ -84,11 +82,8 @@ class Router:
         self.subnet = subnet
         self.vcs_per_port = vcs_per_port
         self.flits_per_vc = flits_per_vc
-        # Until a sender is wired in, every input VC's credit home is
-        # one placeholder list that no sender reads.
-        placeholder = [flits_per_vc] * vcs_per_port
         self.ports = [
-            InputPort(vcs_per_port, flits_per_vc, self, port, placeholder)
+            InputPort(vcs_per_port, flits_per_vc, self, port)
             for port in range(Port.COUNT)
         ]
         # channels[p * V + v]: input VC (p, v) in the allocator's scan
@@ -100,21 +95,13 @@ class Router:
         # from its round-robin offset without wrapping.
         self.scan = self.channels * 2
         self.mask = 0
-        # credits[out_port][vc]: free downstream buffer slots.
-        self.credits = [
-            [flits_per_vc] * vcs_per_port for _ in range(Port.COUNT)
-        ]
-        # out_owner[out_port][vc]: output VC currently held by a packet.
-        self.out_owner = [
-            [False] * vcs_per_port for _ in range(Port.COUNT)
-        ]
         # Downstream router object per output port (None at mesh edges
         # and for LOCAL, which ejects to the NI).
         self.neighbor_router: list[Router | None] = [None] * Port.COUNT
-        self.neighbor_node: list[int] = [-1] * Port.COUNT
-        # links[out_port]: (downstream router, credits[out_port], the
-        # downstream input VCs a flit leaving on (out_port, vc) lands
-        # in, the downstream node's route row for look-ahead routing);
+        # links[out_port]: (downstream router, the downstream input VCs
+        # a flit leaving on (out_port, vc) lands in — their ``free`` and
+        # ``owned`` are this output's credits and VC ownership — and
+        # the downstream node's route row for look-ahead routing);
         # _NO_LINK where there is no neighbour.
         self.links: list[tuple] = [_NO_LINK] * Port.COUNT
         # Flits buffered here plus flits on a link toward here: grows
@@ -140,7 +127,6 @@ class Router:
         self,
         out_port: int,
         downstream: "Router",
-        downstream_node: int,
         route_row: Sequence[int],
     ) -> None:
         """Attach ``downstream`` behind output ``out_port``.
@@ -149,20 +135,10 @@ class Router:
         toward ``dst`` (the look-ahead route a flit carries there).
         """
         self.neighbor_router[out_port] = downstream
-        self.neighbor_node[out_port] = downstream_node
         in_port = Port.OPPOSITE[out_port]
-        credits = self.credits[out_port]
         self.links[out_port] = (
-            downstream, credits, downstream.ports[in_port].vcs, route_row
+            downstream, downstream.ports[in_port].vcs, route_row
         )
-        downstream.feed(in_port, credits)
-
-    def feed(self, in_port: int, credits: list[int]) -> None:
-        """Make ``credits`` the credit home of input port ``in_port``:
-        the sender's per-VC credit list that departures from its VCs
-        replenish."""
-        for channel in self.ports[in_port].vcs:
-            channel.home = credits
 
     # ------------------------------------------------------------------
     # Congestion-metric views

@@ -62,8 +62,11 @@ def oracle_router_step(network, router, cycle: int) -> None:
 
     Winners are popped from their input VCs and handed to the network's
     delay line (or ejected to the NI); credits flow back to the
-    senders.  At most one flit leaves per input port and per output port
-    per cycle (crossbar constraint).
+    senders.  Credits and output-VC ownership are read and written on
+    the downstream input VCs (``free``, ``owned``) by index, one VC at
+    a time, independently of the real step's link tuples.  At most one
+    flit leaves per input port and per output port per cycle (crossbar
+    constraint).
     """
 
     def allocate_vc(channel, flit, out_port: int) -> bool:
@@ -76,9 +79,9 @@ def oracle_router_step(network, router, cycle: int) -> None:
                 f"port {Port.NAMES[out_port]}"
             )
         if downstream.power_state:
-            network.request_wakeup(downstream, router.node)
+            network.gating.request_wakeup(downstream)
             return False
-        owner = router.out_owner[out_port]
+        owner = downstream_vcs(out_port)
         candidates = vc_candidates(
             flit.packet.message_class, router.vcs_per_port
         )
@@ -86,37 +89,41 @@ def oracle_router_step(network, router, cycle: int) -> None:
         router._vc_rr = (start + 1) % len(candidates)
         for j in range(len(candidates)):
             vc = candidates[(j + start) % len(candidates)]
-            if not owner[vc]:
-                owner[vc] = True
+            if not owner[vc].owned:
+                owner[vc].owned = True
                 channel.out_port = out_port
                 channel.out_vc = vc
                 return True
         return False
 
+    def downstream_vcs(out_port: int):
+        downstream = router.neighbor_router[out_port]
+        return downstream.ports[Port.OPPOSITE[out_port]].vcs
+
     def lookahead_route(out_port: int, dst: int) -> int:
         return network.routing.output_port(
-            router.neighbor_node[out_port], dst
+            router.neighbor_router[out_port].node, dst
         )
 
     def pop(in_port: int, in_vc: int):
         # Dequeue, keep the occupancy mask the real step scans in
-        # sync, and return the credit to the VC's credit home.
+        # sync, and return the credit to the VC's sender.
         port = router.ports[in_port]
         channel = port.vcs[in_vc]
         port.pop(in_vc)
         if not channel.fifo:
             router.mask &= ~(1 << (in_port * router.vcs_per_port + in_vc))
         router.held -= 1
-        channel.home[in_vc] += 1
+        channel.free += 1
         return channel
 
     def forward(in_port, in_vc, flit, out_port, out_vc, downstream,
                 next_route) -> None:
         channel = router.ports[in_port].vcs[in_vc]
         pop(in_port, in_vc)
-        router.credits[out_port][out_vc] -= 1
+        downstream_vcs(out_port)[out_vc].free -= 1
         if flit.is_tail:
-            router.out_owner[out_port][out_vc] = False
+            downstream_vcs(out_port)[out_vc].owned = False
             channel.release_allocation()
         flit.route = next_route
         _send(network, flit, downstream, Port.OPPOSITE[out_port], out_vc,
@@ -144,7 +151,6 @@ def oracle_router_step(network, router, cycle: int) -> None:
     used_out = 0
     heads_waiting = 0
     moved = 0
-    credits = router.credits
     for in_port, in_bit, in_vc, channel in scan:
         fifo = channel.fifo
         if not fifo:
@@ -168,13 +174,13 @@ def oracle_router_step(network, router, cycle: int) -> None:
         if channel.out_port < 0 and not allocate_vc(channel, flit, out_port):
             continue
         out_vc = channel.out_vc
-        if credits[out_port][out_vc] <= 0:
+        if downstream_vcs(out_port)[out_vc].free <= 0:
             continue
         downstream = router.neighbor_router[out_port]
         if downstream is None or downstream.power_state:
             # Sleeping/waking next hop: look-ahead wakeup request.
             if downstream is not None:
-                network.request_wakeup(downstream, router.node)
+                network.gating.request_wakeup(downstream)
             continue
         forward(
             in_port, in_vc, flit, out_port, out_vc, downstream,

@@ -63,9 +63,9 @@ class TestVirtualChannel:
 
 class TestCreditHomes:
     def test_every_vc_returns_credits_to_its_sender(self):
-        """An input VC's credit home is its sender's credit list for
-        the link: the upstream router's ``credits[out_port]`` behind a
-        mesh link, the NI's per-subnet credits behind LOCAL."""
+        """An input VC's credits are the ones its sender spends on the
+        link: the upstream router's ``links[out_port]`` VCs behind a
+        mesh link, the NI's per-subnet lane VCs behind LOCAL."""
         fabric = MultiNocFabric(
             NocConfig(mesh_cols=3, mesh_rows=2, num_subnets=2,
                       link_width_bits=128),
@@ -82,14 +82,14 @@ class TestCreditHomes:
                     for vc, channel in enumerate(
                         downstream.ports[in_port].vcs
                     ):
-                        assert channel.home is router.credits[out_port]
-                        assert channel.vc == vc
+                        assert router.links[out_port][1][vc] is channel
+                        assert channel.free == fabric.config.flits_per_vc
                         wired += 1
             for ni in fabric.nis:
                 local = network.routers[ni.node].ports[Port.LOCAL]
                 for vc, channel in enumerate(local.vcs):
-                    assert channel.home is ni._credits[network.subnet]
-                    assert channel.vc == vc
+                    assert ni._lanes[network.subnet][3][vc] is channel
+                    assert channel.free == fabric.config.flits_per_vc
         # 7 mesh links, both directions, 4 VCs, 2 subnets.
         assert wired == 7 * 2 * 4 * 2
 

@@ -488,6 +488,71 @@ class TestCampaign:
         assert "survival" in capsys.readouterr().out
 
 
+#: ``(class, recovery, event_digest, rows digest)`` of one campaign
+#: fault point (64-core gated Multi-NoC, uniform 0.30, seed 7, scale
+#: 0.2, rate 0.016, fault seed 1), pinned so that a rewrite of the
+#: credit path or the fault engine cannot change fault semantics
+#: unnoticed.  Every class injects at this rate and scale; at scale
+#: 0.05 nothing is armed.
+PINNED_FAULT_POINTS = (
+    ("lost-credit", (),
+     "f001adfc73e34ec6b1f100f0a441085bdc07561b055621910bcb73c42136b971",
+     "4b2b27a04ba22dcc"),
+    ("lost-credit", ("credit-resync",),
+     "2e46493d209d004a2bbc288b6599f26e16e21d2d871468d26db8ab4462e06ccb",
+     "2adb2709001e7920"),
+    ("drop-flit", (),
+     "b6c543fc5db4706e0731f5041843fb3259a6809d85d4f1465e271f3aaac1abd2",
+     "5a96f25a337592d7"),
+    ("drop-flit", ("credit-resync",),
+     "ff25ba913c986379894034672f10a227bb441ce5e245c73cc4fcb6a380e55798",
+     "57fe149be923a6ed"),
+    ("drop-wakeup", (),
+     "3c52e46e7c1dc75807188f6b1dcd6ac0738eef6cbde2b888f511e44ec373453d",
+     "b4f60eff80e95373"),
+    ("drop-wakeup", ("credit-resync",),
+     "3c52e46e7c1dc75807188f6b1dcd6ac0738eef6cbde2b888f511e44ec373453d",
+     "85c955d7618ea49a"),
+)
+
+
+class TestPinnedFaultDigests:
+    """Fault semantics stay fixed across versions, not only run to
+    run: a ``PointSpec.fault`` point's event log and its rows (hashed
+    as the ledger's ``rows_digest``) match digests recorded earlier."""
+
+    @pytest.mark.parametrize(
+        "fault_class,recover,event_digest,rows_digest",
+        PINNED_FAULT_POINTS,
+        ids=[
+            fault_class + ("+resync" if recover else "")
+            for fault_class, recover, _, _ in PINNED_FAULT_POINTS
+        ],
+    )
+    def test_fault_point_matches_pinned_digests(
+        self, fault_class, recover, event_digest, rows_digest
+    ):
+        from repro.experiments.common import synthetic_phases
+        from repro.experiments.runner import PointSpec, execute_point
+        from repro.faults.campaign import campaign_config
+        from repro.obs.ledger import _rows_digest
+
+        phases = synthetic_phases(0.2)
+        spec = FaultSpec(
+            rate=0.016, classes=(fault_class,), window=64, start=0,
+            end=phases.total, seed=1, recover=recover,
+        )
+        rows = execute_point(
+            PointSpec.fault(
+                campaign_config(), "uniform", 0.30, phases,
+                spec.to_string(), seed=7,
+            )
+        )
+        assert rows[0]["injected"] > 0
+        assert rows[0]["event_digest"] == event_digest
+        assert _rows_digest(rows) == rows_digest
+
+
 class TestRecoveryConfig:
     def test_from_spec_enables_named_mechanisms(self):
         spec = FaultSpec(recover=("credit-resync",))

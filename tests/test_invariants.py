@@ -172,7 +172,9 @@ class TestMutations:
             for p in range(1, Port.COUNT)
             if router.neighbor_router[p] is not None
         )
-        router.credits[port][0] -= 1
+        router.neighbor_router[port].ports[Port.OPPOSITE[port]].vcs[
+            0
+        ].free -= 1
         with pytest.raises(InvariantViolation) as err:
             fabric.run(1)
         assert err.value.invariant == "credit-conservation"
@@ -190,14 +192,16 @@ class TestMutations:
             for p in range(1, Port.COUNT)
             if router.neighbor_router[p] is not None
         )
-        router.credits[port][0] += 1
+        router.neighbor_router[port].ports[Port.OPPOSITE[port]].vcs[
+            0
+        ].free += 1
         with pytest.raises(InvariantViolation) as err:
             fabric.run(1)
         assert err.value.invariant == "credit-conservation"
 
     def test_dropped_injection_credit_is_caught(self, backend):
         fabric, _checker = checked_fabric(backend=backend)
-        fabric.nis[3]._credits[0][0] -= 1
+        fabric.subnets[0].routers[3].ports[Port.LOCAL].vcs[0].free -= 1
         with pytest.raises(InvariantViolation) as err:
             fabric.run(1)
         assert err.value.invariant == "credit-conservation"
@@ -393,8 +397,8 @@ def plant_circular_wait(fabric: MultiNocFabric) -> None:
         ),
     )
     for vc in range(fabric.config.vcs_per_port):
-        r0.credits[Port.EAST][vc] = 0
-        r1.credits[Port.WEST][vc] = 0
+        r1.ports[Port.WEST].vcs[vc].free = 0
+        r0.ports[Port.EAST].vcs[vc].free = 0
 
 
 class TestDeadlock:
@@ -438,7 +442,7 @@ class TestDeadlock:
             ),
         )
         for vc in range(fabric.config.vcs_per_port):
-            r0.credits[Port.EAST][vc] = 0
+            network.routers[1].ports[Port.WEST].vcs[vc].free = 0
         witness = checker._dependency_witness()
         assert "no dependency cycle found" in witness
         assert "node 0 in-port local vc 0" in witness

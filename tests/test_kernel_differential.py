@@ -1,7 +1,8 @@
 """Differential search: the router and gating steps against their
 oracles, and dense against skip.
 
-Hypothesis draws fabric configurations (1-4 subnets, 2 or 4 VCs,
+Hypothesis draws fabric configurations (1-4 subnets, 2 or 4 VCs of
+2 or 4 flits, RCS regions of one or two divisions per mesh side,
 gating on or off, every selection policy, every congestion metric —
 Delay makes routers keep blocking counters, IR makes NIs track their
 injection-rate averages) and
@@ -90,6 +91,8 @@ def configs(draw):
         num_subnets=num_subnets,
         link_width_bits=draw(st.sampled_from([128, 256])),
         vcs_per_port=draw(st.sampled_from([2, 4])),
+        # Every input VC's initial ``free`` credit count.
+        flits_per_vc=draw(st.sampled_from([2, 4])),
         voltage_v=0.625,
         selection_policy=draw(st.sampled_from(policies)),
         # A long idle window makes routers sleep inside quiescence
@@ -98,7 +101,10 @@ def configs(draw):
             enabled=draw(st.booleans()),
             idle_detect_cycles=draw(st.sampled_from([4, 40])),
         ),
-        congestion=CongestionConfig(metric=draw(st.sampled_from(METRICS))),
+        congestion=CongestionConfig(
+            metric=draw(st.sampled_from(METRICS)),
+            rcs_divisions=draw(st.sampled_from([1, 2])),
+        ),
     )
 
 

@@ -87,8 +87,10 @@ class TestFabricInvariants:
                 ):
                     if network.routers and router.neighbor_router[port]:
                         assert all(
-                            credit == full
-                            for credit in router.credits[port]
+                            channel.free == full
+                            for channel in router.neighbor_router[
+                                port
+                            ].ports[Port.OPPOSITE[port]].vcs
                         )
 
     @settings(max_examples=15, deadline=None)
