@@ -9,7 +9,6 @@ occupancy is what the winning BFM congestion metric (§3.2.1) reads.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.noc.flit import Flit, MessageClass
@@ -60,6 +59,11 @@ def vc_candidates(message_class: int, vcs_per_port: int) -> tuple[int, ...]:
 class VirtualChannel:
     """One VC FIFO plus its wormhole allocation state and link state.
 
+    ``fifo`` is a plain list, head at index 0: it never holds more than
+    ``depth`` flits, so ``del fifo[0]`` moves at most a few pointers,
+    and an empty list is far smaller than a ``deque``'s first block —
+    a 4-subnet fabric has thousands of VCs.
+
     ``out_port``/``out_vc`` record the output VC the packet at the front
     of this buffer holds; wormhole switching keeps them allocated from
     head to tail flit.  ``router``, ``port`` and ``bit`` locate the VC
@@ -85,7 +89,7 @@ class VirtualChannel:
         port: "InputPort",
         bit: int,
     ) -> None:
-        self.fifo: deque[Flit] = deque()
+        self.fifo: list[Flit] = []
         self.depth = depth
         self.out_port = -1
         self.out_vc = -1
@@ -143,7 +147,7 @@ class InputPort:
 
     def pop(self, vc: int) -> Flit:
         """Dequeue the front flit of virtual channel ``vc``."""
-        flit = self.vcs[vc].fifo.popleft()
+        flit = self.vcs[vc].fifo.pop(0)
         self.occupancy -= 1
         return flit
 

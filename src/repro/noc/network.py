@@ -276,7 +276,7 @@ class SubnetNetwork:
                 if out_port == local:
                     # Ejection: no VC allocation, one flit per cycle
                     # through the local output.
-                    fifo.popleft()
+                    del fifo[0]
                     channel.port.occupancy -= 1
                     channel.free += 1
                     if flit.is_tail and channel.out_port >= 0:
@@ -333,7 +333,7 @@ class SubnetNetwork:
                             continue
                     # Switch traversal onto the link, with the
                     # look-ahead route for the next hop.
-                    fifo.popleft()
+                    del fifo[0]
                     channel.port.occupancy -= 1
                     target.free -= 1
                     channel.free += 1

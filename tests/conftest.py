@@ -94,9 +94,14 @@ def land_flit(network, router, in_port: int, vc: int, flit, cycle=0):
     """Land ``flit`` in input VC ``(in_port, vc)`` of ``router`` through
     the real link-delivery path: one ring entry for ``cycle``, then
     ``network.deliver_arrivals(cycle)`` (which also lands anything else
-    already due at ``cycle``)."""
+    already due at ``cycle``).  Like an NI send, it spends the VC's
+    credit and counts the flit as injected and in the network, so the
+    invariant checker's conservation laws hold for planted flits."""
     router.held += 1
     channel = router.ports[in_port].vcs[vc]
+    channel.free -= 1
+    network.flits_in_network += 1
+    network.counters.flits_injected += 1
     network._ring[cycle % network._ring_len].append((channel, flit))
     network.deliver_arrivals(cycle)
 

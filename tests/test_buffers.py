@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -120,6 +122,25 @@ class TestInputPort:
         port.pop(0)
         port.pop(3)
         assert port.is_empty
+
+
+class TestFootprint:
+    def test_four_subnet_fabric_heap(self):
+        """Buffered capacity is constant across subnet counts, so VC
+        storage must not cost more than the flits it can hold: the
+        4NT-128b-PG fabric's 5,120 input VCs are empty lists, and the
+        whole fabric builds in under 2.5 MiB of Python heap (about
+        1.7 MiB; one ``deque`` per VC made it 5.1 MiB)."""
+        config = NocConfig.multi_noc(4, power_gating=True)
+        MultiNocFabric(config)  # warm-up: module-level memos and caches
+        tracemalloc.start()
+        try:
+            fabric = MultiNocFabric(config)
+            heap, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert heap < 2.5 * 2**20
+        assert fabric.subnets[0].routers[0].channels[0].fifo == []
 
 
 class TestVcCandidates:

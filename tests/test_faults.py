@@ -440,7 +440,7 @@ class TestCampaign:
 
         phases = synthetic_phases(0.05)
         spec = FaultSpec(
-            rate=0.01, classes=("drop-flit",), end=phases.total, seed=2
+            rate=0.01, classes=("drop-flit",), end=phases.total, seed=1
         )
         rows = [
             run_fault_point(
@@ -450,6 +450,7 @@ class TestCampaign:
             for _ in range(2)
         ]
         assert rows[0] == rows[1]
+        assert rows[0]["injected"] > 0
         assert rows[0]["event_digest"]
 
     def test_campaign_serial_equals_parallel(self):

@@ -451,9 +451,10 @@ class TestDeadlock:
         fabric = small_fabric()
         checker = InvariantChecker(fabric, stall_cycles=3).attach()
         plant_circular_wait(fabric)
-        # The planted flits bypass the counters on purpose, so drive
-        # the watchdog directly: zero progress, flits in the network.
-        fabric.subnets[0].flits_in_network = 2
+        # The planted wait zeroes credits by hand, which the credit law
+        # would flag, so drive the watchdog directly: zero progress,
+        # two flits in the network.
+        assert fabric.subnets[0].flits_in_network == 2
         with pytest.raises(InvariantViolation) as err:
             for _ in range(10):
                 checker._check_stall(fabric.cycle)

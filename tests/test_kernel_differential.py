@@ -6,9 +6,10 @@ Hypothesis draws fabric configurations (1-4 subnets, 2 or 4 VCs of
 gating on or off, every selection policy, every congestion metric —
 Delay makes routers keep blocking counters, IR makes NIs track their
 injection-rate averages) and
-traffic (Bernoulli uniform or hotspot, a bursty schedule, or a small
-closed-loop ``Processor``).  Each example runs three fabrics from the
-same seed:
+traffic (Bernoulli uniform or hotspot, a bursty schedule, an ``llm``,
+``tenants`` or ``diurnal`` serving source built from its workload
+spec, or a small closed-loop ``Processor``).  Each example runs three
+fabrics from the same seed:
 
 * ``oracle`` — the dense kernel on a reference cycle body that steps
   every NI and every subnet (``fabric.step`` skips idle ones), with
@@ -67,6 +68,7 @@ from repro.traffic.generators import (
 )
 from repro.telemetry.hub import TelemetryHub
 from repro.traffic.patterns import make_pattern
+from repro.workloads.spec import make_workload_source
 
 EXAMPLES = max(1, settings.default.max_examples // 2)
 
@@ -126,7 +128,45 @@ closed_loop = st.tuples(
     st.lists(st.sampled_from(sorted(BENCHMARK_MPKI)), min_size=4,
              max_size=4).map(tuple),
 )
-traffic = st.one_of(open_loop, bursty, closed_loop)
+
+
+@st.composite
+def serving(draw):
+    """An ``llm``, ``tenants`` or ``diurnal`` workload spec valid on
+    every drawn mesh (at least 2x2 nodes, so at most 4 memory
+    controllers), with phases and hours short enough to change within
+    the run: the skip kernel meets each source's ``next_offer_cycle``
+    horizons, zero-rate phases and all-zero sources included."""
+    rate = st.one_of(st.just(0.0), st.floats(0.01, 0.2))
+    burst = st.one_of(st.just(0.0), st.floats(0.01, 0.5))
+    pattern = st.sampled_from(["uniform", "hotspot"])
+    kind = draw(st.sampled_from(["llm", "tenants", "diurnal"]))
+    if kind == "llm":
+        spec = (
+            f"llm:batch={draw(st.integers(1, 4))};"
+            f"seq={draw(st.integers(1, 16))};"
+            f"mcs={draw(st.integers(1, 4))};"
+            f"prefill_rate={draw(burst)};"
+            f"decode_rate={draw(rate)};"
+            f"token_cycles={draw(st.integers(1, 4))};"
+            f"gap={draw(st.integers(0, 80))}"
+        )
+    elif kind == "tenants":
+        rates = draw(st.lists(rate, min_size=1, max_size=3))
+        spec = (
+            f"tenants:rates={','.join(map(repr, rates))};"
+            f"pattern={draw(pattern)}"
+        )
+    else:
+        spec = (
+            f"diurnal:base={draw(st.floats(0.01, 0.5))};"
+            f"pattern={draw(pattern)};"
+            f"cycles_per_hour={draw(st.integers(1, 20))}"
+        )
+    return "serving", spec
+
+
+traffic = st.one_of(open_loop, bursty, serving(), closed_loop)
 
 
 def _reference_step(fabric: MultiNocFabric) -> None:
@@ -167,18 +207,22 @@ def _prepare(fabric: MultiNocFabric, run: str) -> list[tuple]:
 def _open_loop_state(config, kind, arg, run, seed, cycles):
     fabric = MultiNocFabric(config, seed=seed)
     log = _prepare(fabric, run)
-    pattern = make_pattern("uniform" if kind == "bursty" else kind,
-                           fabric.mesh)
-    if kind == "bursty":
+    if kind == "serving":
+        source = make_workload_source(fabric, arg, seed=seed)
+    elif kind == "bursty":
+        pattern = make_pattern("uniform", fabric.mesh)
         source = BurstyTrafficSource(fabric, pattern, arg, 512, seed=seed)
     else:
+        pattern = make_pattern(kind, fabric.mesh)
         source = SyntheticTrafficSource(fabric, pattern, arg, 512, seed=seed)
     fabric.backend.run(cycles, source)
     fabric.drain(2_000)
+    # A tenants source draws from one RNG substream per tenant.
+    rngs = getattr(source, "rngs", None) or (source.rng,)
     return (
         dataclasses.asdict(fabric.report()),
         fabric.rng.getstate(),
-        source.rng.getstate(),
+        [rng.getstate() for rng in rngs],
         fabric.cycle,
         log,
     )

@@ -21,7 +21,6 @@ def fill_router(network, node, flits):
         flit = Flit(packet, True, True, 0)
         flit.route = Port.LOCAL
         land_flit(network, router, Port.EAST, i % 4, flit)
-        network.flits_in_network += 1
 
 
 class TestLcs:

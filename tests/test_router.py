@@ -6,8 +6,9 @@ router step every kernel calls.
 
 from __future__ import annotations
 
-from tests.conftest import land_flit
+from tests.conftest import drain_all, land_flit
 
+from repro.analysis.invariants import InvariantChecker
 from repro.noc.config import NocConfig
 from repro.noc.flit import Flit, MessageClass, Packet
 from repro.noc.multinoc import MultiNocFabric
@@ -42,7 +43,6 @@ class TestForwarding:
         network = fabric.subnets[0]
         r0, r1 = network.routers
         flit = make_flit(dst=1, route=Port.EAST)
-        network.flits_in_network += 1
         land_flit(network, r0, Port.LOCAL, 0, flit)
         # Step until the flit lands at router 1's west input.
         for _ in range(fabric.config.timing.hop_cycles + 1):
@@ -57,7 +57,6 @@ class TestForwarding:
         r0, r1 = network.routers
         before = r1.ports[Port.WEST].vcs[0].free
         flit = make_flit(dst=1, route=Port.EAST, mc=MessageClass.REQUEST)
-        network.flits_in_network += 1
         land_flit(network, r0, Port.LOCAL, 0, flit)
         fabric.step()  # SA: flit leaves r0, credit consumed
         assert r1.ports[Port.WEST].vcs[0].free == before - 1
@@ -65,6 +64,25 @@ class TestForwarding:
             fabric.step()
         # After r1 forwards/ejects the flit, the credit returns.
         assert r1.ports[Port.WEST].vcs[0].free == before
+
+    def test_planted_flit_keeps_every_law(self):
+        """A flit landed by ``land_flit`` spends the credit it uses:
+        the invariant checker sees no forged credit, and every VC ends
+        at its depth once the flit has drained."""
+        fabric = two_node_fabric()
+        network = fabric.subnets[0]
+        r0 = network.routers[0]
+        flit = make_flit(dst=1, route=Port.EAST, mc=MessageClass.REQUEST)
+        land_flit(network, r0, Port.LOCAL, 0, flit)
+        checker = InvariantChecker(fabric).attach()
+        drain_all(fabric)
+        assert checker.counts["credit-conservation"] > 0
+        assert r0.ports[Port.LOCAL].vcs[0].free == fabric.config.flits_per_vc
+        depths = {
+            channel.free for router in network.routers
+            for channel in router.channels
+        }
+        assert depths == {fabric.config.flits_per_vc}
 
     def test_lookahead_route_computed_for_next_hop(self):
         fabric = MultiNocFabric(
@@ -77,7 +95,6 @@ class TestForwarding:
         network = fabric.subnets[0]
         r0 = network.routers[0]
         flit = make_flit(dst=2, route=Port.EAST)
-        network.flits_in_network += 1
         land_flit(network, r0, Port.LOCAL, 0, flit)
         fabric.step()
         # While in flight to router 1, the flit's route must already be
@@ -95,7 +112,6 @@ class TestOutputConstraints:
         r0 = network.routers[0]
         for vc in (0, 1):
             flit = make_flit(dst=1, route=Port.EAST)
-            network.flits_in_network += 1
             land_flit(network, r0, Port.LOCAL, vc, flit)
         fabric.step()
         assert r0.buffered_flits == 1  # only one left per cycle
@@ -112,7 +128,6 @@ class TestOutputConstraints:
         tail = Flit(packet, False, True, 1)
         for f in (head, tail):
             f.route = Port.EAST
-            network.flits_in_network += 1
             land_flit(network, r0, Port.LOCAL, 0, f)
         fabric.step()
         channel = r0.ports[Port.LOCAL].vcs[0]
@@ -138,7 +153,6 @@ class TestPowerStateInteraction:
             router.node
         )
         flit = make_flit(dst=1, route=Port.EAST)
-        network.flits_in_network += 1
         land_flit(network, r0, Port.LOCAL, 0, flit)
         network.step_routers(fabric.cycle)
         assert 1 in requests
@@ -153,7 +167,6 @@ class TestBlockingCounters:
         r0.track_blocking = True
         for vc in (0, 1):
             flit = make_flit(dst=1, route=Port.EAST)
-            network.flits_in_network += 1
             land_flit(network, r0, Port.LOCAL, vc, flit)
         network.step_routers(0)
         assert r0.moved_accum == 1
@@ -167,7 +180,6 @@ class TestDrainedProperty:
         r0, r1 = network.routers
         assert r0.is_drained and r1.is_drained
         flit = make_flit(dst=1, route=Port.EAST)
-        network.flits_in_network += 1
         land_flit(network, r0, Port.LOCAL, 0, flit)
         fabric.step()  # flit now in flight toward r1
         assert r0.is_drained
